@@ -16,8 +16,9 @@ import click
 
 from . import eigen, frontsim, orbits, pde, weinberger
 from .errors import (BlowupError, DomainTooSmall, EvalError, InconsistentClassification,
-                     NoConvergence, NoInteriorMinimum, NonEllipticError, NotMonostable,
-                     ParseError, ShiftOutOfRange, SingularSolve, ValidationError)
+                     NoConvergence, NoCrossing, NoInteriorMinimum, NonEllipticError,
+                     NotMonostable, ParseError, ShiftOutOfRange, SingularSolve,
+                     ValidationError)
 from .speeds import FIELD_NAMES, SystemSpec, compute_speed_report
 
 TASKS = ("eigen", "orbit", "speed", "check", "weinberger", "front")
@@ -167,7 +168,7 @@ def run_scenario(config: dict | ScenarioConfig, refine=False, jobs=1, quiet=Fals
         report["status"] = "numerical-failure"
         report["reason"] = f"{type(exc).__name__}: {exc}"
         status = EXIT_NUMERICAL
-    except (DomainTooSmall, ShiftOutOfRange, InconsistentClassification,
+    except (DomainTooSmall, ShiftOutOfRange, InconsistentClassification, NoCrossing,
             NoInteriorMinimum, NotMonostable, ValueError) as exc:
         report["status"] = "inconclusive"
         report["reason"] = f"{type(exc).__name__}: {exc}"
@@ -193,8 +194,7 @@ def _task_orbit(cfg, sys_spec):
 
 
 def _task_eigen(cfg, sys_spec, jobs):
-    lam1 = eigen.principal_eigen(sys_spec.d1, sys_spec.g1, sys_spec.b1)
-    lam2 = eigen.principal_eigen(sys_spec.d2, sys_spec.g2, sys_spec.b2)
+    lam1, lam2 = sys_spec.species1_eigen(), sys_spec.species2_eigen()
     mus = [round(0.1 + 0.2 * k, 10) for k in range(15)]
 
     def solve(mu):

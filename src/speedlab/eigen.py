@@ -20,7 +20,7 @@ import numpy as np
 
 from .coeffs import CoefficientField
 from .errors import NoConvergence
-from .pde import CellPeriodMap
+from .pde import CellPeriodMap, write_csv
 
 POWER_TOL = 1e-12          # successive-ratio change, relative
 RESIDUAL_TOL = 1e-8        # contract: |K psi - rho psi|_inf <= tol * |psi|_inf
@@ -224,7 +224,5 @@ def refined_lambda(build, factor=2):
 
 def write_lambda_curve(path, mus, results):
     """CSV dump: mu, lambda, residual, iterations."""
-    with open(path, "w") as fh:
-        fh.write("mu,lambda,residual,iterations\n")
-        for mu, r in zip(mus, results):
-            fh.write(f"{float(mu)!r},{r.lam!r},{r.residual!r},{r.iterations}\n")
+    write_csv(path, ("mu", "lambda", "residual", "iterations"),
+              ((float(mu), r.lam, r.residual, r.iterations) for mu, r in zip(mus, results)))

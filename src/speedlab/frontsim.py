@@ -16,7 +16,7 @@ import numpy as np
 from scipy import stats
 
 from .errors import DomainTooSmall, NoCrossing, TooFewPoints
-from .pde import LineState, LineSystemEvolver
+from .pde import LineState, LineSystemEvolver, cell_offsets, rightmost_crossing, write_csv
 
 FRONT_THRESHOLD = 0.5
 DISCARD_FRACTION = 0.3
@@ -76,12 +76,6 @@ class SpreadingVerdict:
         }
 
 
-def _tile_orbit_row(orbit, x):
-    dx = orbit.ell / orbit.nx
-    idx = np.round(x / dx).astype(int) % orbit.nx
-    return orbit.snapshots[0][idx]
-
-
 def front_position(state: LineState, u1_star, threshold=FRONT_THRESHOLD):
     """Largest x where species 1, normalized by its periodic level, crosses.
 
@@ -93,18 +87,11 @@ def front_position(state: LineState, u1_star, threshold=FRONT_THRESHOLD):
     if min(phase, 1.0 - phase) > 1e-6:
         raise ValueError("front_position needs a state at a whole period")
     x = state.x
-    level = _tile_orbit_row(u1_star, x)
-    w = state.values[0] / level
-    above = w >= threshold
-    if not above.any() or above.all():
+    w = state.values[0] / u1_star.snapshots[0][cell_offsets(x, u1_star.ell, u1_star.nx)]
+    pos = rightmost_crossing(x, w, threshold)
+    if pos is None or np.all(w >= threshold):
         raise NoCrossing("normalized field does not cross the threshold")
-    k = int(np.max(np.nonzero(above)))
-    if k == len(x) - 1:
-        return float(x[-1])
-    # interpolate between the last node above and the first below
-    w0, w1 = w[k], w[k + 1]
-    frac = (w0 - threshold) / (w0 - w1)
-    return float(x[k] + frac * (x[k + 1] - x[k]))
+    return pos
 
 
 def run_front(sys, u1_star, u2_star, A, periods, threshold=FRONT_THRESHOLD,
@@ -128,7 +115,7 @@ def run_front(sys, u1_star, u2_star, A, periods, threshold=FRONT_THRESHOLD,
     ev = LineSystemEvolver(sys, -A, A, "cooperative", u2_star=u2_star)
     x = ev.x
     v = np.zeros((2, ev.n_nodes))
-    v[0] = np.where(x <= 0.0, _tile_orbit_row(u1_star, x), 0.0)
+    v[0] = np.where(x <= 0.0, u1_star.snapshots[0][cell_offsets(x, ell, sys.nx)], 0.0)
     if not np.any(v[0] > 0):
         return FrontTrace(times=[], positions=[], empty=True,
                           note="species 1 initial data is identically zero")
@@ -210,8 +197,9 @@ def spreading_verdict(sys, trace: FrontTrace, c_report, u1_star=None, u2_star=No
     if u2_star is None:
         u2_star = sys.u2_star()
     x = state.x
-    beta1 = _tile_orbit_row(u1_star, x)
-    beta2 = _tile_orbit_row(u2_star, x)
+    cells = cell_offsets(x, sys.ell, sys.nx)
+    beta1 = u1_star.snapshots[0][cells]
+    beta2 = u2_star.snapshots[0][cells]
     rel_dist = np.abs(state.values[0] - beta1) / beta1
     if sys.a21.min() > 0.0:
         # with zero interspecific pressure the carrying pair is not the
@@ -251,7 +239,4 @@ def spreading_verdict(sys, trace: FrontTrace, c_report, u1_star=None, u2_star=No
 
 def dump_trace_csv(path, trace: FrontTrace):
     """CSV dump: t, x_front."""
-    with open(path, "w") as fh:
-        fh.write("t,x_front\n")
-        for t, p in zip(trace.times, trace.positions):
-            fh.write(f"{t!r},{p!r}\n")
+    write_csv(path, ("t", "x_front"), zip(trace.times, trace.positions))

@@ -22,7 +22,7 @@ from scipy.special import lambertw
 from . import eigen
 from .coeffs import CoefficientField
 from .errors import NoConvergence
-from .pde import CellPeriodMap, _transport_entries, solve_cell_transport
+from .pde import CellPeriodMap, _transport_entries, cell_transport_solver, write_csv
 
 CYCLE_TOL = 1e-8
 PERIOD_CAP = 2000
@@ -64,16 +64,18 @@ class PeriodicOrbit:
         return float(self.snapshots.max())
 
 
-def _nonlinear_period(d, g, c, e, u0):
-    """One period of the logistic equation; returns (snapshots, u_end)."""
-    nt, nx = d.nt, d.nx
-    dt, dx = d.dt, d.dx
+def _nonlinear_period(solvers, c, e, u0):
+    """One period of the logistic equation; returns (snapshots, u_end).
+
+    solvers[r] is the transport solve with the coefficients of row r.
+    """
+    nt, nx, dt = c.nt, c.nx, c.dt
     snaps = np.empty((nt, nx))
     u = u0
     for j in range(nt):
         snaps[j] = u
         r = (j + 1) % nt
-        w = solve_cell_transport(d.values[r], g.values[r], dx, dt, u)
+        w = solvers[r](u)
         a = dt * e.values[r]
         arg = a * w * np.exp(dt * c.values[r])
         u = np.where(a > 0.0,
@@ -109,10 +111,12 @@ def logistic_orbit(d, g, c, e, start_value=None) -> PeriodicOrbit:
 
     if start_value is None:
         start_value = c.max() / float(e.values[e.values > 0.0].min())
+    solvers = [cell_transport_solver(d.values[r], g.values[r], d.dx, d.dt)
+               for r in range(d.nt)]
     u = np.full(d.nx, float(start_value))
     gap = np.inf
     for period in range(1, PERIOD_CAP + 1):
-        snaps, u_end = _nonlinear_period(d, g, c, e, u)
+        snaps, u_end = _nonlinear_period(solvers, c, e, u)
         gap = float(np.max(np.abs(u_end - u)))
         u = u_end
         if gap < CYCLE_TOL:
@@ -121,7 +125,7 @@ def logistic_orbit(d, g, c, e, start_value=None) -> PeriodicOrbit:
         raise NoConvergence("orbit cycle gap did not close", iterations=PERIOD_CAP,
                             residual=gap)
 
-    snaps, u_end = _nonlinear_period(d, g, c, e, u)
+    snaps, u_end = _nonlinear_period(solvers, c, e, u)
     closure = float(np.max(np.abs(u_end - snaps[0])))
     orbit = PeriodicOrbit(snapshots=snaps, omega=d.omega, ell=d.ell, extinct=False,
                           residual=0.0, closure_gap=closure, periods_marched=period,
@@ -169,8 +173,6 @@ def dump_orbit_csv(path, orbit: PeriodicOrbit):
     """CSV dump: t, x, u_star."""
     dt = orbit.omega / orbit.nt
     dx = orbit.ell / orbit.nx
-    with open(path, "w") as fh:
-        fh.write("t,x,u_star\n")
-        for j in range(orbit.nt):
-            for k in range(orbit.nx):
-                fh.write(f"{j * dt!r},{k * dx!r},{orbit.snapshots[j, k]!r}\n")
+    write_csv(path, ("t", "x", "u_star"),
+              ((j * dt, k * dx, u) for j, row in enumerate(orbit.snapshots)
+               for k, u in enumerate(row)))

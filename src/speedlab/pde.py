@@ -89,6 +89,27 @@ class LineState:
         return self.x_lo + np.arange(self.n_nodes) * self.dx
 
 
+def cell_offsets(x, ell, nx):
+    """Cell node under each line node: round(x/dx) mod nx with dx = ell/nx."""
+    return np.round(x / (ell / nx)).astype(int) % nx
+
+
+def rightmost_crossing(x, w, level):
+    """Rightmost place where w falls below `level`, or None if w never reaches it.
+
+    Takes the last node with w >= level and interpolates linearly towards the
+    next node; returns x[-1] when that node is the last one.
+    """
+    above = w >= level
+    if not above.any():
+        return None
+    k = int(np.max(np.nonzero(above)))
+    if k == len(x) - 1:
+        return float(x[-1])
+    frac = (w[k] - level) / (w[k] - w[k + 1])
+    return float(x[k] + frac * (x[k + 1] - x[k]))
+
+
 # ---------------------------------------------------------------------------
 # Transport matrices and solves
 # ---------------------------------------------------------------------------
@@ -154,47 +175,43 @@ def _solve_line(ab, rhs):
         raise SingularSolve(str(exc)) from exc
 
 
-def _solve_cyclic(ab, corner_tr, corner_bl, rhs):
-    """Sherman-Morrison solve of the cyclic tridiagonal system."""
-    n = ab.shape[1]
+def cell_transport_solver(d_row, g_row, dx, dt):
+    """Prefactored solve of (I - dt*T) u = rhs on the periodic cell for one row.
+
+    Returns rhs -> u for one right-hand side or stacked columns.  Cells of at
+    most _DENSE_N nodes use the dense inverse; larger ones use the
+    Sherman-Morrison correction of the banded solve, with the correction
+    vector solved once here.
+    """
+    if len(d_row) <= _DENSE_N:
+        try:
+            inv = np.linalg.inv(transport_step_matrix_dense(d_row, g_row, dx, dt, "cell"))
+        except np.linalg.LinAlgError as exc:
+            raise SingularSolve(str(exc)) from exc
+        return lambda rhs: inv @ rhs
+    ab, corner_tr, corner_bl = implicit_transport_banded(d_row, g_row, dx, dt, "cell")
     gamma = -ab[1, 0]
-    b_mod = ab.copy()
-    b_mod[1, 0] -= gamma
-    b_mod[1, -1] -= corner_tr * corner_bl / gamma
-    u = np.zeros(n)
+    ab[1, 0] -= gamma
+    ab[1, -1] -= corner_tr * corner_bl / gamma
+    u = np.zeros(ab.shape[1])
     u[0] = gamma
     u[-1] = corner_bl
-    rhs2 = np.asarray(rhs, dtype=float)
-    single = rhs2.ndim == 1
-    if single:
-        rhs2 = rhs2[:, None]
-    stacked = np.concatenate([rhs2, u[:, None]], axis=1)
-    sol = _solve_line(b_mod, stacked)
-    y, q = sol[:, :-1], sol[:, -1]
-    vy = y[0, :] + (corner_tr / gamma) * y[-1, :]
-    vq = q[0] + (corner_tr / gamma) * q[-1]
-    denom = 1.0 + vq
+    q = _solve_line(ab, u)
+    w = corner_tr / gamma
+    denom = 1.0 + (q[0] + w * q[-1])
     if abs(denom) < 1e-300:
         raise SingularSolve("cyclic correction is singular")
-    x = y - np.outer(q, vy / denom)
-    return x[:, 0] if single else x
 
+    def solve(rhs):
+        y = _solve_line(ab, rhs)
+        return y - np.multiply.outer(q, (y[0] + w * y[-1]) / denom)
 
-def _solve_cell_dense(d_row, g_row, dx, dt, rhs):
-    m = transport_step_matrix_dense(d_row, g_row, dx, dt, "cell")
-    try:
-        return np.linalg.solve(m, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSolve(str(exc)) from exc
+    return solve
 
 
 def solve_cell_transport(d_row, g_row, dx, dt, rhs):
     """Solve (I - dt*T) u = rhs on the periodic cell (single or multi RHS)."""
-    n = np.asarray(rhs).shape[0]
-    if n <= _DENSE_N:
-        return _solve_cell_dense(d_row, g_row, dx, dt, rhs)
-    ab, c_tr, c_bl = implicit_transport_banded(d_row, g_row, dx, dt, "cell")
-    return _solve_cyclic(ab, c_tr, c_bl, rhs)
+    return cell_transport_solver(d_row, g_row, dx, dt)(np.asarray(rhs, dtype=float))
 
 
 def solve_line_transport(d_row, g_row, dx, dt, rhs):
@@ -302,33 +319,9 @@ class CellPeriodMap:
         return [(j + 1) % self.nt for j in range(self.nt)]
 
     def _row_solver(self, r):
-        """Cached transport solver for row r (Sherman-Morrison data prebuilt)."""
+        """Cached transport solver for row r."""
         if self._solvers[r] is None:
-            if self.nx <= _DENSE_N:
-                inv = np.linalg.inv(transport_step_matrix_dense(
-                    self._d[r], self._g[r], self.dx, self.dt, "cell"))
-                self._solvers[r] = lambda rhs, inv=inv: inv @ rhs
-            else:
-                ab, c_tr, c_bl = implicit_transport_banded(
-                    self._d[r], self._g[r], self.dx, self.dt, "cell")
-                gamma = -ab[1, 0]
-                ab_mod = ab.copy()
-                ab_mod[1, 0] -= gamma
-                ab_mod[1, -1] -= c_tr * c_bl / gamma
-                u = np.zeros(self.nx)
-                u[0] = gamma
-                u[-1] = c_bl
-                q = _solve_line(ab_mod, u)
-                vq = q[0] + (c_tr / gamma) * q[-1]
-
-                def solver(rhs, ab_mod=ab_mod, q=q, vq=vq, w=c_tr / gamma):
-                    y = _solve_line(ab_mod, rhs)
-                    vy = y[0] + w * y[-1]
-                    if y.ndim == 1:
-                        return y - q * (vy / (1.0 + vq))
-                    return y - np.outer(q, vy / (1.0 + vq))
-
-                self._solvers[r] = solver
+            self._solvers[r] = cell_transport_solver(self._d[r], self._g[r], self.dx, self.dt)
         return self._solvers[r]
 
     def apply(self, v):
@@ -421,7 +414,7 @@ class LineSystemEvolver:
         self.x_lo, self.x_hi = x_lo, x_hi
         self.n_nodes = int(round(n_cells)) + 1
         self.x = x_lo + np.arange(self.n_nodes) * self.dx
-        self._offsets = np.round(self.x / self.dx).astype(int) % sys.nx
+        self._offsets = cell_offsets(self.x, sys.ell, sys.nx)
         if form == "cooperative":
             if u2_star is None:
                 raise ValueError("cooperative form needs the u2* orbit")
@@ -516,10 +509,19 @@ def evolve_system(state: LineState, sys, form, t0, t1, u2_star=None) -> LineStat
     return LineState(vals, t1, state.x_lo, state.x_hi)
 
 
+def _csv_cell(v):
+    return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+
+
+def write_csv(path, header, rows):
+    """Write a CSV file; floats, numpy scalars included, as repr(float(v))."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_csv_cell, row)) + "\n")
+
+
 def dump_snapshot_csv(path, state: LineState, labels=("u1", "u2")):
     """Write one line state as CSV rows t, x, <labels...>."""
-    with open(path, "w") as fh:
-        fh.write("t,x," + ",".join(labels) + "\n")
-        for k in range(state.n_nodes):
-            cols = ",".join(repr(float(state.values[i, k])) for i in range(state.values.shape[0]))
-            fh.write(f"{state.t!r},{state.x[k]!r},{cols}\n")
+    write_csv(path, ("t", "x", *labels),
+              ((state.t, *row) for row in zip(state.x, *state.values)))

@@ -52,7 +52,7 @@ class SystemSpec:
     a12: CoefficientField
     a21: CoefficientField
     a22: CoefficientField
-    _orbit_cache: dict = dc_field(default_factory=dict, repr=False)
+    _cache: dict = dc_field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         ref = self.d1
@@ -102,17 +102,41 @@ class SystemSpec:
         built = {n: refine_field(getattr(self, n), factor) for n in FIELD_NAMES}
         return SystemSpec(**built)
 
+    def _cached(self, key, build):
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     def u1_star(self) -> orbits.PeriodicOrbit:
         """Species-1 alone periodic orbit (cached)."""
-        if "u1" not in self._orbit_cache:
-            self._orbit_cache["u1"] = orbits.logistic_orbit(self.d1, self.g1, self.b1, self.a11)
-        return self._orbit_cache["u1"]
+        return self._cached("u1", lambda: orbits.logistic_orbit(
+            self.d1, self.g1, self.b1, self.a11))
 
     def u2_star(self) -> orbits.PeriodicOrbit:
         """Species-2 alone periodic orbit (cached)."""
-        if "u2" not in self._orbit_cache:
-            self._orbit_cache["u2"] = orbits.logistic_orbit(self.d2, self.g2, self.b2, self.a22)
-        return self._orbit_cache["u2"]
+        return self._cached("u2", lambda: orbits.logistic_orbit(
+            self.d2, self.g2, self.b2, self.a22))
+
+    def invaded_potential(self) -> CoefficientField:
+        """Species-1 potential b1 - a12*u2* at the invaded state (cached)."""
+        return self._cached("invaded_potential",
+                            lambda: self.b1 - self.a12 * self.u2_star().as_field())
+
+    def species1_eigen(self) -> eigen.EigenResult:
+        """Principal eigenpair of species 1 alone, (d1, g1, b1) (cached)."""
+        return self._cached("lambda1", lambda: eigen.principal_eigen(self.d1, self.g1, self.b1))
+
+    def species2_eigen(self) -> eigen.EigenResult:
+        """Principal eigenpair of species 2 alone, (d2, g2, b2) (cached)."""
+        return self._cached("lambda2", lambda: eigen.principal_eigen(self.d2, self.g2, self.b2))
+
+    def invaded_eigen(self) -> eigen.EigenResult:
+        """Principal eigenpair at the invaded state, (d1, g1, b1 - a12*u2*) (cached).
+
+        Its eigenvalue is the H2 margin.
+        """
+        return self._cached("invaded", lambda: eigen.principal_eigen(
+            self.d1, self.g1, self.invaded_potential()))
 
     def symmetric_media(self) -> bool:
         """True when every coefficient is even in x except g1, g2 odd in x."""
@@ -199,6 +223,11 @@ def _lambda_curve(d, g, m):
     return ev
 
 
+def _leftward_curve(d, g, m):
+    """lambda(mu) of the x -> -x reflected problem, for leftward speeds."""
+    return _lambda_curve(*reflected_scalar_coefficients(d, g, m))
+
+
 @dataclass
 class KppSpeeds:
     c_right: float
@@ -222,10 +251,8 @@ def scalar_kpp_speeds(d, g, b, mu_range=MU_RANGE, refine=False) -> KppSpeeds:
         raise NotMonostable(f"lambda(d,g,b) = {lam0:.6g} <= 0")
 
     def both(df, gf, bf):
-        right = minimize_speed(_lambda_curve(df, gf, bf), mu_range)
-        rd, rg, rb = reflected_scalar_coefficients(df, gf, bf)
-        left = minimize_speed(_lambda_curve(rd, rg, rb), mu_range)
-        return right, left
+        return (minimize_speed(_lambda_curve(df, gf, bf), mu_range),
+                minimize_speed(_leftward_curve(df, gf, bf), mu_range))
 
     right, left = both(d, g, b)
     if not refine:
@@ -248,7 +275,7 @@ class C0Result:
     discretization_estimate: float | None = None
 
 
-def linear_speed_c0(sys: SystemSpec, u2_star=None, mu_range=MU_RANGE, refine=False) -> C0Result:
+def linear_speed_c0(sys: SystemSpec, mu_range=MU_RANGE, refine=False) -> C0Result:
     """Linearized speed c0 = inf_{mu>0} lambda0(mu)/mu at the invaded state.
 
     lambda0 is the tilted eigenvalue with potential b1 - a12*u2star.  The
@@ -256,22 +283,18 @@ def linear_speed_c0(sys: SystemSpec, u2_star=None, mu_range=MU_RANGE, refine=Fal
     recomputes the whole pipeline, orbit included, on a doubled grid and
     extrapolates c0.
     """
-    if u2_star is None:
-        u2_star = sys.u2_star()
-
-    def compute(s, orbit):
-        pot = s.b1 - s.a12 * orbit.as_field()
-        margin = eigen.principal_eigen(s.d1, s.g1, pot).lam
+    def compute(s):
+        margin = s.invaded_eigen().lam
         if margin <= 0.0:
             raise NotMonostable(f"lambda(d1,g1,b1-a12*u2) = {margin:.6g} <= 0")
-        res = minimize_speed(_lambda_curve(s.d1, s.g1, pot), mu_range)
+        res = minimize_speed(_lambda_curve(s.d1, s.g1, s.invaded_potential()), mu_range)
         return res, margin
 
-    res, margin = compute(sys, u2_star)
+    res, margin = compute(sys)
     if not refine:
         return C0Result(res.c_star, res.mu0, res.c_star * res.mu0, margin)
     sys_f = sys.refined()
-    res_f, _ = compute(sys_f, sys_f.u2_star())
+    res_f, _ = compute(sys_f)
     c0 = 2.0 * res_f.c_star - res.c_star
     return C0Result(c0, res_f.mu0, c0 * res_f.mu0, margin, refined=True,
                     c0_base=res.c_star,
@@ -308,6 +331,13 @@ class CoupledEigenfunction:
         return self.phi1 / self.phi2
 
 
+def _second_tilted(sys: SystemSpec, u2f, mu):
+    """Drift and potential of the mu-tilted second equation linearized at u2*:
+    2 mu d2 + g2 and d2 mu^2 + g2 mu + b2 - 2 a22 u2*."""
+    drift, potential = eigen.tilted_coefficients(sys.d2, sys.g2, sys.b2, mu)
+    return drift, potential - 2.0 * sys.a22 * u2f
+
+
 NEUMANN_TRUNCATION = 1e-12
 NEUMANN_CAP = 200_000
 
@@ -328,9 +358,7 @@ def coupled_eigenfunction(sys: SystemSpec, u2_star, mu0, phi1_scale=1.0) -> Coup
     lam0 = eig1.lam
     rho1 = math.exp(lam0 * sys.omega)
 
-    drift2, _ = eigen.tilted_coefficients(sys.d2, sys.g2, sys.b2, mu0)
-    pot2 = sys.d2 * (mu0 * mu0) + sys.g2 * mu0 + sys.b2 - 2.0 * sys.a22 * u2f
-    map2 = CellPeriodMap(sys.d2, drift2, pot2, shift_mean=False)
+    map2 = CellPeriodMap(sys.d2, *_second_tilted(sys, u2f, mu0), shift_mean=False)
     eig2 = eigen.principal_of_map(map2)
     lambar = eig2.lam
     if lambar >= lam0:
@@ -421,7 +449,7 @@ def _prop_c_margins(sys: SystemSpec):
                                                 "max_a21_over_a11": ratio2}
 
 
-def check_hypotheses(sys: SystemSpec, u2_star=None, mu_range=MU_RANGE) -> HypothesisReport:
+def check_hypotheses(sys: SystemSpec, mu_range=MU_RANGE) -> HypothesisReport:
     """Evaluate H1-H5 plus the envelope condition and the shared-growth test.
 
     H3 is undecidable numerically in general, so only the sufficient
@@ -430,22 +458,19 @@ def check_hypotheses(sys: SystemSpec, u2_star=None, mu_range=MU_RANGE) -> Hypoth
     """
     certs = {}
 
-    lam1 = eigen.principal_eigen(sys.d1, sys.g1, sys.b1)
-    lam2 = eigen.principal_eigen(sys.d2, sys.g2, sys.b2)
+    lam1 = sys.species1_eigen()
+    lam2 = sys.species2_eigen()
     h1_margin = min(lam1.lam, lam2.lam)
     certs["H1"] = Certificate(
         "H1", "pass" if h1_margin > 0 else "fail", h1_margin,
         {"lambda_species1": lam1.lam, "lambda_species2": lam2.lam,
          "residuals": [lam1.residual, lam2.residual]})
 
-    if u2_star is None and lam2.lam > 0:
-        u2_star = sys.u2_star()
     if lam2.lam <= 0:
         certs["H2"] = Certificate("H2", "not-applicable", None,
                                   {"note": "species 2 is extinct, no invaded state"})
     else:
-        pot = sys.b1 - sys.a12 * u2_star.as_field()
-        h2 = eigen.principal_eigen(sys.d1, sys.g1, pot)
+        h2 = sys.invaded_eigen()
         certs["H2"] = Certificate("H2", "pass" if h2.lam > 0 else "fail", h2.lam,
                                   {"lambda": h2.lam, "residual": h2.residual})
 
@@ -460,9 +485,11 @@ def check_hypotheses(sys: SystemSpec, u2_star=None, mu_range=MU_RANGE) -> Hypoth
     c1p = c2m = None
     if h1_margin > 0:
         try:
-            sp1 = scalar_kpp_speeds(sys.d1, sys.g1, sys.b1, mu_range)
-            sp2 = scalar_kpp_speeds(sys.d2, sys.g2, sys.b2, mu_range)
-            c1p, c2m = sp1.c_right, sp2.c_left
+            # H4 needs only species 1 rightward and species 2 leftward; both
+            # are assigned together so H5 sees c1p only when H4 is decided
+            c1p, c2m = (
+                minimize_speed(_lambda_curve(sys.d1, sys.g1, sys.b1), mu_range).c_star,
+                minimize_speed(_leftward_curve(sys.d2, sys.g2, sys.b2), mu_range).c_star)
             certs["H4"] = Certificate("H4", "pass" if c1p + c2m > 0 else "fail",
                                       c1p + c2m, {"c1_plus": c1p, "c2_minus": c2m,
                                                   "symmetric_media": symmetric})
@@ -474,7 +501,7 @@ def check_hypotheses(sys: SystemSpec, u2_star=None, mu_range=MU_RANGE) -> Hypoth
                                   {"note": "H1 fails, single-species speeds undefined"})
 
     if lam2.lam > 0 and c1p is not None:
-        pot2 = sys.b2 - sys.a22 * u2_star.as_field()
+        pot2 = sys.b2 - sys.a22 * sys.u2_star().as_field()
         lam2_zero = eigen.principal_eigen(sys.d2, sys.g2, pot2).lam
         details = {"lambda2_at_0": lam2_zero, "symmetric_media": symmetric}
         if abs(lam2_zero) > 1e-6:
@@ -581,9 +608,8 @@ def check_linear_determinacy(sys: SystemSpec, u2_star, mu0, phi1, phi2,
     if lambda0 is None:
         lambda0 = eigen.lambda_of_mu(sys.d1, sys.g1, sys.b1 - sys.a12 * u2f, mu0).lam
     if lambdabar is None:
-        drift2, _ = eigen.tilted_coefficients(sys.d2, sys.g2, sys.b2, mu0)
-        pot2 = sys.d2 * (mu0 * mu0) + sys.g2 * mu0 + sys.b2 - 2.0 * sys.a22 * u2f
-        lambdabar = eigen.principal_of_map(CellPeriodMap(sys.d2, drift2, pot2)).lam
+        lambdabar = eigen.principal_of_map(
+            CellPeriodMap(sys.d2, *_second_tilted(sys, u2f, mu0))).lam
 
     certs = {}
     d1_margin = lambda0 - lambdabar
@@ -654,7 +680,7 @@ def compute_speed_report(sys: SystemSpec, refine=False, mu_range=MU_RANGE) -> Sp
     determinate = False
     if certs["H1"].passed and certs["H2"].passed:
         u2 = sys.u2_star()
-        res = linear_speed_c0(sys, u2, mu_range=mu_range, refine=refine)
+        res = linear_speed_c0(sys, mu_range=mu_range, refine=refine)
         c0, mu0, lam0 = res.c0, res.mu0, res.lambda0_at_mu0
         if res.refined:
             notes.append(f"c0 Richardson-refined; discretization estimate "

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import InconsistentClassification, NotMonostable, ShiftOutOfRange
-from .pde import LineSystemEvolver
+from .pde import LineSystemEvolver, rightmost_crossing, write_csv
 
 DEFAULT_CAP = 300
 DEFAULT_BISECTION_STEPS = 8
@@ -189,21 +189,7 @@ def apply_R(p: Profile, c, n_index, sys, u2_star=None, evolver=None, floor=None)
     return Profile(x=p.x, values=new_values, beta_est=p.beta_est)
 
 
-def _front_position(profile: Profile, level):
-    """Rightmost crossing of component 1 below `level` (linear interpolation)."""
-    v = profile.values[0]
-    x = profile.x
-    above = v >= level
-    if not above.any():
-        return float(x[0])
-    k = int(np.max(np.nonzero(above)))
-    if k == x.size - 1:
-        return float(x[-1])
-    frac = (v[k] - level) / max(v[k] - v[k + 1], 1e-300)
-    return float(x[k] + frac * (x[k + 1] - x[k]))
-
-
-def _tail_rate_estimate(sys, u2_star):
+def _tail_rate_estimate(sys):
     """Linearized invasion tail rate sqrt(growth/diffusion).
 
     Decay rate of the radiation ceiling.  This is the neutral choice: an
@@ -213,9 +199,7 @@ def _tail_rate_estimate(sys, u2_star):
     ceiling would itself invade faster than the front; a much steeper one
     would clip legitimate tail mass.
     """
-    from . import eigen
-    pot = sys.b1 - sys.a12 * u2_star.as_field()
-    growth = eigen.principal_eigen(sys.d1, sys.g1, pot).lam
+    growth = sys.invaded_eigen().lam
     if growth <= 0:
         return None
     return float(np.sqrt(growth / sys.d1.values.mean()))
@@ -251,22 +235,27 @@ def recursion_limit(c, n_index, sys, cap=DEFAULT_CAP, A=None, N=None,
             u1_star = sys.u1_star()
             beta_est = np.array([u1_star.snapshots[0].max(), u2_star.snapshots[0].max()])
         if A is None:
-            A = max(10.0 * sys.ell, 12.0 * sys.ell)
+            A = 12.0 * sys.ell
         if N is None:
             N = int(round(2 * A * sys.nx / sys.ell))  # profile nodes on the solver grid
         profile = init_profile(beta_est, A, N)
     if envelope_mu is None:
-        envelope_mu = _tail_rate_estimate(sys, u2_star)
+        envelope_mu = _tail_rate_estimate(sys)
     A = profile.half_width
     evolver = LineSystemEvolver(sys, -A, A, "cooperative", u2_star=u2_star)
     floor = _ramp(profile.beta_est, profile.x, A)
     beta1 = float(profile.beta_est[0])
     front_level = 0.4 * beta1
 
+    def front_position(prof):
+        """Rightmost crossing of component 1 below front_level; -A if none."""
+        pos = rightmost_crossing(prof.x, prof.values[0], front_level)
+        return float(prof.x[0]) if pos is None else pos
+
     def apply_ceiling(prof):
         if envelope_mu is None:
             return
-        anchor = _front_position(prof, front_level) + 4.0 * sys.ell
+        anchor = front_position(prof) + 4.0 * sys.ell
         decay = np.exp(-envelope_mu * np.maximum(prof.x - anchor, 0.0))
         np.minimum(prof.values, prof.beta_est[:, None] * decay[None, :],
                    out=prof.values)
@@ -291,7 +280,7 @@ def recursion_limit(c, n_index, sys, cap=DEFAULT_CAP, A=None, N=None,
         sup_change = float(np.max(np.abs(new.values - current.values)))
         current = new
         iterations = m
-        front = _front_position(current, front_level)
+        front = front_position(current)
         fronts.append(front)
         if current.values[0, -1] > 0.05 * beta1 and front < A - 6.0 * sys.ell:
             ignited = True
@@ -379,7 +368,7 @@ def bracket_speeds(sys, c_grid_or_bisection, n_index=1, cap=DEFAULT_CAP,
     base = init_profile(beta_est, A, N)
     station = A - 2.0 * sys.ell
     drift_tol = max(1e-4, 0.25 * (c_hi - c_lo) / 2 ** max(steps, 1) * sys.omega)
-    envelope_mu = _tail_rate_estimate(sys, u2_star)
+    envelope_mu = _tail_rate_estimate(sys)
 
     cache = {}
     profiles = {}
@@ -448,29 +437,18 @@ def ceil_to_multiple(value, unit):
 
 
 def _check_monostable(sys):
-    from . import eigen
-    lam2 = eigen.principal_eigen(sys.d2, sys.g2, sys.b2).lam
-    lam1 = eigen.principal_eigen(sys.d1, sys.g1, sys.b1).lam
-    if min(lam1, lam2) <= 0:
+    if min(sys.species1_eigen().lam, sys.species2_eigen().lam) <= 0:
         raise NotMonostable("bracket precondition fails: H1 margin <= 0")
-    pot = sys.b1 - sys.a12 * sys.u2_star().as_field()
-    h2 = eigen.principal_eigen(sys.d1, sys.g1, pot).lam
-    if h2 <= 0:
+    if sys.invaded_eigen().lam <= 0:
         raise NotMonostable("bracket precondition fails: H2 margin <= 0")
 
 
 def dump_profile_csv(path, profile: Profile, iteration):
     """CSV dump: x, v1, v2, iteration."""
-    with open(path, "w") as fh:
-        fh.write("x,v1,v2,iteration\n")
-        for k in range(profile.n_nodes):
-            fh.write(f"{profile.x[k]!r},{profile.values[0, k]!r},"
-                     f"{profile.values[1, k]!r},{iteration}\n")
+    write_csv(path, ("x", "v1", "v2", "iteration"),
+              ((x, v1, v2, iteration) for x, v1, v2 in zip(profile.x, *profile.values)))
 
 
 def dump_bracket_trace_csv(path, trace):
     """CSV dump: c, classification, right_end_value, left_plateau."""
-    with open(path, "w") as fh:
-        fh.write("c,classification,right_end_value,left_plateau\n")
-        for c, cls, right, left in trace:
-            fh.write(f"{c!r},{cls},{right!r},{left!r}\n")
+    write_csv(path, ("c", "classification", "right_end_value", "left_plateau"), trace)

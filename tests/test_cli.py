@@ -1,11 +1,18 @@
+import csv
+import importlib.util
 import json
 import os
 
 import pytest
 from click.testing import CliRunner
 
-from speedlab.cli import DEMOS, EXIT_OK, EXIT_VALIDATION, ScenarioConfig, main, run_scenario
+from speedlab import cli, eigen, pde
+from speedlab.cli import (DEMOS, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_VALIDATION, ScenarioConfig,
+                          main, run_scenario)
 from speedlab.errors import ValidationError
+
+TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "perfbench", "tracing.py")
 
 
 def fisher_config(outdir, tasks=("speed",), **disc):
@@ -87,6 +94,24 @@ def test_dependency_closure_front_pulls_orbit_and_speed(tmp_path):
                  "final_snapshot.csv", "report.json"):
         assert os.path.exists(os.path.join(str(tmp_path / "out"), name))
     assert "speed_report" in rep and "front" in rep
+    for name in ("orbit_u1.csv", "orbit_u2.csv", "front_trace.csv", "final_snapshot.csv"):
+        with open(os.path.join(str(tmp_path / "out"), name)) as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) > 1
+        for row in rows[1:]:
+            assert len(row) == len(rows[0])
+            for cell in row:
+                float(cell)  # a plain number, not a numpy scalar repr
+
+
+def test_front_without_crossing_is_inconclusive(tmp_path):
+    # species 1 cannot invade (H2 fails), so the front dies out
+    cfg = fisher_config(tmp_path / "out", tasks=("front",), nt=50, nx=16, A=100.0, T=20)
+    cfg["model"].update(a12="3", a21="0.2")
+    assert run_scenario(cfg, quiet=True) == EXIT_INCONCLUSIVE
+    rep = read_report(tmp_path / "out")
+    assert rep["status"] == "inconclusive"
+    assert rep["reason"].startswith("NoCrossing")
 
 
 def test_determinism_modulo_timestamp(tmp_path):
@@ -174,3 +199,21 @@ def test_eigen_task_writes_lambda_curve(tmp_path):
     with open(path) as fh:
         header = fh.readline().strip()
     assert header == "mu,lambda,residual,iterations"
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # the traced benchmark run wraps speedlab functions and methods by name;
+    # a deleted or renamed one makes install() raise here
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    originals = (cli.run_scenario, eigen.principal_of_map, pde.CellPeriodMap.__init__,
+                 pde.CellPeriodMap.matrix)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert eigen.principal_of_map is not originals[1]
+    finally:
+        tracer.uninstall()
+    assert (cli.run_scenario, eigen.principal_of_map, pde.CellPeriodMap.__init__,
+            pde.CellPeriodMap.matrix) == originals

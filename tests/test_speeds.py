@@ -6,6 +6,7 @@ import pytest
 from speedlab import (check_hypotheses, check_linear_determinacy, coupled_eigenfunction,
                       linear_speed_c0, minimize_speed, scalar_kpp_speeds)
 from speedlab.errors import NoInteriorMinimum, NotMonostable
+from speedlab import eigen, speeds
 from speedlab.speeds import compute_speed_report, reflected_scalar_coefficients
 
 from conftest import field, make_system
@@ -103,7 +104,7 @@ def test_coupled_eigenfunction_constants_closed_form(constants_system):
 def test_coupled_eigenfunction_periodic_residual(periodic_b2_system):
     sysp = periodic_b2_system
     u2 = sysp.u2_star()
-    res = linear_speed_c0(sysp, u2)
+    res = linear_speed_c0(sysp)
     pair = coupled_eigenfunction(sysp, u2, res.mu0)
     assert pair.residual < 1e-6
     assert pair.phi2.min() > 0.0
@@ -158,7 +159,7 @@ def test_check_hypotheses_symmetric_media_branch():
 
 def test_determinacy_constants_pass(constants_system):
     u2 = constants_system.u2_star()
-    res = linear_speed_c0(constants_system, u2)
+    res = linear_speed_c0(constants_system)
     pair = coupled_eigenfunction(constants_system, u2, res.mu0)
     det = check_linear_determinacy(constants_system, u2, res.mu0, pair.phi1, pair.phi2,
                                    lambda0=pair.lambda0, lambdabar=pair.lambdabar)
@@ -174,7 +175,7 @@ def test_determinacy_d2_fails_for_fast_second_diffuser():
     # d2 = 2.2 keeps D1 but pushes lambda0 - lambdabar below a22 u2*
     sys_d2 = make_system(d2="2.2")
     u2 = sys_d2.u2_star()
-    res = linear_speed_c0(sys_d2, u2)
+    res = linear_speed_c0(sys_d2)
     pair = coupled_eigenfunction(sys_d2, u2, res.mu0)
     det = check_linear_determinacy(sys_d2, u2, res.mu0, pair.phi1, pair.phi2,
                                    lambda0=pair.lambda0, lambdabar=pair.lambdabar)
@@ -188,7 +189,7 @@ def test_determinacy_tiny_a21_still_passes_d2():
     # scale-free comparison (lambda0 - lambdabar) vs a22 u2* holds here
     sys_tiny = make_system(a21="0.01")
     u2 = sys_tiny.u2_star()
-    res = linear_speed_c0(sys_tiny, u2)
+    res = linear_speed_c0(sys_tiny)
     pair = coupled_eigenfunction(sys_tiny, u2, res.mu0)
     det = check_linear_determinacy(sys_tiny, u2, res.mu0, pair.phi1, pair.phi2,
                                    lambda0=pair.lambda0, lambdabar=pair.lambdabar)
@@ -199,7 +200,7 @@ def test_determinacy_tiny_a21_still_passes_d2():
 def test_p_conditions_not_applicable_for_x_dependent_media():
     sys_x = make_system(nt=100, nx=32, b1="2 + 0.2*cos(2*pi*x)")
     u2 = sys_x.u2_star()
-    res = linear_speed_c0(sys_x, u2)
+    res = linear_speed_c0(sys_x)
     pair = coupled_eigenfunction(sys_x, u2, res.mu0)
     det = check_linear_determinacy(sys_x, u2, res.mu0, pair.phi1, pair.phi2)
     assert det["P1"].verdict == "not-applicable"
@@ -224,3 +225,28 @@ def test_prop_lb_consistency(constants_system):
     # c1_plus (species 1 alone) dominates c0 since b1 > b1 - a12 u2*
     rep = compute_speed_report(constants_system)
     assert rep.c1_plus > rep.c0_plus
+
+
+def test_speed_report_solves_each_eigenproblem_once(monkeypatch):
+    # H4 minimizes only species 1 rightward and species 2 leftward, c0 the
+    # third; H2 and the c0 margin share one invaded solve
+    sysp = make_system(nt=50, nx=8)
+    invaded = (sysp.b1 - sysp.a12 * sysp.u2_star().as_field()).values
+    minimizations, invaded_solves = [], []
+    minimize, solve = speeds.minimize_speed, eigen.principal_of_map
+
+    def counting_minimize(*args, **kwargs):
+        minimizations.append(args)
+        return minimize(*args, **kwargs)
+
+    def counting_solve(pmap):
+        if np.array_equal(pmap._h, invaded) and np.array_equal(pmap._d, sysp.d1.values):
+            invaded_solves.append(pmap)
+        return solve(pmap)
+
+    monkeypatch.setattr(speeds, "minimize_speed", counting_minimize)
+    monkeypatch.setattr(eigen, "principal_of_map", counting_solve)
+    rep = compute_speed_report(sysp)
+    assert rep.c0_plus == pytest.approx(2.0 * math.sqrt(1.7), abs=1e-5)
+    assert len(minimizations) == 3
+    assert len(invaded_solves) == 1

@@ -136,8 +136,21 @@ def test_profile_and_trace_dumps(tmp_path, fisher_small):
     cstar, _ = bracket_speeds(fisher_small, [0.5, 2.9], cap=60, keep_profiles=True)
     trace_path = tmp_path / "trace.csv"
     dump_bracket_trace_csv(trace_path, cstar.trace)
-    assert trace_path.read_text().splitlines()[0] == "c,classification,right_end_value,left_plateau"
+    trace_lines = trace_path.read_text().splitlines()
+    assert trace_lines[0] == "c,classification,right_end_value,left_plateau"
+    for line in trace_lines[1:]:
+        c, cls, right, left = line.split(",")
+        assert cls in ("beta", "intermediate", "zero")
+        for cell in (c, right, left):
+            float(cell)
     prof, iters = cstar.profiles[0.5]
     prof_path = tmp_path / "profile.csv"
     dump_profile_csv(prof_path, prof, iters)
-    assert prof_path.read_text().splitlines()[0] == "x,v1,v2,iteration"
+    prof_lines = prof_path.read_text().splitlines()
+    assert prof_lines[0] == "x,v1,v2,iteration"
+    assert len(prof_lines) == prof.n_nodes + 1
+    for line in prof_lines[1:]:
+        cells = line.split(",")
+        assert len(cells) == 4
+        for cell in cells:
+            float(cell)  # a plain number, not a numpy scalar repr
