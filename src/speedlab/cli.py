@@ -16,9 +16,9 @@ import click
 
 from . import eigen, frontsim, orbits, pde, weinberger
 from .errors import (BlowupError, DomainTooSmall, EvalError, InconsistentClassification,
-                     NoConvergence, NoCrossing, NoInteriorMinimum, NonEllipticError,
-                     NotMonostable, ParseError, ShiftOutOfRange, SingularSolve,
-                     ValidationError)
+                     MonotonicityLost, NoConvergence, NoCrossing, NoInteriorMinimum,
+                     NonEllipticError, NotMonostable, ParseError, ShiftOutOfRange,
+                     SingularSolve, ValidationError)
 from .speeds import FIELD_NAMES, SystemSpec, compute_speed_report
 
 TASKS = ("eigen", "orbit", "speed", "check", "weinberger", "front")
@@ -164,7 +164,8 @@ def run_scenario(config: dict | ScenarioConfig, refine=False, jobs=1, quiet=Fals
                 report["front"] = frag
                 if inconclusive:
                     status = max(status, EXIT_INCONCLUSIVE)
-    except (NoConvergence, BlowupError, SingularSolve, NonEllipticError) as exc:
+    except (NoConvergence, BlowupError, SingularSolve, NonEllipticError,
+            MonotonicityLost) as exc:
         report["status"] = "numerical-failure"
         report["reason"] = f"{type(exc).__name__}: {exc}"
         status = EXIT_NUMERICAL

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 Names follow the operation contracts: solver-level failures (SingularSolve,
-BlowupError, NoConvergence), regime guards (NotMonostable, NoInteriorMinimum,
-D1Violated), and measurement guards (DomainTooSmall, NoCrossing, TooFewPoints).
+BlowupError, NoConvergence, MonotonicityLost), regime guards (NotMonostable,
+NoInteriorMinimum, D1Violated), and measurement guards (DomainTooSmall,
+NoCrossing, TooFewPoints).
 """
 
 
@@ -43,6 +44,10 @@ class NoConvergence(SpeedlabError):
         self.iterations = iterations
         self.residual = residual
         super().__init__(message)
+
+
+class MonotonicityLost(SpeedlabError):
+    """A recursion iterate fell below its predecessor beyond roundoff."""
 
 
 class NotMonostable(SpeedlabError):

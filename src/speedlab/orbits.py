@@ -84,12 +84,14 @@ def _nonlinear_period(solvers, c, e, u0):
     return snaps, u
 
 
-def logistic_orbit(d, g, c, e, start_value=None) -> PeriodicOrbit:
+def logistic_orbit(d, g, c, e, start_value=None, growth=None) -> PeriodicOrbit:
     """Compute the attracting periodic orbit of u_t = d u_xx - g u_x + u(c - e u).
 
     Returns the extinct zero orbit when lambda(d, g, c) <= 0; otherwise
     marches from the constant supersolution max(c)/min(e | e > 0) until the
     period-to-period sup change drops below CYCLE_TOL (cap PERIOD_CAP).
+    growth is the principal eigenpair of (d, g, c) when the caller already
+    has it; it is solved here otherwise.
     """
     for other in (g, c, e):
         if not d.same_grid(other):
@@ -102,7 +104,8 @@ def logistic_orbit(d, g, c, e, start_value=None) -> PeriodicOrbit:
             f"e is positive on only {positive_share:.1%} of nodes; "
             f"the orbit solver requires at least {SUPPORT_FRACTION:.0%}")
 
-    growth = eigen.principal_eigen(d, g, c)
+    if growth is None:
+        growth = eigen.principal_eigen(d, g, c)
     if growth.lam <= 0.0:
         zeros = np.zeros_like(d.values)
         return PeriodicOrbit(snapshots=zeros, omega=d.omega, ell=d.ell, extinct=True,

@@ -110,12 +110,12 @@ class SystemSpec:
     def u1_star(self) -> orbits.PeriodicOrbit:
         """Species-1 alone periodic orbit (cached)."""
         return self._cached("u1", lambda: orbits.logistic_orbit(
-            self.d1, self.g1, self.b1, self.a11))
+            self.d1, self.g1, self.b1, self.a11, growth=self.species1_eigen()))
 
     def u2_star(self) -> orbits.PeriodicOrbit:
         """Species-2 alone periodic orbit (cached)."""
         return self._cached("u2", lambda: orbits.logistic_orbit(
-            self.d2, self.g2, self.b2, self.a22))
+            self.d2, self.g2, self.b2, self.a22, growth=self.species2_eigen()))
 
     def invaded_potential(self) -> CoefficientField:
         """Species-1 potential b1 - a12*u2* at the invaded state (cached)."""

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import InconsistentClassification, NotMonostable, ShiftOutOfRange
+from .errors import (InconsistentClassification, MonotonicityLost, NotMonostable,
+                     ShiftOutOfRange)
 from .pde import LineSystemEvolver, rightmost_crossing, write_csv
 
 DEFAULT_CAP = 300
@@ -211,8 +212,9 @@ def recursion_limit(c, n_index, sys, cap=DEFAULT_CAP, A=None, N=None,
     """Iterate the recursion until the sup change drops below 1e-6 or cap.
 
     The iteration is nondecreasing in the step count (asserted nodewise each
-    step), so the limit exists; hitting the cap returns the last profile
-    with a warning flag instead of raising.  stop_probe, when given as
+    step; a drop beyond roundoff raises MonotonicityLost), so the limit
+    exists; hitting the cap returns the last profile with a warning flag
+    instead of raising.  stop_probe, when given as
     (x_station, level), ends the run early once component 1 exceeds `level`
     at the station, which is sound for lower-bound classification because
     the iterates only grow.
@@ -276,7 +278,7 @@ def recursion_limit(c, n_index, sys, cap=DEFAULT_CAP, A=None, N=None,
         # boundary-inflated tail value alive and ignite the right end
         worst_drop = float(np.max(current.values - new.values))
         if worst_drop > max(MONOTONE_TOL, 1e-7 * float(profile.beta_est.max())):
-            raise RuntimeError(f"recursion lost monotonicity by {worst_drop:.3g}")
+            raise MonotonicityLost(f"recursion lost monotonicity by {worst_drop:.3g}")
         sup_change = float(np.max(np.abs(new.values - current.values)))
         current = new
         iterations = m

@@ -7,8 +7,8 @@ import pytest
 from click.testing import CliRunner
 
 from speedlab import cli, eigen, pde
-from speedlab.cli import (DEMOS, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_VALIDATION, ScenarioConfig,
-                          main, run_scenario)
+from speedlab.cli import (DEMOS, EXIT_INCONCLUSIVE, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
+                          ScenarioConfig, main, run_scenario)
 from speedlab.errors import ValidationError
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -190,6 +190,26 @@ def test_guard_abort_maps_to_inconclusive_exit(tmp_path):
     rep = read_report(tmp_path / "out")
     assert rep["status"] == "inconclusive"
     assert "NotMonostable" in rep["reason"]
+
+
+def test_lost_recursion_monotonicity_is_a_numerical_failure(tmp_path, monkeypatch):
+    # an evolver that loses half its mass after the first period makes the
+    # recursion iterate drop; the run ends with exit 3 and a report
+    real_period = pde.LineSystemEvolver.period
+    calls = []
+
+    def leaky_period(self, v, period_index=0):
+        calls.append(period_index)
+        out = real_period(self, v, period_index)
+        return out if len(calls) == 1 else 0.5 * out
+
+    monkeypatch.setattr(pde.LineSystemEvolver, "period", leaky_period)
+    cfg = fisher_config(tmp_path / "out", tasks=("weinberger",), nt=100, nx=16)
+    assert run_scenario(cfg, quiet=True) == EXIT_NUMERICAL == 3
+    rep = read_report(tmp_path / "out")
+    assert rep["status"] == "numerical-failure"
+    assert rep["reason"].startswith("MonotonicityLost")
+    assert len(calls) == 2
 
 
 def test_eigen_task_writes_lambda_curve(tmp_path):

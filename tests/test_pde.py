@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from speedlab import CellState, LineState, evolve_system, period_map, step_scalar_linear
 from speedlab.errors import BlowupError, NonEllipticError
-from speedlab.pde import (implicit_transport_banded, solve_cell_transport,
+from speedlab.pde import (LineSystemEvolver, cell_offsets, implicit_transport_banded,
+                          solve_cell_transport, solve_line_transport,
                           transport_step_matrix_dense)
 
 from conftest import field, make_system, rng
@@ -173,3 +177,88 @@ def test_banded_assembly_row_sums():
     m = transport_step_matrix_dense(d_row, g_row, 0.1, 0.01, "cell")
     np.testing.assert_allclose(m.sum(axis=1), 1.0, atol=1e-13)
     assert c_tr <= 0 and c_bl <= 0
+
+
+# t- and x-dependent media with sign-changing drifts, so both upwind branches
+# of the transport stencil are exercised
+VARYING_MEDIA = {"d1": "1 + 0.3*cos(2*pi*(x - t))", "d2": "0.5 + 0.2*sin(2*pi*x)",
+                 "g1": "0.8*sin(2*pi*(x - t))", "g2": "0.6*cos(2*pi*(x + t))",
+                 "b1": "2 + 0.5*cos(2*pi*x)", "b2": "1 + 0.5*sin(2*pi*t)"}
+
+
+def _reference_line_period(sys, x, form, u2, v, period_index):
+    """One period on the line: the reaction formula, then solve_line_transport per species."""
+    nt, dt, dx = sys.nt, sys.omega / sys.nt, sys.ell / sys.nx
+    offsets = cell_offsets(x, sys.ell, sys.nx)
+
+    def tile(f, r):
+        return f.values[r][offsets]
+
+    for j in range(period_index * nt, (period_index + 1) * nt):
+        r = j % nt
+        if form == "competitive":
+            u1, u2v = v
+            rate1 = tile(sys.b1, r) - tile(sys.a11, r) * u1 - tile(sys.a12, r) * u2v
+            rate2 = tile(sys.b2, r) - tile(sys.a21, r) * u1 - tile(sys.a22, r) * u2v
+            reacted = [u1 * (1.0 + dt * rate1), u2v * (1.0 + dt * rate2)]
+        else:
+            v1, v2 = v
+            u2s = u2.snapshots[r][offsets]
+            a12, a22 = tile(sys.a12, r), tile(sys.a22, r)
+            rate1 = tile(sys.b1, r) - a12 * u2s - tile(sys.a11, r) * v1 + a12 * v2
+            rate2 = tile(sys.b2, r) - 2.0 * a22 * u2s + a22 * v2
+            source2 = tile(sys.a21, r) * v1 * (u2s - v2)
+            reacted = [v1 * (1.0 + dt * rate1), v2 * (1.0 + dt * rate2) + dt * source2]
+        r_new = (j + 1) % nt
+        v = np.stack([solve_line_transport(tile(d, r_new), tile(g, r_new), dx, dt, w)
+                      for (d, g), w in zip(((sys.d1, sys.g1), (sys.d2, sys.g2)), reacted)])
+        np.maximum(v, 0.0, out=v)
+    return v
+
+
+@pytest.mark.parametrize("form", ["competitive", "cooperative"])
+def test_line_evolver_matches_per_species_reference(form):
+    # the stacked two-species solve must reproduce separate per-species solves
+    # bit for bit; the line starts off the cell origin so the offsets wrap
+    sys = make_system(nt=50, nx=16, **VARYING_MEDIA)
+    u2 = sys.u2_star()
+    ev = LineSystemEvolver(sys, -2.25, 1.75, form, u2_star=u2)
+    r = rng(5)
+    v0 = np.vstack([r.uniform(0.0, 2.0, ev.n_nodes), r.uniform(0.0, 0.8, ev.n_nodes)])
+    out = ev.period(v0.copy(), period_index=1)
+    ref = _reference_line_period(sys, ev.x, form, u2, v0.copy(), 1)
+    np.testing.assert_array_equal(out, ref)
+    assert not np.array_equal(out, v0)
+
+
+def test_line_evolver_nonelliptic_guard():
+    bad = make_system(nt=50, nx=16)
+    bad.d2 = field("0.5*sin(2*pi*x)", nt=50, nx=16)  # bypasses SystemSpec validation
+    with pytest.raises(NonEllipticError):
+        LineSystemEvolver(bad, -1.0, 1.0, "competitive")
+
+
+@pytest.fixture(scope="module")
+def order_evolver():
+    # b2 = a22 = 1 keeps u2* == 1, so the cooperative order interval is the
+    # box 0 <= v1 <= state_bound, 0 <= v2 <= u2* = 1 at every time
+    media = dict(VARYING_MEDIA, b2="1")
+    sys = make_system(nt=50, nx=16, **media)
+    return LineSystemEvolver(sys, -1.0, 1.0, "cooperative", u2_star=sys.u2_star())
+
+
+_NODES = 33  # nodes of the line [-1, 1] at nx = 16
+_fractions = arrays(np.float64, (2, _NODES), elements=st.floats(0.0, 1.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(lo=_fractions, gap=_fractions)
+def test_cooperative_period_preserves_order(order_evolver, lo, gap):
+    ev = order_evolver
+    top = np.array([[ev.state_bound], [1.0]])
+    v_lo = lo * top
+    v_hi = v_lo + gap * (top - v_lo)
+    out_lo = ev.period(v_lo)
+    out_hi = ev.period(v_hi)
+    # monotone in exact arithmetic; allow roundoff only
+    assert np.all(out_lo <= out_hi + 1e-12 * ev.state_bound)
