@@ -18,7 +18,8 @@ from . import eigen, frontsim, orbits, pde, weinberger
 from .errors import (BlowupError, DomainTooSmall, EvalError, InconsistentClassification,
                      MonotonicityLost, NoConvergence, NoCrossing, NoInteriorMinimum,
                      NonEllipticError, NotMonostable, ParseError, ShiftOutOfRange,
-                     SingularSolve, ValidationError)
+                     SingularSolve, SparseSupport, StiffReaction, TooFewNodes,
+                     ValidationError)
 from .speeds import FIELD_NAMES, SystemSpec, compute_speed_report
 
 TASKS = ("eigen", "orbit", "speed", "check", "weinberger", "front")
@@ -170,7 +171,8 @@ def run_scenario(config: dict | ScenarioConfig, refine=False, jobs=1, quiet=Fals
         report["reason"] = f"{type(exc).__name__}: {exc}"
         status = EXIT_NUMERICAL
     except (DomainTooSmall, ShiftOutOfRange, InconsistentClassification, NoCrossing,
-            NoInteriorMinimum, NotMonostable, ValueError) as exc:
+            NoInteriorMinimum, NotMonostable, StiffReaction, TooFewNodes,
+            SparseSupport) as exc:
         report["status"] = "inconclusive"
         report["reason"] = f"{type(exc).__name__}: {exc}"
         status = EXIT_INCONCLUSIVE

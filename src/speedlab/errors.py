@@ -2,8 +2,11 @@
 
 Names follow the operation contracts: solver-level failures (SingularSolve,
 BlowupError, NoConvergence, MonotonicityLost), regime guards (NotMonostable,
-NoInteriorMinimum, D1Violated), and measurement guards (DomainTooSmall,
-NoCrossing, TooFewPoints).
+NoInteriorMinimum, D1Violated), measurement guards (DomainTooSmall,
+NoCrossing, TooFewPoints), and resolution guards that a finer grid or other
+input lifts (StiffReaction, TooFewNodes, SparseSupport).  The resolution
+guards are also ValueErrors, so callers that catch ValueError still see
+them.
 """
 
 
@@ -92,6 +95,18 @@ class NoCrossing(SpeedlabError):
 
 class TooFewPoints(SpeedlabError):
     """Not enough retained trace points for a speed fit."""
+
+
+class StiffReaction(SpeedlabError, ValueError):
+    """dt times the reaction Lipschitz bound is >= 1; the line step loses order."""
+
+
+class TooFewNodes(SpeedlabError, ValueError):
+    """A recursion profile has fewer nodes than the recursion resolves."""
+
+
+class SparseSupport(SpeedlabError, ValueError):
+    """The orbit's self-limitation e is positive on too small a share of nodes."""
 
 
 class ValidationError(SpeedlabError):

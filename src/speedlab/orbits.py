@@ -21,8 +21,8 @@ from scipy.special import lambertw
 
 from . import eigen
 from .coeffs import CoefficientField
-from .errors import NoConvergence
-from .pde import CellPeriodMap, _transport_entries, cell_transport_solver, write_csv
+from .errors import NoConvergence, SparseSupport
+from .pde import CellPeriodMap, CellTransport, _transport_entries, write_csv
 
 CYCLE_TOL = 1e-8
 PERIOD_CAP = 2000
@@ -64,10 +64,10 @@ class PeriodicOrbit:
         return float(self.snapshots.max())
 
 
-def _nonlinear_period(solvers, c, e, u0):
+def _nonlinear_period(transport, c, e, u0):
     """One period of the logistic equation; returns (snapshots, u_end).
 
-    solvers[r] is the transport solve with the coefficients of row r.
+    transport.solve(r, .) is the transport solve with the coefficients of row r.
     """
     nt, nx, dt = c.nt, c.nx, c.dt
     snaps = np.empty((nt, nx))
@@ -75,7 +75,7 @@ def _nonlinear_period(solvers, c, e, u0):
     for j in range(nt):
         snaps[j] = u
         r = (j + 1) % nt
-        w = solvers[r](u)
+        w = transport.solve(r, u)
         a = dt * e.values[r]
         arg = a * w * np.exp(dt * c.values[r])
         u = np.where(a > 0.0,
@@ -100,7 +100,7 @@ def logistic_orbit(d, g, c, e, start_value=None, growth=None) -> PeriodicOrbit:
         raise ValueError("need e >= 0 and e not identically zero")
     positive_share = np.mean(e.values > 0.0)
     if positive_share < SUPPORT_FRACTION:
-        raise ValueError(
+        raise SparseSupport(
             f"e is positive on only {positive_share:.1%} of nodes; "
             f"the orbit solver requires at least {SUPPORT_FRACTION:.0%}")
 
@@ -114,12 +114,11 @@ def logistic_orbit(d, g, c, e, start_value=None, growth=None) -> PeriodicOrbit:
 
     if start_value is None:
         start_value = c.max() / float(e.values[e.values > 0.0].min())
-    solvers = [cell_transport_solver(d.values[r], g.values[r], d.dx, d.dt)
-               for r in range(d.nt)]
+    transport = CellTransport(d, g)
     u = np.full(d.nx, float(start_value))
     gap = np.inf
     for period in range(1, PERIOD_CAP + 1):
-        snaps, u_end = _nonlinear_period(solvers, c, e, u)
+        snaps, u_end = _nonlinear_period(transport, c, e, u)
         gap = float(np.max(np.abs(u_end - u)))
         u = u_end
         if gap < CYCLE_TOL:
@@ -128,7 +127,7 @@ def logistic_orbit(d, g, c, e, start_value=None, growth=None) -> PeriodicOrbit:
         raise NoConvergence("orbit cycle gap did not close", iterations=PERIOD_CAP,
                             residual=gap)
 
-    snaps, u_end = _nonlinear_period(solvers, c, e, u)
+    snaps, u_end = _nonlinear_period(transport, c, e, u)
     closure = float(np.max(np.abs(u_end - snaps[0])))
     orbit = PeriodicOrbit(snapshots=snaps, omega=d.omega, ell=d.ell, extinct=False,
                           residual=0.0, closure_gap=closure, periods_marched=period,

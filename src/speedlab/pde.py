@@ -9,6 +9,14 @@ Scheme, used uniformly by every consumer in the package:
 * nonlinear reaction on the truncated line: explicit factor (1 + dt*rate)
   with rates sampled at the old time level.
 
+The periodic cell has one cyclic kernel, CellTransport, shared by the
+linear period map and the logistic orbit solver: its tables are built once
+per coefficient field on the (nt, nx) grid, and each step is one direct
+LAPACK dgtsv call plus a Sherman-Morrison corner correction, for one
+right-hand side or for all nx columns of the monodromy.  The scalar
+solve_cell_transport / step_scalar_linear / period_map path assembles each
+row on its own and stays independent of those tables.
+
 The line evolver solves both species' transport as one stacked 2N-node
 tridiagonal system, one LAPACK dgtsv call per step; a zero seam between the
 two blocks keeps them independent, so the result is bit for bit that of
@@ -33,7 +41,7 @@ from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgtsv
 
 from .coeffs import CoefficientField
-from .errors import BlowupError, NonEllipticError, SingularSolve
+from .errors import BlowupError, NonEllipticError, SingularSolve, StiffReaction
 
 _DENSE_N = 4  # cyclic systems this small are solved densely
 
@@ -291,14 +299,67 @@ def period_map(u0, d, g, h, steps_per_period, omega=None):
 # Fast linear period map on the cell (row-sampled coefficients)
 # ---------------------------------------------------------------------------
 
+class CellTransport:
+    """Implicit transport solves (I - dt*T_r) u = rhs on the periodic cell, one per row r.
+
+    The cyclic matrix of row r is tridiagonal plus two corners, and the
+    corners are removed by a Sherman-Morrison rank-one correction.  Tables
+    built once for all nt coefficient rows hold the tridiagonal part with the
+    Sherman-Morrison diagonal fix applied, the correction vectors q and the
+    scalars w and denom, so a solve is one LAPACK dgtsv call on the row's
+    diagonals (one or many right-hand sides) plus the rank-one update.  It is
+    bit for bit the solve of cell_transport_solver on cells of more than
+    _DENSE_N nodes, which calls the same gtsv through solve_banded.
+    """
+
+    def __init__(self, d: CoefficientField, g: CoefficientField):
+        dt = d.dt
+        lower, diag, upper = _transport_entries(d.values, g.values, d.dx)
+        nt, nx = diag.shape
+        self._sub = -dt * lower[:, 1:]
+        self._main = 1.0 - dt * diag
+        self._sup = -dt * upper[:, :-1]
+        corner_tr, corner_bl = -dt * lower[:, 0], -dt * upper[:, -1]
+        gamma = -self._main[:, 0]
+        self._main[:, 0] -= gamma
+        self._main[:, -1] -= corner_tr * corner_bl / gamma
+        u = np.zeros((nt, nx))
+        u[:, 0] = gamma
+        u[:, -1] = corner_bl
+        # every row's correction vector in one stacked solve; the zero seams
+        # between rows leave each block's elimination exactly as if alone
+        seam = np.zeros((nt, 1))
+        dl = np.hstack([self._sub, seam]).ravel()[:-1]
+        du = np.hstack([self._sup, seam]).ravel()[:-1]
+        self._q = _gtsv(dl, self._main.ravel(), du, u.ravel()).reshape(nt, nx)
+        self._w = corner_tr / gamma
+        self._denom = 1.0 + (self._q[:, 0] + self._w * self._q[:, -1])
+        if np.any(np.abs(self._denom) < 1e-300):
+            raise SingularSolve("cyclic correction is singular")
+
+    def solve(self, r, rhs):
+        """u with (I - dt*T_r) u = rhs; rhs is one vector or stacked columns."""
+        y = _gtsv(self._sub[r], self._main[r], self._sup[r], rhs)
+        return y - np.multiply.outer(self._q[r], (y[0] + self._w[r] * y[-1]) / self._denom[r])
+
+
+def _gtsv(dl, d, du, rhs):
+    """Tridiagonal solve by LAPACK dgtsv; the inputs are copied, never overwritten."""
+    *_, x, info = dgtsv(dl, d, du, rhs)
+    if info != 0:
+        raise SingularSolve(f"tridiagonal solve failed (info={info})")
+    return x
+
+
 class CellPeriodMap:
     """Linear period map of one tilted scalar problem on the field grid.
 
     Steps dt = omega/nt, one per coefficient row; step j -> j+1 samples all
-    coefficients at row (j+1) mod nt.  The growth factor exp(dt*h) is applied
-    after the transport solve; the logistic orbit solver uses the identical
-    split, which makes converged orbits exact discrete eigenfunctions of the
-    map built from their own potential.
+    coefficients at row (j+1) mod nt.  Each step is the table-driven cyclic
+    solve of CellTransport, the kernel the logistic orbit solver shares,
+    followed by the growth factor exp(dt*h).  The orbit solver uses the
+    identical split, which makes converged orbits exact discrete
+    eigenfunctions of the map built from their own potential.
     """
 
     def __init__(self, d: CoefficientField, g, h, shift_mean=True):
@@ -319,56 +380,49 @@ class CellPeriodMap:
         # is lost and huge tilts cannot overflow
         self.shift = float(h.values.mean()) if shift_mean else 0.0
         self._growth = np.exp(self.dt * (h.values - self.shift))
+        self._transport = CellTransport(d, g)
         self._matrix = None
-        self._solvers = [None] * self.nt
 
-    def _step_rows(self):
-        return [(j + 1) % self.nt for j in range(self.nt)]
+    def _step(self, r, v):
+        """One step into row r: the transport solve, then the growth factor."""
+        growth = self._growth[r]
+        return (growth if v.ndim == 1 else growth[:, None]) * self._transport.solve(r, v)
 
-    def _row_solver(self, r):
-        """Cached transport solver for row r."""
-        if self._solvers[r] is None:
-            self._solvers[r] = cell_transport_solver(self._d[r], self._g[r], self.dx, self.dt)
-        return self._solvers[r]
+    def _march(self, v, source=None, keep=False):
+        """March v over one period, w <- E*S*w (+ dt*source[j] when forced).
 
-    def apply(self, v):
-        v = np.asarray(v, dtype=float)
-        for r in self._step_rows():
-            v = self._growth[r] * self._row_solver(r)(v)
-        return v
-
-    def apply_with_source(self, v, source_steps):
-        """March v with additive forcing: w <- E*S*w + dt*source_steps[j].
-
-        source_steps has one row per step j = 0..nt-1, evaluated at the
-        arrival time of that step (t_{j+1}).
+        source has one row per step j = 0..nt-1, evaluated at the arrival
+        time of that step (t_{j+1}).  keep=True returns all states, out[j]
+        at t_j for j = 0..nt; otherwise the final state.
         """
         v = np.asarray(v, dtype=float)
-        f = np.asarray(source_steps, dtype=float)
-        for j, r in enumerate(self._step_rows()):
-            v = self._growth[r] * self._row_solver(r)(v) + self.dt * f[j]
-        return v
+        if source is not None:
+            source = np.asarray(source, dtype=float)
+        if keep:
+            out = np.empty((self.nt + 1, self.nx))
+            out[0] = v
+        for j in range(self.nt):
+            v = self._step((j + 1) % self.nt, v)
+            if source is not None:
+                v = v + self.dt * source[j]
+            if keep:
+                out[j + 1] = v
+        return out if keep else v
+
+    def apply(self, v):
+        return self._march(v)
+
+    def apply_with_source(self, v, source_steps):
+        """March v with additive forcing: w <- E*S*w + dt*source_steps[j]."""
+        return self._march(v, source_steps)
 
     def snapshots(self, v0):
         """All intermediate states: out[j] at t_j, j = 0..nt."""
-        out = np.empty((self.nt + 1, self.nx))
-        v = np.asarray(v0, dtype=float)
-        out[0] = v
-        for j, r in enumerate(self._step_rows()):
-            v = self._growth[r] * self._row_solver(r)(v)
-            out[j + 1] = v
-        return out
+        return self._march(v0, keep=True)
 
     def snapshots_with_source(self, v0, source_steps):
         """Forced marching with all intermediate states retained."""
-        out = np.empty((self.nt + 1, self.nx))
-        v = np.asarray(v0, dtype=float)
-        out[0] = v
-        f = np.asarray(source_steps, dtype=float)
-        for j, r in enumerate(self._step_rows()):
-            v = self._growth[r] * self._row_solver(r)(v) + self.dt * f[j]
-            out[j + 1] = v
-        return out
+        return self._march(v0, source_steps, keep=True)
 
     def _time_independent(self):
         return (np.all(self._d == self._d[0]) and np.all(self._g == self._g[0])
@@ -379,13 +433,9 @@ class CellPeriodMap:
         if self._matrix is None:
             if self._time_independent():
                 # every step shares one matrix; binary powering is exact
-                one = self._growth[0][:, None] * self._row_solver(0)(np.eye(self.nx))
-                self._matrix = np.linalg.matrix_power(one, self.nt)
+                self._matrix = np.linalg.matrix_power(self._step(0, np.eye(self.nx)), self.nt)
             else:
-                k = np.eye(self.nx)
-                for r in self._step_rows():
-                    k = self._growth[r][:, None] * self._row_solver(r)(k)
-                self._matrix = k
+                self._matrix = self._march(np.eye(self.nx))
         return self._matrix
 
 
@@ -447,7 +497,7 @@ class LineSystemEvolver:
         amax = max(sys.a11.max(), sys.a12.max(), sys.a21.max(), sys.a22.max())
         self.reaction_lipschitz = abs(bmax) + 3.0 * amax * self.state_bound
         if self.dt * self.reaction_lipschitz >= 1.0:
-            raise ValueError(
+            raise StiffReaction(
                 f"dt*Lipschitz = {self.dt * self.reaction_lipschitz:.3f} >= 1; refine nt")
 
     def _tile(self, f, r):

@@ -217,9 +217,17 @@ def minimize_speed(lambda_eval, mu_range=MU_RANGE, rel_tol=MU_REL_TOL) -> Minimi
                           mu_lo=lo, mu_hi=hi)
 
 
-def _lambda_curve(d, g, m):
+def _lambda_curve(d, g, m, best=None):
+    """mu -> lambda(mu) of the tilted problem.
+
+    best, when given, is a dict that keeps the mu and the eigenpair of the
+    smallest lambda(mu)/mu evaluated so far: one EigenResult, not one per mu.
+    """
     def ev(mu):
-        return eigen.lambda_of_mu(d, g, m, mu).lam
+        res = eigen.lambda_of_mu(d, g, m, mu)
+        if best is not None and ("mu" not in best or res.lam / mu < best["ratio"]):
+            best.update(mu=mu, ratio=res.lam / mu, eigen=res)
+        return res.lam
     return ev
 
 
@@ -273,6 +281,7 @@ class C0Result:
     refined: bool = False
     c0_base: float | None = None
     discretization_estimate: float | None = None
+    eigen_at_mu0: eigen.EigenResult | None = None
 
 
 def linear_speed_c0(sys: SystemSpec, mu_range=MU_RANGE, refine=False) -> C0Result:
@@ -281,20 +290,22 @@ def linear_speed_c0(sys: SystemSpec, mu_range=MU_RANGE, refine=False) -> C0Resul
     lambda0 is the tilted eigenvalue with potential b1 - a12*u2star.  The
     positivity of lambda0(0) (the H2 margin) is a precondition; refine=True
     recomputes the whole pipeline, orbit included, on a doubled grid and
-    extrapolates c0.
+    extrapolates c0.  Without refinement the result carries the eigenpair
+    the minimization computed at mu0, for the coupled eigenfunction.
     """
     def compute(s):
         margin = s.invaded_eigen().lam
         if margin <= 0.0:
             raise NotMonostable(f"lambda(d1,g1,b1-a12*u2) = {margin:.6g} <= 0")
-        res = minimize_speed(_lambda_curve(s.d1, s.g1, s.invaded_potential()), mu_range)
-        return res, margin
+        best = {}
+        res = minimize_speed(_lambda_curve(s.d1, s.g1, s.invaded_potential(), best), mu_range)
+        return res, margin, (best["eigen"] if best["mu"] == res.mu0 else None)
 
-    res, margin = compute(sys)
+    res, margin, eig = compute(sys)
     if not refine:
-        return C0Result(res.c_star, res.mu0, res.c_star * res.mu0, margin)
+        return C0Result(res.c_star, res.mu0, res.c_star * res.mu0, margin, eigen_at_mu0=eig)
     sys_f = sys.refined()
-    res_f, _ = compute(sys_f)
+    res_f, _, _ = compute(sys_f)
     c0 = 2.0 * res_f.c_star - res.c_star
     return C0Result(c0, res_f.mu0, c0 * res_f.mu0, margin, refined=True,
                     c0_base=res.c_star,
@@ -342,7 +353,8 @@ NEUMANN_TRUNCATION = 1e-12
 NEUMANN_CAP = 200_000
 
 
-def coupled_eigenfunction(sys: SystemSpec, u2_star, mu0, phi1_scale=1.0) -> CoupledEigenfunction:
+def coupled_eigenfunction(sys: SystemSpec, u2_star, mu0, phi1_scale=1.0,
+                          eig1=None) -> CoupledEigenfunction:
     """Build (phi1*, phi2*) for the coupled eigenproblem at the tilt mu0.
 
     phi1 solves the decoupled first equation; phi2 solves
@@ -351,10 +363,12 @@ def coupled_eigenfunction(sys: SystemSpec, u2_star, mu0, phi1_scale=1.0) -> Coup
     guaranteed by D1 (rho(K2) < rho1), otherwise D1Violated is raised.
     The snapshots are then reconstructed along the period by marching with
     the coupling source, so the pair is an exact discrete eigenpair.
+    eig1 is the first equation's eigenpair at mu0 when the caller already
+    has it (the c0 minimization evaluated it); it is solved here otherwise.
     """
     u2f = u2_star.as_field()
-    pot1 = sys.b1 - sys.a12 * u2f
-    eig1 = eigen.lambda_of_mu(sys.d1, sys.g1, pot1, mu0)
+    if eig1 is None:
+        eig1 = eigen.lambda_of_mu(sys.d1, sys.g1, sys.b1 - sys.a12 * u2f, mu0)
     lam0 = eig1.lam
     rho1 = math.exp(lam0 * sys.omega)
 
@@ -686,7 +700,7 @@ def compute_speed_report(sys: SystemSpec, refine=False, mu_range=MU_RANGE) -> Sp
             notes.append(f"c0 Richardson-refined; discretization estimate "
                          f"{res.discretization_estimate:.3g}")
         try:
-            pair = coupled_eigenfunction(sys, u2, mu0)
+            pair = coupled_eigenfunction(sys, u2, mu0, eig1=res.eigen_at_mu0)
             lambar = pair.lambdabar
             det = check_linear_determinacy(sys, u2, mu0, pair.phi1, pair.phi2,
                                            lambda0=pair.lambda0, lambdabar=pair.lambdabar)

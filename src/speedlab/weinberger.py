@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import (InconsistentClassification, MonotonicityLost, NotMonostable,
-                     ShiftOutOfRange)
+                     ShiftOutOfRange, TooFewNodes)
 from .pde import LineSystemEvolver, rightmost_crossing, write_csv
 
 DEFAULT_CAP = 300
@@ -126,7 +126,7 @@ def init_profile(beta_est, A, N) -> Profile:
     if np.any(beta_est <= 0):
         raise ValueError("plateau estimates must be positive")
     if N < 200:
-        raise ValueError("need N >= 200 profile nodes")
+        raise TooFewNodes(f"need N >= 200 profile nodes, got {N}")
     x = np.linspace(-A, A, N + 1)
     return Profile(x=x, values=_ramp(beta_est, x, A), beta_est=beta_est)
 
@@ -363,10 +363,12 @@ def bracket_speeds(sys, c_grid_or_bisection, n_index=1, cap=DEFAULT_CAP,
         grid_mode = True
 
     if A is None:
-        A = max(12.0 * sys.ell, 4.0 * abs(c_hi) * sys.omega + 2.0 * sys.ell)
+        # wide enough for init_profile's 200 nodes on the solver grid
+        A = max(12.0 * sys.ell, 4.0 * abs(c_hi) * sys.omega + 2.0 * sys.ell,
+                100.0 * sys.ell / sys.nx)
         A = ceil_to_multiple(A, sys.ell)
     if N is None:
-        N = max(200, int(round(2 * A * sys.nx / sys.ell)))
+        N = int(round(2 * A * sys.nx / sys.ell))  # profile nodes on the solver grid
     base = init_profile(beta_est, A, N)
     station = A - 2.0 * sys.ell
     drift_tol = max(1e-4, 0.25 * (c_hi - c_lo) / 2 ** max(steps, 1) * sys.omega)

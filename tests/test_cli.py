@@ -114,6 +114,28 @@ def test_front_without_crossing_is_inconclusive(tmp_path):
     assert rep["reason"].startswith("NoCrossing")
 
 
+def test_reaction_too_stiff_for_the_time_grid_is_inconclusive(tmp_path):
+    # b1 = 6 at nt = 20: dt * Lipschitz = 0.05 * (6 + 3 * 6) >= 1
+    cfg = fisher_config(tmp_path / "out", tasks=("front",), nt=20, nx=16, T=2)
+    cfg["model"]["b1"] = "6"
+    assert run_scenario(cfg, quiet=True) == EXIT_INCONCLUSIVE
+    rep = read_report(tmp_path / "out")
+    assert rep["status"] == "inconclusive"
+    assert rep["reason"].startswith("StiffReaction")
+
+
+def test_plain_value_error_is_not_inconclusive(tmp_path, monkeypatch):
+    # a ValueError outside the named guards is a bug: it propagates instead
+    # of being reported as an inconclusive run
+    def broken_report(*args, **kwargs):
+        raise ValueError("programming error")
+
+    monkeypatch.setattr(cli, "compute_speed_report", broken_report)
+    with pytest.raises(ValueError, match="programming error"):
+        run_scenario(fisher_config(tmp_path / "out"), quiet=True)
+    assert not os.path.exists(os.path.join(str(tmp_path / "out"), "report.json"))
+
+
 def test_determinism_modulo_timestamp(tmp_path):
     cfg1 = fisher_config(tmp_path / "a")
     cfg2 = fisher_config(tmp_path / "b")

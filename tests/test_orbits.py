@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from speedlab import logistic_orbit, orbit_residual, principal_eigen
+from speedlab.errors import SparseSupport
 from speedlab.orbits import growth_potential
 
 from conftest import field
@@ -74,7 +75,7 @@ def test_support_fraction_guard():
     # e positive on a sliver of the cell only
     e = field("abs(x - 0.5) - 0.47", nt=8, nx=64)
     e = type(e)(e.omega, e.ell, np.maximum(e.values, 0.0), None)
-    with pytest.raises(ValueError):
+    with pytest.raises(SparseSupport):
         logistic_orbit(field("1", nt=8, nx=64), field("0", nt=8, nx=64),
                        field("1", nt=8, nx=64), e)
 

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from speedlab import CellState, LineState, evolve_system, period_map, step_scalar_linear
-from speedlab.errors import BlowupError, NonEllipticError
-from speedlab.pde import (LineSystemEvolver, cell_offsets, implicit_transport_banded,
-                          solve_cell_transport, solve_line_transport,
+from speedlab import (CellState, LineState, evolve_system, logistic_orbit, orbits, period_map,
+                      step_scalar_linear)
+from speedlab.errors import BlowupError, NonEllipticError, StiffReaction
+from speedlab.pde import (CellPeriodMap, LineSystemEvolver, cell_offsets,
+                          implicit_transport_banded, solve_cell_transport, solve_line_transport,
                           transport_step_matrix_dense)
 
 from conftest import field, make_system, rng
@@ -159,7 +160,7 @@ def test_blowup_guard(constants_system):
     # a reaction too stiff for the time grid is rejected outright
     sys_stiff = make_system(nt=100, nx=16, b1="30")
     st2 = LineState(np.zeros((2, 33)), 0.0, -1.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(StiffReaction):
         evolve_system(st2, sys_stiff, "competitive", 0.0, 1.0)
 
 
@@ -262,3 +263,74 @@ def test_cooperative_period_preserves_order(order_evolver, lo, gap):
     out_hi = ev.period(v_hi)
     # monotone in exact arithmetic; allow roundoff only
     assert np.all(out_lo <= out_hi + 1e-12 * ev.state_bound)
+
+
+class _RowByRowTransport:
+    """Reference cyclic transport: solve_cell_transport on each row's coefficients."""
+
+    def __init__(self, d, g):
+        self.d, self.g = d, g
+
+    def solve(self, r, rhs):
+        return solve_cell_transport(self.d.values[r], self.g.values[r], self.d.dx, self.d.dt, rhs)
+
+
+def _reference_march(pmap, d, g, v, source=None):
+    """All states of one period: the row-by-row solve, the growth factor, the source."""
+    ref = _RowByRowTransport(d, g)
+    states = [v]
+    for j in range(pmap.nt):
+        r = (j + 1) % pmap.nt
+        growth = pmap._growth[r] if v.ndim == 1 else pmap._growth[r][:, None]
+        v = growth * ref.solve(r, v)
+        if source is not None:
+            v = v + pmap.dt * source[j]
+        states.append(v)
+    return states
+
+
+@pytest.mark.parametrize("shift_mean", [True, False])
+def test_cell_period_map_matches_row_by_row_reference(shift_mean):
+    # the table-driven kernel must reproduce the per-row cyclic solves bit for
+    # bit on t- and x-dependent media whose drift changes sign
+    nt, nx = 40, 64
+    d = field("1 + 0.3*cos(2*pi*(x - t))", nt=nt, nx=nx)
+    g = field("0.8*sin(2*pi*(x - t))", nt=nt, nx=nx)
+    h = field("2 + 0.5*cos(2*pi*x) + sin(2*pi*t)", nt=nt, nx=nx)
+    pmap = CellPeriodMap(d, g, h, shift_mean=shift_mean)
+    r = rng(9)
+    v0 = r.uniform(0.5, 1.5, nx)
+    source = r.standard_normal((nt, nx))
+    np.testing.assert_array_equal(pmap.matrix(), _reference_march(pmap, d, g, np.eye(nx))[-1])
+    np.testing.assert_array_equal(pmap.snapshots(v0), np.array(_reference_march(pmap, d, g, v0)))
+    forced = np.array(_reference_march(pmap, d, g, v0, source))
+    np.testing.assert_array_equal(pmap.snapshots_with_source(v0, source), forced)
+    np.testing.assert_array_equal(pmap.apply_with_source(v0, source), forced[-1])
+    np.testing.assert_array_equal(pmap.apply(v0), pmap.snapshots(v0)[-1])
+
+
+@pytest.mark.parametrize("nx", [2, 3, 4, 5])
+def test_cell_period_map_tiny_cells_match_dense_solves(nx):
+    # on cells this small the corners touch the band; the dense solve is the oracle
+    nt = 20
+    d = field("1 + 0.3*cos(2*pi*(x - t))", nt=nt, nx=nx)
+    g = field("5*sin(2*pi*(x - t)) + 2", nt=nt, nx=nx)
+    h = field("cos(2*pi*x) + sin(2*pi*t)", nt=nt, nx=nx)
+    pmap = CellPeriodMap(d, g, h)
+    k = np.eye(nx)
+    for j in range(nt):
+        row = (j + 1) % nt
+        m = transport_step_matrix_dense(d.values[row], g.values[row], d.dx, d.dt, "cell")
+        k = pmap._growth[row][:, None] * np.linalg.solve(m, k)
+    np.testing.assert_allclose(pmap.matrix(), k, rtol=1e-13, atol=1e-13 * np.abs(k).max())
+
+
+def test_logistic_orbit_matches_row_by_row_reference(monkeypatch):
+    # the report-tx species-2 problem: t-periodic growth, nt = 200, nx = 64
+    d, g = field("0.5"), field("0")
+    c, e = field("1 + 0.5*sin(2*pi*t)"), field("1")
+    orbit = logistic_orbit(d, g, c, e)
+    monkeypatch.setattr(orbits, "CellTransport", _RowByRowTransport)
+    reference = logistic_orbit(d, g, c, e)
+    assert orbit.periods_marched == reference.periods_marched
+    np.testing.assert_array_equal(orbit.snapshots, reference.snapshots)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from speedlab import apply_R, bracket_speeds, init_profile, recursion_limit
-from speedlab.errors import ShiftOutOfRange
+from speedlab.errors import ShiftOutOfRange, TooFewNodes
 from speedlab.pde import LineSystemEvolver
 from speedlab.weinberger import classify_profile, pava_nonincreasing
 
@@ -25,7 +25,7 @@ def test_init_profile_shape():
 
 
 def test_init_profile_guards():
-    with pytest.raises(ValueError):
+    with pytest.raises(TooFewNodes):
         init_profile((1.0, 1.0), 20.0, 100)   # too few nodes
     with pytest.raises(ValueError):
         init_profile((0.0, 1.0), 20.0, 400)   # degenerate plateau
@@ -154,3 +154,13 @@ def test_profile_and_trace_dumps(tmp_path, fisher_small):
         assert len(cells) == 4
         for cell in cells:
             float(cell)  # a plain number, not a numpy scalar repr
+
+
+def test_bracket_profile_sits_on_the_solver_grid_of_a_coarse_cell():
+    # at nx = 8 a slow species' default 12-cell half width holds only 192
+    # solver nodes; the domain widens to 13 cells instead of padding the
+    # profile to 200 nodes off the evolver's grid
+    sys = make_system(nt=100, nx=8, b1="0.3", d2="1", a12="0", a21="0")
+    cstar, _ = bracket_speeds(sys, [0.5], cap=5, keep_profiles=True)
+    prof, _ = cstar.profiles[0.5]
+    assert prof.x.size == 2 * 13 * 8 + 1
