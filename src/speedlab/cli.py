@@ -222,7 +222,7 @@ def _task_weinberger(cfg, sys_spec, speed_report):
         c_ref = 2.0 * math.sqrt(sys_spec.d1.max() * max(sys_spec.b1.max(), 1e-9))
     c_hi = 1.2 * c_ref + 1.0
     cstar, cbar = weinberger.bracket_speeds(
-        sys_spec, (0.0, c_hi, weinberger.DEFAULT_BISECTION_STEPS), keep_profiles=True)
+        sys_spec, (0.0, c_hi, weinberger.DEFAULT_BISECTION_STEPS))
     weinberger.dump_bracket_trace_csv(os.path.join(cfg.output, "bracket_trace.csv"),
                                       cstar.trace)
     for label, c_edge in (("lo", cstar.c_lo), ("hi", cstar.c_hi)):
@@ -246,14 +246,12 @@ def _task_front(cfg, sys_spec, speed_report):
         sys_spec.d1.max() * max(sys_spec.b1.max(), 1e-9))
     a_needed = c_sizing * cfg.periods * sys_spec.omega + 10.0 * sys_spec.ell
     half_width = cfg.domain_half_width or a_needed
-    u1, u2 = sys_spec.u1_star(), sys_spec.u2_star()
-    trace = frontsim.run_front(sys_spec, u1, u2, half_width, cfg.periods,
-                               c_estimate=c0)
+    trace = frontsim.run_front(sys_spec, half_width, cfg.periods, c_estimate=c0)
     frontsim.dump_trace_csv(os.path.join(cfg.output, "front_trace.csv"), trace)
     if trace.final_state is not None:
         pde.dump_snapshot_csv(os.path.join(cfg.output, "final_snapshot.csv"),
                               trace.final_state, labels=("v1", "v2"))
-    verdict = frontsim.spreading_verdict(sys_spec, trace, speed_report, u1, u2)
+    verdict = frontsim.spreading_verdict(sys_spec, trace, speed_report)
     return verdict.to_dict(), verdict.verdict == "inconclusive"
 
 

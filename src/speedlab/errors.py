@@ -68,6 +68,10 @@ class NoInteriorMinimum(SpeedlabError):
 class D1Violated(SpeedlabError):
     """Coupled eigenfunction series is non-contractive (D1 fails)."""
 
+    def __init__(self, message, lambdabar):
+        self.lambdabar = lambdabar
+        super().__init__(message)
+
 
 class ShiftOutOfRange(SpeedlabError):
     """Requested profile shift exceeds the safe fraction of the domain."""

@@ -16,7 +16,8 @@ import numpy as np
 from scipy import stats
 
 from .errors import DomainTooSmall, NoCrossing, TooFewPoints
-from .pde import LineState, LineSystemEvolver, cell_offsets, rightmost_crossing, write_csv
+from .pde import (LineState, LineSystemEvolver, ceil_to_multiple, cell_offsets,
+                  rightmost_crossing, write_csv)
 
 FRONT_THRESHOLD = 0.5
 DISCARD_FRACTION = 0.3
@@ -94,13 +95,15 @@ def front_position(state: LineState, u1_star, threshold=FRONT_THRESHOLD):
     return pos
 
 
-def run_front(sys, u1_star, u2_star, A, periods, threshold=FRONT_THRESHOLD,
+def run_front(sys, A, periods, threshold=FRONT_THRESHOLD,
               c_estimate=None, keep_every=None) -> FrontTrace:
     """Evolve the invasion front for `periods` periods, recording positions.
 
     Initial data in cooperative variables: v1 = u1*(0,x) for x <= 0 and 0
-    ahead, v2 = 0 (species 2 at carrying level everywhere).  Aborts with a
-    flagged partial trace when the front enters the 5-ell boundary zone.
+    ahead, v2 = 0 (species 2 at carrying level everywhere), with both orbits
+    the system's own (sys.u1_star(), sys.u2_star()).  The half width A is
+    rounded up to whole cells.  Aborts with a flagged partial trace when the
+    front enters the 5-ell boundary zone.
     """
     ell, omega = sys.ell, sys.omega
     if c_estimate is None:
@@ -109,10 +112,10 @@ def run_front(sys, u1_star, u2_star, A, periods, threshold=FRONT_THRESHOLD,
     if A < need:
         raise DomainTooSmall(
             f"A = {A:.3g} < c_estimate*T*omega + 10*ell = {need:.3g}")
-    from .weinberger import ceil_to_multiple
     A = ceil_to_multiple(A, ell)
 
-    ev = LineSystemEvolver(sys, -A, A, "cooperative", u2_star=u2_star)
+    u1_star = sys.u1_star()
+    ev = LineSystemEvolver(sys, -A, A, "cooperative")
     x = ev.x
     v = np.zeros((2, ev.n_nodes))
     v[0] = np.where(x <= 0.0, u1_star.snapshots[0][cell_offsets(x, ell, sys.nx)], 0.0)
@@ -166,8 +169,8 @@ def fit_speed(trace: FrontTrace, discard_fraction=DISCARD_FRACTION) -> FitResult
                      intercept=intercept)
 
 
-def spreading_verdict(sys, trace: FrontTrace, c_report, u1_star=None, u2_star=None,
-                      speed_tol=0.05, discard_fraction=DISCARD_FRACTION) -> SpreadingVerdict:
+def spreading_verdict(sys, trace: FrontTrace, c_report, speed_tol=0.05,
+                      discard_fraction=DISCARD_FRACTION) -> SpreadingVerdict:
     """Check the spreading dichotomy on the final state and compare speeds.
 
     Ahead of the front the solution must be below 1% of the carrying pair;
@@ -192,14 +195,10 @@ def spreading_verdict(sys, trace: FrontTrace, c_report, u1_star=None, u2_star=No
                                 "inconclusive", notes + [str(exc)])
 
     state = trace.final_state
-    if u1_star is None:
-        u1_star = sys.u1_star()
-    if u2_star is None:
-        u2_star = sys.u2_star()
     x = state.x
     cells = cell_offsets(x, sys.ell, sys.nx)
-    beta1 = u1_star.snapshots[0][cells]
-    beta2 = u2_star.snapshots[0][cells]
+    beta1 = sys.u1_star().snapshots[0][cells]
+    beta2 = sys.u2_star().snapshots[0][cells]
     rel_dist = np.abs(state.values[0] - beta1) / beta1
     if sys.a21.min() > 0.0:
         # with zero interspecific pressure the carrying pair is not the

@@ -22,7 +22,7 @@ from scipy.special import lambertw
 from . import eigen
 from .coeffs import CoefficientField
 from .errors import NoConvergence, SparseSupport
-from .pde import CellPeriodMap, CellTransport, _transport_entries, write_csv
+from .pde import CellTransport, _transport_entries, write_csv
 
 CYCLE_TOL = 1e-8
 PERIOD_CAP = 2000
@@ -164,11 +164,6 @@ def growth_potential(orbit: PeriodicOrbit, c, e) -> CoefficientField:
     """The linearization potential c - e*u* as a field on the orbit grid."""
     return CoefficientField(orbit.omega, orbit.ell,
                             c.values - e.values * orbit.snapshots, None)
-
-
-def orbit_period_map(orbit: PeriodicOrbit, d, g, c, e) -> CellPeriodMap:
-    """Linear period map at the orbit, potential c - e*u* (eigenvalue ~ 0)."""
-    return CellPeriodMap(d, g, growth_potential(orbit, c, e))
 
 
 def dump_orbit_csv(path, orbit: PeriodicOrbit):

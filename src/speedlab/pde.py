@@ -34,6 +34,7 @@ are sampled at the implicit time level t_{n+1}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,6 +108,11 @@ class LineState:
 def cell_offsets(x, ell, nx):
     """Cell node under each line node: round(x/dx) mod nx with dx = ell/nx."""
     return np.round(x / (ell / nx)).astype(int) % nx
+
+
+def ceil_to_multiple(value, unit):
+    """Smallest whole multiple of unit at or above value (up to roundoff)."""
+    return unit * math.ceil(value / unit - 1e-12)
 
 
 def rightmost_crossing(x, w, level):
@@ -446,6 +452,9 @@ class CellPeriodMap:
 class LineSystemEvolver:
     """IMEX evolution of the competition system or its cooperative transform.
 
+    The cooperative form v1 = u1, v2 = u2* - u2 uses the system's own
+    species-2 orbit, sys.u2_star().
+
     Transport is implicit: each step solves both species at once as one
     stacked tridiagonal system (species 1 on nodes 0..N-1, species 2 on
     N..2N-1, zero coupling across the seam).  The matrix entries come from
@@ -463,7 +472,7 @@ class LineSystemEvolver:
     positivity preserving.
     """
 
-    def __init__(self, sys, x_lo, x_hi, form, u2_star=None, upper_guard=None):
+    def __init__(self, sys, x_lo, x_hi, form):
         if form not in ("competitive", "cooperative"):
             raise ValueError("form must be 'competitive' or 'cooperative'")
         self.form = form
@@ -482,18 +491,13 @@ class LineSystemEvolver:
         # stacked node k of the two-species system -> its column in the tables
         self._cells = np.concatenate([self._offsets, self._offsets + sys.nx])
         self._lower, self._diag, self._upper, self._ghost = self._stencil_tables()
-        if form == "cooperative":
-            if u2_star is None:
-                raise ValueError("cooperative form needs the u2* orbit")
-            self._u2s = u2_star.snapshots
-        else:
-            self._u2s = None
+        self._u2s = sys.u2_star().snapshots if form == "cooperative" else None
         bmax = max(sys.b1.max(), sys.b2.max())
         amin = min(sys.a11.min(), sys.a22.min())
         if amin <= 0:
             raise ValueError("a11 and a22 must be strictly positive")
         self.state_bound = bmax / amin
-        self.guard = upper_guard if upper_guard is not None else 10.0 * self.state_bound
+        self.guard = 10.0 * self.state_bound
         amax = max(sys.a11.max(), sys.a12.max(), sys.a21.max(), sys.a22.max())
         self.reaction_lipschitz = abs(bmax) + 3.0 * amax * self.state_bound
         if self.dt * self.reaction_lipschitz >= 1.0:
@@ -580,7 +584,7 @@ class LineSystemEvolver:
         return self.run(v, period_index * self.nt, self.nt)
 
 
-def evolve_system(state: LineState, sys, form, t0, t1, u2_star=None) -> LineState:
+def evolve_system(state: LineState, sys, form, t0, t1) -> LineState:
     """Evolve the two-species system on the line from t0 to t1.
 
     t0 and t1 must sit on the time grid omega/nt.  The competitive and
@@ -594,9 +598,7 @@ def evolve_system(state: LineState, sys, form, t0, t1, u2_star=None) -> LineStat
     steps = (t1 - t0) / dt
     if abs(j0 - round(j0)) > 1e-9 or abs(steps - round(steps)) > 1e-9:
         raise ValueError("t0 and t1 must be multiples of omega/nt")
-    if form == "cooperative" and u2_star is None:
-        u2_star = sys.u2_star()
-    ev = LineSystemEvolver(sys, state.x_lo, state.x_hi, form, u2_star=u2_star)
+    ev = LineSystemEvolver(sys, state.x_lo, state.x_hi, form)
     if state.values.shape[0] != 2:
         raise ValueError("system state needs two components")
     if state.n_nodes != ev.n_nodes:

@@ -353,36 +353,44 @@ NEUMANN_TRUNCATION = 1e-12
 NEUMANN_CAP = 200_000
 
 
-def coupled_eigenfunction(sys: SystemSpec, u2_star, mu0, phi1_scale=1.0,
+def coupled_eigenfunction(sys: SystemSpec, mu0, phi1_scale=1.0,
                           eig1=None) -> CoupledEigenfunction:
     """Build (phi1*, phi2*) for the coupled eigenproblem at the tilt mu0.
 
+    The coupling is linearized at the system's own orbit sys.u2_star().
     phi1 solves the decoupled first equation; phi2 solves
     (rho1 - K2) phi2 = F by the geometric series sum_k rho1^{-k} K2^{k-1} F,
     truncated when a term's sup norm falls below 1e-12.  Convergence is
-    guaranteed by D1 (rho(K2) < rho1), otherwise D1Violated is raised.
+    guaranteed by D1 (rho(K2) < rho1), otherwise D1Violated is raised with
+    the lambdabar it computed.  K2 is the unit-scale map, its mean potential
+    factored out, so the series runs in that frame: rho1, the source and
+    the snapshots carry the same factor, which leaves every term unchanged.
     The snapshots are then reconstructed along the period by marching with
     the coupling source, so the pair is an exact discrete eigenpair.
     eig1 is the first equation's eigenpair at mu0 when the caller already
     has it (the c0 minimization evaluated it); it is solved here otherwise.
     """
-    u2f = u2_star.as_field()
+    u2f = sys.u2_star().as_field()
     if eig1 is None:
-        eig1 = eigen.lambda_of_mu(sys.d1, sys.g1, sys.b1 - sys.a12 * u2f, mu0)
+        eig1 = eigen.lambda_of_mu(sys.d1, sys.g1, sys.invaded_potential(), mu0)
     lam0 = eig1.lam
     rho1 = math.exp(lam0 * sys.omega)
 
-    map2 = CellPeriodMap(sys.d2, *_second_tilted(sys, u2f, mu0), shift_mean=False)
+    map2 = CellPeriodMap(sys.d2, *_second_tilted(sys, u2f, mu0))
     eig2 = eigen.principal_of_map(map2)
     lambar = eig2.lam
     if lambar >= lam0:
         raise D1Violated(
-            f"lambdabar({mu0:.6g}) = {lambar:.6g} >= lambda0 = {lam0:.6g}; series diverges")
+            f"lambdabar({mu0:.6g}) = {lambar:.6g} >= lambda0 = {lam0:.6g}; series diverges",
+            lambdabar=lambar)
 
+    # the shifted frame: K2 and the forcing carry exp(-shift*omega) per period
+    rate = lam0 - map2.shift
+    rho1_shifted = math.exp(rate * sys.omega)
     nt, nx = sys.nt, sys.nx
     phi1 = eig1.eigenfunction * phi1_scale
     # running (non-normalized) first component at the arrival time of step j
-    powers = np.exp(lam0 * map2.dt * np.arange(1, nt + 1))
+    powers = np.exp(rate * map2.dt * np.arange(1, nt + 1))
     rows = [(j + 1) % nt for j in range(nt)]
     psi1_arrival = powers[:, None] * phi1[rows]
     coupling = np.array([sys.a21.values[r] * u2f.values[r] for r in rows])
@@ -396,21 +404,23 @@ def coupled_eigenfunction(sys: SystemSpec, u2_star, mu0, phi1_scale=1.0,
                                     series_terms=0)
 
     k2 = map2.matrix()
-    term = forcing / rho1
+    term = forcing / rho1_shifted
     phi2_start = term.copy()
     terms = 1
     while np.max(np.abs(term)) >= NEUMANN_TRUNCATION:
-        term = (k2 @ term) / rho1
+        term = (k2 @ term) / rho1_shifted
         phi2_start += term
         terms += 1
         if terms > NEUMANN_CAP:
             raise NoConvergence("coupling series did not truncate", iterations=terms)
 
     raw2 = map2.snapshots_with_source(phi2_start, source)
-    scale = np.exp(-lam0 * map2.dt * np.arange(nt))
+    scale = np.exp(-rate * map2.dt * np.arange(nt))
     phi2 = raw2[:-1] * scale[:, None]
 
-    resid2 = float(np.max(np.abs(raw2[-1] - rho1 * phi2_start)))
+    # report the defect of the unshifted map: the shifted one times exp(shift*omega)
+    resid2 = math.exp(map2.shift * sys.omega) * float(
+        np.max(np.abs(raw2[-1] - rho1_shifted * phi2_start)))
     denom = max(np.max(np.abs(phi2_start)), 1e-300)
     residual = max(float(eig1.residual), resid2 / denom)
     return CoupledEigenfunction(phi1=phi1, phi2=phi2, mu0=mu0, lambda0=lam0,
@@ -610,21 +620,15 @@ def _p_conditions(sys: SystemSpec) -> tuple[Certificate, Certificate]:
     return p1, p2
 
 
-def check_linear_determinacy(sys: SystemSpec, u2_star, mu0, phi1, phi2,
-                             lambda0=None, lambdabar=None) -> CertificateReport:
+def check_linear_determinacy(sys: SystemSpec, mu0, phi1, phi2,
+                             lambda0, lambdabar) -> CertificateReport:
     """Evaluate D1, D2 margins and the P1/P2 sufficient set.
 
-    D1 margin: lambda0(mu0) - lambdabar(mu0).  D2 margin: minimum over the
-    period cell of phi1/phi2 - max(a12/a11, a22/a21).  The report declares
-    linear determinacy (sufficient conditions met) iff both are positive.
+    D1 margin: lambda0(mu0) - lambdabar(mu0), both as coupled_eigenfunction
+    computed them.  D2 margin: minimum over the period cell of phi1/phi2 -
+    max(a12/a11, a22/a21).  The report declares linear determinacy
+    (sufficient conditions met) iff both are positive.
     """
-    u2f = u2_star.as_field()
-    if lambda0 is None:
-        lambda0 = eigen.lambda_of_mu(sys.d1, sys.g1, sys.b1 - sys.a12 * u2f, mu0).lam
-    if lambdabar is None:
-        lambdabar = eigen.principal_of_map(
-            CellPeriodMap(sys.d2, *_second_tilted(sys, u2f, mu0))).lam
-
     certs = {}
     d1_margin = lambda0 - lambdabar
     certs["D1"] = Certificate("D1", "pass" if d1_margin > 0 else "fail", d1_margin,
@@ -693,24 +697,23 @@ def compute_speed_report(sys: SystemSpec, refine=False, mu_range=MU_RANGE) -> Sp
     c0 = mu0 = lam0 = lambar = None
     determinate = False
     if certs["H1"].passed and certs["H2"].passed:
-        u2 = sys.u2_star()
         res = linear_speed_c0(sys, mu_range=mu_range, refine=refine)
         c0, mu0, lam0 = res.c0, res.mu0, res.lambda0_at_mu0
         if res.refined:
             notes.append(f"c0 Richardson-refined; discretization estimate "
                          f"{res.discretization_estimate:.3g}")
         try:
-            pair = coupled_eigenfunction(sys, u2, mu0, eig1=res.eigen_at_mu0)
+            pair = coupled_eigenfunction(sys, mu0, eig1=res.eigen_at_mu0)
             lambar = pair.lambdabar
-            det = check_linear_determinacy(sys, u2, mu0, pair.phi1, pair.phi2,
-                                           lambda0=pair.lambda0, lambdabar=pair.lambdabar)
+            det = check_linear_determinacy(sys, mu0, pair.phi1, pair.phi2,
+                                           pair.lambda0, lambar)
             if pair.degenerate:
                 notes.append("coupled eigenfunction degenerates (zero coupling)")
         except D1Violated as exc:
             notes.append(f"D1 violated: {exc}")
-            det = check_linear_determinacy(sys, u2, mu0, np.ones((sys.nt, sys.nx)),
-                                           np.zeros((sys.nt, sys.nx)), lambda0=lam0)
-            lambar = det["D1"].details["lambdabar"]
+            lambar = exc.lambdabar
+            det = check_linear_determinacy(sys, mu0, np.ones((sys.nt, sys.nx)),
+                                           np.zeros((sys.nt, sys.nx)), lam0, lambar)
         certs.update(det.certificates)
         determinate = det.linearly_determinate
     else:

@@ -15,14 +15,13 @@ monotonicity invariant the comparison argument needs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .errors import (InconsistentClassification, MonotonicityLost, NotMonostable,
                      ShiftOutOfRange, TooFewNodes)
-from .pde import LineSystemEvolver, rightmost_crossing, write_csv
+from .pde import LineSystemEvolver, ceil_to_multiple, rightmost_crossing, write_csv
 
 DEFAULT_CAP = 300
 DEFAULT_BISECTION_STEPS = 8
@@ -161,7 +160,7 @@ def _shift_left(x, values, shift, ell):
     return out
 
 
-def apply_R(p: Profile, c, n_index, sys, u2_star=None, evolver=None, floor=None) -> Profile:
+def apply_R(p: Profile, c, n_index, sys, evolver=None, floor=None) -> Profile:
     """One recursion step: evolve one period, shift by c*omega, clamp, floor.
 
     The profile is evolved under the cooperative nonlinear period map on the
@@ -176,9 +175,7 @@ def apply_R(p: Profile, c, n_index, sys, u2_star=None, evolver=None, floor=None)
     if abs(shift) > A / 4.0:
         raise ShiftOutOfRange(f"|c*omega| = {abs(shift):.3g} exceeds A/4 = {A / 4:.3g}")
     if evolver is None:
-        if u2_star is None:
-            u2_star = sys.u2_star()
-        evolver = LineSystemEvolver(sys, -A, A, "cooperative", u2_star=u2_star)
+        evolver = LineSystemEvolver(sys, -A, A, "cooperative")
     if floor is None:
         floor = _ramp(p.beta_est, p.x, A)
 
@@ -206,10 +203,30 @@ def _tail_rate_estimate(sys):
     return float(np.sqrt(growth / sys.d1.values.mean()))
 
 
-def recursion_limit(c, n_index, sys, cap=DEFAULT_CAP, A=None, N=None,
-                    u2_star=None, beta_est=None, profile=None,
-                    stop_probe=None, envelope_mu=None) -> RecursionResult:
+def _plateau_estimate(sys):
+    """Plateau beta of both species: the maxima of their orbits at t = 0."""
+    return np.array([sys.u1_star().snapshots[0].max(), sys.u2_star().snapshots[0].max()])
+
+
+def _half_width(sys, c):
+    """Default half width A for speeds up to |c|, rounded up to whole cells.
+
+    At least 12 periods; at least 4|c|*omega + 2 periods, so the shift
+    c*omega stays within A/4; and at least 100 cells, so the profile holds
+    the 200 nodes init_profile needs on the solver grid.
+    """
+    A = max(12.0 * sys.ell, 4.0 * abs(c) * sys.omega + 2.0 * sys.ell,
+            100.0 * sys.ell / sys.nx)
+    return ceil_to_multiple(A, sys.ell)
+
+
+def recursion_limit(c, n_index, sys, cap=DEFAULT_CAP, A=None,
+                    stop_probe=None) -> RecursionResult:
     """Iterate the recursion until the sup change drops below 1e-6 or cap.
+
+    The run starts from init_profile on [-A, A] with the plateau of the
+    system's own orbits and N = 2A*nx/ell nodes, the line grid of the
+    solver.  A defaults to the rule of _half_width for the speed c.
 
     The iteration is nondecreasing in the step count (asserted nodewise each
     step; a drop beyond roundoff raises MonotonicityLost), so the limit
@@ -230,21 +247,11 @@ def recursion_limit(c, n_index, sys, cap=DEFAULT_CAP, A=None, N=None,
     stops flagged `ignited` and classification falls back on the recorded
     front drift instead of the contaminated station value.
     """
-    if u2_star is None:
-        u2_star = sys.u2_star()
-    if profile is None:
-        if beta_est is None:
-            u1_star = sys.u1_star()
-            beta_est = np.array([u1_star.snapshots[0].max(), u2_star.snapshots[0].max()])
-        if A is None:
-            A = 12.0 * sys.ell
-        if N is None:
-            N = int(round(2 * A * sys.nx / sys.ell))  # profile nodes on the solver grid
-        profile = init_profile(beta_est, A, N)
-    if envelope_mu is None:
-        envelope_mu = _tail_rate_estimate(sys)
-    A = profile.half_width
-    evolver = LineSystemEvolver(sys, -A, A, "cooperative", u2_star=u2_star)
+    if A is None:
+        A = _half_width(sys, c)
+    profile = init_profile(_plateau_estimate(sys), A, int(round(2 * A * sys.nx / sys.ell)))
+    envelope_mu = _tail_rate_estimate(sys)
+    evolver = LineSystemEvolver(sys, -A, A, "cooperative")
     floor = _ramp(profile.beta_est, profile.x, A)
     beta1 = float(profile.beta_est[0])
     front_level = 0.4 * beta1
@@ -270,8 +277,7 @@ def recursion_limit(c, n_index, sys, cap=DEFAULT_CAP, A=None, N=None,
     iterations = 0
     fronts = []
     for m in range(1, cap + 1):
-        new = apply_R(current, c, n_index, sys, u2_star=u2_star,
-                      evolver=evolver, floor=floor)
+        new = apply_R(current, c, n_index, sys, evolver=evolver, floor=floor)
         apply_ceiling(new)
         # nondecreasing in m up to the truncated-tail tolerance; the iterate
         # is NOT clipped against its predecessor, a ratchet would keep every
@@ -337,8 +343,7 @@ def classify_profile(result: RecursionResult, sys, station=None, drift_tol=None)
     return cls, value, left
 
 
-def bracket_speeds(sys, c_grid_or_bisection, n_index=1, cap=DEFAULT_CAP,
-                   A=None, N=None, skip_checks=False, keep_profiles=False):
+def bracket_speeds(sys, c_grid_or_bisection, n_index=1, cap=DEFAULT_CAP, A=None):
     """Bracket the slow and fast critical speeds by classifying candidate c.
 
     c_grid_or_bisection is either an explicit iterable of speeds to classify
@@ -346,13 +351,12 @@ def bracket_speeds(sys, c_grid_or_bisection, n_index=1, cap=DEFAULT_CAP,
     classification cache: the beta/not-beta transition brackets the slow
     edge, the positive/zero transition brackets the fast edge.  A
     classification trace that is non-monotone along c raises
-    InconsistentClassification.
+    InconsistentClassification.  Every candidate runs recursion_limit on
+    the same domain, by default the half width of _half_width for the
+    largest speed; both brackets keep each candidate's final profile and
+    iteration count in `profiles`, keyed by c.
     """
-    if not skip_checks:
-        _check_monostable(sys)
-    u2_star = sys.u2_star()
-    u1_star = sys.u1_star()
-    beta_est = np.array([u1_star.snapshots[0].max(), u2_star.snapshots[0].max()])
+    _check_monostable(sys)
 
     if isinstance(c_grid_or_bisection, tuple) and len(c_grid_or_bisection) == 3:
         c_lo, c_hi, steps = c_grid_or_bisection
@@ -363,28 +367,19 @@ def bracket_speeds(sys, c_grid_or_bisection, n_index=1, cap=DEFAULT_CAP,
         grid_mode = True
 
     if A is None:
-        # wide enough for init_profile's 200 nodes on the solver grid
-        A = max(12.0 * sys.ell, 4.0 * abs(c_hi) * sys.omega + 2.0 * sys.ell,
-                100.0 * sys.ell / sys.nx)
-        A = ceil_to_multiple(A, sys.ell)
-    if N is None:
-        N = int(round(2 * A * sys.nx / sys.ell))  # profile nodes on the solver grid
-    base = init_profile(beta_est, A, N)
+        A = _half_width(sys, c_hi)
     station = A - 2.0 * sys.ell
+    probe = (station, (1.0 - BETA_BAND) * _plateau_estimate(sys)[0])
     drift_tol = max(1e-4, 0.25 * (c_hi - c_lo) / 2 ** max(steps, 1) * sys.omega)
-    envelope_mu = _tail_rate_estimate(sys)
 
     cache = {}
     profiles = {}
 
     def classify(c):
         if c not in cache:
-            res = recursion_limit(c, n_index, sys, cap=cap, u2_star=u2_star,
-                                  profile=base.copy(), envelope_mu=envelope_mu,
-                                  stop_probe=(station, (1.0 - BETA_BAND) * beta_est[0]))
+            res = recursion_limit(c, n_index, sys, cap=cap, A=A, stop_probe=probe)
             cache[c] = classify_profile(res, sys, station, drift_tol=drift_tol)
-            if keep_profiles:
-                profiles[c] = (res.profile, res.iterations)
+            profiles[c] = (res.profile, res.iterations)
         return cache[c][0]
 
     if grid_mode:
@@ -434,10 +429,6 @@ def bracket_speeds(sys, c_grid_or_bisection, n_index=1, cap=DEFAULT_CAP,
         open_below=not not_zeros, open_above=not zeros, trace=trace,
         profiles=profiles)
     return cstar, cbar
-
-
-def ceil_to_multiple(value, unit):
-    return unit * math.ceil(value / unit - 1e-12)
 
 
 def _check_monostable(sys):

@@ -46,8 +46,7 @@ def const_report(const_sys):
 def const_front(const_sys, const_report):
     rep, rep_seconds = const_report
     t0 = time.perf_counter()
-    trace = run_front(const_sys, const_sys.u1_star(), const_sys.u2_star(),
-                      120.0, 40, c_estimate=rep.c0_plus)
+    trace = run_front(const_sys, 120.0, 40, c_estimate=rep.c0_plus)
     verdict = spreading_verdict(const_sys, trace, rep)
     return trace, verdict, rep_seconds + (time.perf_counter() - t0)
 
@@ -157,16 +156,13 @@ def test_c6_recursion_brackets(bracket_runs):
 
 def test_c7_comparison_principle_suite(const_sys):
     rng = np.random.default_rng(2024)
-    u2 = const_sys.u2_star()
     n = 129
     worst = -np.inf
     for _ in range(20):
         lo = rng.uniform(0.0, 1.4, (2, n))
         hi = np.minimum(lo + rng.uniform(0.0, 0.6, (2, n)), 2.0)
-        a = evolve_system(LineState(lo, 0.0, -1.0, 1.0), const_sys, "cooperative",
-                          0.0, 1.0, u2_star=u2)
-        b = evolve_system(LineState(hi, 0.0, -1.0, 1.0), const_sys, "cooperative",
-                          0.0, 1.0, u2_star=u2)
+        a = evolve_system(LineState(lo, 0.0, -1.0, 1.0), const_sys, "cooperative", 0.0, 1.0)
+        b = evolve_system(LineState(hi, 0.0, -1.0, 1.0), const_sys, "cooperative", 0.0, 1.0)
         worst = max(worst, float(np.max(a.values - b.values)))
     report("C7", worst <= 1e-9, f"worst ordering violation = {worst:.2e} over 20 pairs")
 

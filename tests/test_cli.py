@@ -6,10 +6,12 @@ import os
 import pytest
 from click.testing import CliRunner
 
-from speedlab import cli, eigen, pde
+from speedlab import cli, eigen, pde, speeds, weinberger
 from speedlab.cli import (DEMOS, EXIT_INCONCLUSIVE, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                           ScenarioConfig, main, run_scenario)
 from speedlab.errors import ValidationError
+
+from conftest import make_system
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "perfbench", "tracing.py")
@@ -255,7 +257,28 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
     try:
         tracer.install()
         assert eigen.principal_of_map is not originals[1]
+        # a tiny bracket and report must reach the layers through those names
+        weinberger.bracket_speeds(make_system(nt=50, nx=8), [1.0], cap=2)
+        speeds.compute_speed_report(make_system(nt=50, nx=8))
+        metrics = tracer.op_metrics([None])[None]
     finally:
         tracer.uninstall()
+    for name in ("weinberger.candidates", "pde.line_period.calls", "eigen.solves",
+                 "speeds.coupled_s"):
+        assert metrics[name] > 0, name
     assert (cli.run_scenario, eigen.principal_of_map, pde.CellPeriodMap.__init__,
             pde.CellPeriodMap.matrix) == originals
+
+
+def test_fast_invader_speed_report_converges(tmp_path):
+    # b1 = 30 puts the second species' tilted map at rho ~ e^29; on the
+    # unit-scale map the power iteration converges and D1 is decided
+    cfg = fisher_config(tmp_path / "out", nt=100, nx=16)
+    cfg["model"]["b1"] = "30"
+    assert run_scenario(cfg, quiet=True) == EXIT_OK
+    rep = read_report(tmp_path / "out")
+    assert rep["status"] == "ok"
+    speed = rep["speed_report"]
+    assert speed["certificates"]["D1"]["verdict"] == "pass"
+    # constant media: lambdabar = d2 mu0^2 + b2 - 2 a22 u2* with u2* = 1
+    assert speed["lambdabar_at_mu0"] == pytest.approx(speed["mu0"] ** 2 - 1.0, rel=1e-8)

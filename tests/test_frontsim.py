@@ -19,8 +19,7 @@ def fisher_run(fisher_coarse):
     # long enough for the logarithmic front-formation transient to decay
     # below the 5% verdict band
     sys = fisher_coarse
-    return sys, run_front(sys, sys.u1_star(), sys.u2_star(), 92.0, 40,
-                          c_estimate=2.0, keep_every=10)
+    return sys, run_front(sys, 92.0, 40, c_estimate=2.0, keep_every=10)
 
 
 def _unit_orbit(sys):
@@ -98,14 +97,13 @@ def test_fit_speed_too_few_points():
 def test_run_front_rejects_small_domain(fisher_coarse):
     sys = fisher_coarse
     with pytest.raises(DomainTooSmall):
-        run_front(sys, sys.u1_star(), sys.u2_star(), 15.0, 12, c_estimate=2.0)
+        run_front(sys, 15.0, 12, c_estimate=2.0)
 
 
 def test_run_front_empty_species(fisher_coarse):
     sys = fisher_coarse
-    u1, u2 = sys.u1_star(), sys.u2_star()
     empty = FrontTrace(times=[], positions=[], empty=True)
-    verdict = spreading_verdict(sys, empty, None, u1, u2)
+    verdict = spreading_verdict(sys, empty, None)
     assert verdict.verdict == "inconclusive"
 
 
@@ -146,7 +144,7 @@ def test_threshold_invariance_of_measured_speed(fisher_run):
 def test_doubling_domain_leaves_fit_unchanged(fisher_coarse, fisher_run):
     # finite-domain control: widening the truncation does not move the fit
     sys, trace = fisher_run
-    wide = run_front(sys, sys.u1_star(), sys.u2_star(), 184.0, 40, c_estimate=2.0)
+    wide = run_front(sys, 184.0, 40, c_estimate=2.0)
     f1 = fit_speed(trace)
     f2 = fit_speed(wide)
     assert abs(f1.speed - f2.speed) <= f1.ci_halfwidth + 1e-6
@@ -155,9 +153,8 @@ def test_doubling_domain_leaves_fit_unchanged(fisher_coarse, fisher_run):
 def test_aborted_run_is_flagged_and_inconclusive(fisher_coarse):
     # underestimated speed passes the precondition but hits the guard zone
     sys = fisher_coarse
-    u1, u2 = sys.u1_star(), sys.u2_star()
-    trace = run_front(sys, u1, u2, 36.0, 22, c_estimate=1.1)
+    trace = run_front(sys, 36.0, 22, c_estimate=1.1)
     assert trace.aborted
     assert trace.n_points < 22
-    verdict = spreading_verdict(sys, trace, None, u1, u2)
+    verdict = spreading_verdict(sys, trace, None)
     assert verdict.verdict == "inconclusive"

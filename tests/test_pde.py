@@ -105,16 +105,13 @@ def test_semitrivial_equilibrium_is_stationary(constants_system):
 def test_cooperative_comparison_stable_under_dt_refinement(constants_system):
     # ordered initial pairs stay ordered, also on brute-force refined grids
     r = rng(11)
-    u2 = constants_system.u2_star()
     for nt in (200, 400, 800):
         sys_ref = make_system(nt=nt, nx=16)
         n = 65
         lo = r.uniform(0, 1.2, (2, n))
         hi = lo + r.uniform(0, 0.5, (2, n))
-        a = evolve_system(LineState(lo, 0.0, -2.0, 2.0), sys_ref, "cooperative",
-                          0.0, 1.0, u2_star=sys_ref.u2_star())
-        b = evolve_system(LineState(hi, 0.0, -2.0, 2.0), sys_ref, "cooperative",
-                          0.0, 1.0, u2_star=sys_ref.u2_star())
+        a = evolve_system(LineState(lo, 0.0, -2.0, 2.0), sys_ref, "cooperative", 0.0, 1.0)
+        b = evolve_system(LineState(hi, 0.0, -2.0, 2.0), sys_ref, "cooperative", 0.0, 1.0)
         assert float(np.max(a.values - b.values)) <= 1e-9
 
 
@@ -122,15 +119,12 @@ def test_translation_equivariance(periodic_b2_system=None):
     # shifting by one period and shifting back only perturbs boundary zones
     sysp = make_system(nx=64, g1="0.3*sin(2*pi*x)", b1="1 + 0.3*cos(2*pi*x)",
                        b2="1", d2="1", a12="0.2", a21="0.5")
-    u2 = sysp.u2_star()
     x = np.linspace(-8.0, 8.0, 16 * 64 + 1)
     bump = np.exp(-(x**2))
     v0 = np.vstack([bump, 0.3 * bump])
-    plain = evolve_system(LineState(v0, 0.0, -8.0, 8.0), sysp, "cooperative",
-                          0.0, 1.0, u2_star=u2)
+    plain = evolve_system(LineState(v0, 0.0, -8.0, 8.0), sysp, "cooperative", 0.0, 1.0)
     shifted0 = np.vstack([np.interp(x - 1.0, x, v0[0]), np.interp(x - 1.0, x, v0[1])])
-    moved = evolve_system(LineState(shifted0, 0.0, -8.0, 8.0), sysp, "cooperative",
-                          0.0, 1.0, u2_star=u2)
+    moved = evolve_system(LineState(shifted0, 0.0, -8.0, 8.0), sysp, "cooperative", 0.0, 1.0)
     back = np.vstack([np.interp(x + 1.0, x, moved.values[0]),
                       np.interp(x + 1.0, x, moved.values[1])])
     interior = (x > -5.0) & (x < 5.0)
@@ -223,7 +217,7 @@ def test_line_evolver_matches_per_species_reference(form):
     # bit for bit; the line starts off the cell origin so the offsets wrap
     sys = make_system(nt=50, nx=16, **VARYING_MEDIA)
     u2 = sys.u2_star()
-    ev = LineSystemEvolver(sys, -2.25, 1.75, form, u2_star=u2)
+    ev = LineSystemEvolver(sys, -2.25, 1.75, form)
     r = rng(5)
     v0 = np.vstack([r.uniform(0.0, 2.0, ev.n_nodes), r.uniform(0.0, 0.8, ev.n_nodes)])
     out = ev.period(v0.copy(), period_index=1)
@@ -245,7 +239,7 @@ def order_evolver():
     # box 0 <= v1 <= state_bound, 0 <= v2 <= u2* = 1 at every time
     media = dict(VARYING_MEDIA, b2="1")
     sys = make_system(nt=50, nx=16, **media)
-    return LineSystemEvolver(sys, -1.0, 1.0, "cooperative", u2_star=sys.u2_star())
+    return LineSystemEvolver(sys, -1.0, 1.0, "cooperative")
 
 
 _NODES = 33  # nodes of the line [-1, 1] at nx = 16

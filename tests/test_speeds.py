@@ -6,7 +6,7 @@ import pytest
 
 from speedlab import (check_hypotheses, check_linear_determinacy, coupled_eigenfunction,
                       linear_speed_c0, minimize_speed, scalar_kpp_speeds)
-from speedlab.errors import NoInteriorMinimum, NotMonostable
+from speedlab.errors import D1Violated, NoInteriorMinimum, NotMonostable
 from speedlab import eigen, speeds
 from speedlab.speeds import compute_speed_report, reflected_scalar_coefficients
 
@@ -90,9 +90,8 @@ def test_linear_speed_c0_time_periodic_mean_formula():
 
 
 def test_coupled_eigenfunction_constants_closed_form(constants_system):
-    u2 = constants_system.u2_star()
     mu0 = math.sqrt(1.7)
-    pair = coupled_eigenfunction(constants_system, u2, mu0)
+    pair = coupled_eigenfunction(constants_system, mu0)
     # continuum ratio phi2/phi1 = a21 u2* / (lambda0 - lambdabar) = 1.2/3.55
     ratio = pair.phi2 / pair.phi1
     assert np.max(np.abs(ratio - 1.2 / 3.55)) < 5e-3
@@ -104,25 +103,22 @@ def test_coupled_eigenfunction_constants_closed_form(constants_system):
 
 def test_coupled_eigenfunction_periodic_residual(periodic_b2_system):
     sysp = periodic_b2_system
-    u2 = sysp.u2_star()
     res = linear_speed_c0(sysp)
-    pair = coupled_eigenfunction(sysp, u2, res.mu0)
+    pair = coupled_eigenfunction(sysp, res.mu0)
     assert pair.residual < 1e-6
     assert pair.phi2.min() > 0.0
 
 
 def test_coupled_eigenfunction_degenerate_when_uncoupled(fisher_system):
-    u2 = fisher_system.u2_star()
-    pair = coupled_eigenfunction(fisher_system, u2, 1.0)
+    pair = coupled_eigenfunction(fisher_system, 1.0)
     assert pair.degenerate
     assert np.all(pair.phi2 == 0.0)
 
 
 def test_coupled_eigenfunction_joint_scaling(constants_system):
-    u2 = constants_system.u2_star()
     mu0 = math.sqrt(1.7)
-    one = coupled_eigenfunction(constants_system, u2, mu0)
-    two = coupled_eigenfunction(constants_system, u2, mu0, phi1_scale=2.0)
+    one = coupled_eigenfunction(constants_system, mu0)
+    two = coupled_eigenfunction(constants_system, mu0, phi1_scale=2.0)
     np.testing.assert_allclose(two.phi2, 2.0 * one.phi2, rtol=1e-12)
     np.testing.assert_allclose(two.phi1 / two.phi2, one.phi1 / one.phi2, rtol=1e-10)
 
@@ -159,11 +155,10 @@ def test_check_hypotheses_symmetric_media_branch():
 
 
 def test_determinacy_constants_pass(constants_system):
-    u2 = constants_system.u2_star()
     res = linear_speed_c0(constants_system)
-    pair = coupled_eigenfunction(constants_system, u2, res.mu0)
-    det = check_linear_determinacy(constants_system, u2, res.mu0, pair.phi1, pair.phi2,
-                                   lambda0=pair.lambda0, lambdabar=pair.lambdabar)
+    pair = coupled_eigenfunction(constants_system, res.mu0)
+    det = check_linear_determinacy(constants_system, res.mu0, pair.phi1, pair.phi2,
+                                   pair.lambda0, pair.lambdabar)
     assert det.linearly_determinate
     assert det["D1"].margin == pytest.approx(3.55, abs=1e-3)
     assert det["D2"].margin == pytest.approx(2.125, abs=0.05)
@@ -175,11 +170,10 @@ def test_determinacy_constants_pass(constants_system):
 def test_determinacy_d2_fails_for_fast_second_diffuser():
     # d2 = 2.2 keeps D1 but pushes lambda0 - lambdabar below a22 u2*
     sys_d2 = make_system(d2="2.2")
-    u2 = sys_d2.u2_star()
     res = linear_speed_c0(sys_d2)
-    pair = coupled_eigenfunction(sys_d2, u2, res.mu0)
-    det = check_linear_determinacy(sys_d2, u2, res.mu0, pair.phi1, pair.phi2,
-                                   lambda0=pair.lambda0, lambdabar=pair.lambdabar)
+    pair = coupled_eigenfunction(sys_d2, res.mu0)
+    det = check_linear_determinacy(sys_d2, res.mu0, pair.phi1, pair.phi2,
+                                   pair.lambda0, pair.lambdabar)
     assert det["D1"].verdict == "pass"
     assert det["D2"].verdict == "fail"
     assert not det.linearly_determinate
@@ -189,21 +183,20 @@ def test_determinacy_tiny_a21_still_passes_d2():
     # the ratio phi1/phi2 and the bound a22/a21 both scale as 1/a21, and the
     # scale-free comparison (lambda0 - lambdabar) vs a22 u2* holds here
     sys_tiny = make_system(a21="0.01")
-    u2 = sys_tiny.u2_star()
     res = linear_speed_c0(sys_tiny)
-    pair = coupled_eigenfunction(sys_tiny, u2, res.mu0)
-    det = check_linear_determinacy(sys_tiny, u2, res.mu0, pair.phi1, pair.phi2,
-                                   lambda0=pair.lambda0, lambdabar=pair.lambdabar)
+    pair = coupled_eigenfunction(sys_tiny, res.mu0)
+    det = check_linear_determinacy(sys_tiny, res.mu0, pair.phi1, pair.phi2,
+                                   pair.lambda0, pair.lambdabar)
     assert det["D2"].verdict == "pass"
     assert det["D2"].margin == pytest.approx(355.0 - 100.0, rel=0.05)
 
 
 def test_p_conditions_not_applicable_for_x_dependent_media():
     sys_x = make_system(nt=100, nx=32, b1="2 + 0.2*cos(2*pi*x)")
-    u2 = sys_x.u2_star()
     res = linear_speed_c0(sys_x)
-    pair = coupled_eigenfunction(sys_x, u2, res.mu0)
-    det = check_linear_determinacy(sys_x, u2, res.mu0, pair.phi1, pair.phi2)
+    pair = coupled_eigenfunction(sys_x, res.mu0)
+    det = check_linear_determinacy(sys_x, res.mu0, pair.phi1, pair.phi2,
+                                   pair.lambda0, pair.lambdabar)
     assert det["P1"].verdict == "not-applicable"
     assert det["P2"].verdict == "not-applicable"
 
@@ -249,4 +242,34 @@ def test_speed_report_solves_each_eigenproblem_once(monkeypatch):
     rep = compute_speed_report(sysp)
     assert rep.c0_plus == pytest.approx(2.0 * math.sqrt(1.7), abs=1e-5)
     assert len(minimizations) == 3
+    assert solves and set(solves.values()) == {1}
+
+
+def test_d1_violated_report_reuses_the_series_lambdabar(monkeypatch):
+    # d2 = 3 makes the second species' tilted problem outgrow the first, so
+    # the series refuses to start; the report carries the lambdabar that the
+    # series computed instead of solving the same problem again
+    sysp = make_system(nt=50, nx=8, d2="3")
+    raised, solves = [], Counter()
+    coupled, solve = speeds.coupled_eigenfunction, eigen.principal_of_map
+
+    def recording_coupled(*args, **kwargs):
+        try:
+            return coupled(*args, **kwargs)
+        except D1Violated as exc:
+            raised.append(exc.lambdabar)
+            raise
+
+    def counting_solve(pmap):
+        solves[tuple(a.tobytes() for a in (pmap._d, pmap._g, pmap._h))] += 1
+        return solve(pmap)
+
+    monkeypatch.setattr(speeds, "coupled_eigenfunction", recording_coupled)
+    monkeypatch.setattr(eigen, "principal_of_map", counting_solve)
+    rep = compute_speed_report(sysp)
+    assert rep.certificates["D1"].verdict == "fail"
+    assert any(note.startswith("D1 violated") for note in rep.notes)
+    assert len(raised) == 1
+    assert rep.lambdabar_at_mu0 == raised[0]
+    assert rep.certificates["D1"].details["lambdabar"] == raised[0]
     assert solves and set(solves.values()) == {1}

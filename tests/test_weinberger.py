@@ -78,11 +78,10 @@ def test_recursion_monotone_in_m(fisher_small):
     res = recursion_limit(1.0, 1, sys, cap=12, A=12.0)
     p0 = init_profile((1.0, 1.0), 12.0, 12 * 2 * sys.nx)
     # rerun step by step and check nodewise growth
-    u2 = sys.u2_star()
-    ev = LineSystemEvolver(sys, -12.0, 12.0, "cooperative", u2_star=u2)
+    ev = LineSystemEvolver(sys, -12.0, 12.0, "cooperative")
     cur = p0
     for _ in range(6):
-        nxt = apply_R(cur, 1.0, 1, sys, u2_star=u2, evolver=ev)
+        nxt = apply_R(cur, 1.0, 1, sys, evolver=ev)
         assert float(np.max(cur.values - nxt.values)) <= 1e-9
         cur = nxt
     assert res.iterations >= 1
@@ -133,7 +132,7 @@ def test_doubling_domain_never_flips_beta_to_zero(fisher_small):
 
 def test_profile_and_trace_dumps(tmp_path, fisher_small):
     from speedlab.weinberger import dump_bracket_trace_csv, dump_profile_csv
-    cstar, _ = bracket_speeds(fisher_small, [0.5, 2.9], cap=60, keep_profiles=True)
+    cstar, _ = bracket_speeds(fisher_small, [0.5, 2.9], cap=60)
     trace_path = tmp_path / "trace.csv"
     dump_bracket_trace_csv(trace_path, cstar.trace)
     trace_lines = trace_path.read_text().splitlines()
@@ -161,6 +160,19 @@ def test_bracket_profile_sits_on_the_solver_grid_of_a_coarse_cell():
     # solver nodes; the domain widens to 13 cells instead of padding the
     # profile to 200 nodes off the evolver's grid
     sys = make_system(nt=100, nx=8, b1="0.3", d2="1", a12="0", a21="0")
-    cstar, _ = bracket_speeds(sys, [0.5], cap=5, keep_profiles=True)
+    cstar, _ = bracket_speeds(sys, [0.5], cap=5)
     prof, _ = cstar.profiles[0.5]
     assert prof.x.size == 2 * 13 * 8 + 1
+
+
+def test_recursion_default_half_width_fits_grid_and_shift(fisher_small):
+    # recursion_limit shares bracket_speeds' default half width: 13 cells
+    # give a coarse cell's profile its 200 nodes, and 16 cells keep the
+    # shift c*omega = 3.5 within A/4
+    coarse = make_system(nt=100, nx=8, b1="0.3", d2="1", a12="0", a21="0")
+    res = recursion_limit(0.5, 1, coarse, cap=2)
+    assert res.profile.x.size == 2 * 13 * 8 + 1
+    assert res.iterations == 2
+    fast = recursion_limit(3.5, 1, fisher_small, cap=2)
+    assert fast.profile.half_width == 16.0
+    assert fast.iterations >= 1
