@@ -1,8 +1,8 @@
 """Spreading speeds and linear-determinacy certificates for time-space
 periodic two-species reaction-advection-diffusion systems."""
 
-from .coeffs import (CoefficientField, SymmetryReport, build_field, constant_field,
-                     mean_and_symmetry, parse_expression, reflect_x, refine_field)
+from .coeffs import (CoefficientField, SymmetryReport, build_field, mean_and_symmetry,
+                     parse_expression, reflect_x, refine_field)
 from .eigen import (DiagnosticsReport, EigenResult, lambda_diagnostics, lambda_of_mu,
                     principal_eigen)
 from .frontsim import (FrontTrace, fit_speed, front_position, run_front,
@@ -20,8 +20,8 @@ from .weinberger import (Profile, SpeedBracket, apply_R, bracket_speeds, init_pr
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoefficientField", "SymmetryReport", "build_field", "constant_field",
-    "mean_and_symmetry", "parse_expression", "reflect_x", "refine_field",
+    "CoefficientField", "SymmetryReport", "build_field", "mean_and_symmetry",
+    "parse_expression", "reflect_x", "refine_field",
     "EigenResult", "DiagnosticsReport", "principal_eigen", "lambda_of_mu",
     "lambda_diagnostics",
     "PeriodicOrbit", "logistic_orbit", "orbit_residual",

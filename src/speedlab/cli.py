@@ -10,7 +10,6 @@ import datetime
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 
@@ -123,29 +122,34 @@ def _resolve_steps(disc, count_key, width_key, period, default):
     return n
 
 
-def run_scenario(config: dict | ScenarioConfig, refine=False, jobs=1, quiet=False) -> int:
-    """Execute the scenario; writes report.json and per-task CSVs."""
+def run_scenario(config: dict | ScenarioConfig, refine=False, quiet=False) -> int:
+    """Execute the scenario; writes report.json and per-task CSVs.
+
+    A config that fails validation still gets a report, with status
+    "validation-failure", when its "output" is a non-empty string.
+    """
+    def log(msg):
+        if not quiet:
+            click.echo(msg)
+
     try:
         cfg = config if isinstance(config, ScenarioConfig) else ScenarioConfig(config)
     except ValidationError as exc:
         if not quiet:
             click.echo(f"validation failure: {exc}", err=True)
+        output = config.get("output") if isinstance(config, dict) else None
+        if isinstance(output, str) and output:
+            _write_report(output, {"status": "validation-failure", "reason": str(exc)}, log)
         return EXIT_VALIDATION
 
-    os.makedirs(cfg.output, exist_ok=True)
     report = {
         "tasks": cfg.tasks,
         "requested_tasks": cfg.requested,
         "status": "ok",
-        "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     status = EXIT_OK
     sys_spec = cfg.system
-
-    def log(msg):
-        if not quiet:
-            click.echo(msg)
-
+    os.makedirs(cfg.output, exist_ok=True)
     try:
         speed_report = None
         for task in cfg.tasks:
@@ -153,7 +157,7 @@ def run_scenario(config: dict | ScenarioConfig, refine=False, jobs=1, quiet=Fals
             if task == "orbit":
                 report["orbits"] = _task_orbit(cfg, sys_spec)
             elif task == "eigen":
-                report["eigen"] = _task_eigen(cfg, sys_spec, jobs)
+                report["eigen"] = _task_eigen(cfg, sys_spec)
             elif task in ("speed", "check"):
                 if speed_report is None:
                     speed_report = compute_speed_report(sys_spec, refine=refine)
@@ -177,12 +181,18 @@ def run_scenario(config: dict | ScenarioConfig, refine=False, jobs=1, quiet=Fals
         report["reason"] = f"{type(exc).__name__}: {exc}"
         status = EXIT_INCONCLUSIVE
 
-    path = os.path.join(cfg.output, "report.json")
+    _write_report(cfg.output, report, log)
+    return status
+
+
+def _write_report(output, report, log):
+    os.makedirs(output, exist_ok=True)
+    report["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    path = os.path.join(output, "report.json")
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     log(f"report written to {path}")
-    return status
 
 
 def _task_orbit(cfg, sys_spec):
@@ -196,18 +206,10 @@ def _task_orbit(cfg, sys_spec):
     return frag
 
 
-def _task_eigen(cfg, sys_spec, jobs):
+def _task_eigen(cfg, sys_spec):
     lam1, lam2 = sys_spec.species1_eigen(), sys_spec.species2_eigen()
     mus = [round(0.1 + 0.2 * k, 10) for k in range(15)]
-
-    def solve(mu):
-        return eigen.lambda_of_mu(sys_spec.d1, sys_spec.g1, sys_spec.b1, mu)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(solve, mus))
-    else:
-        results = [solve(mu) for mu in mus]
+    results = [eigen.lambda_of_mu(sys_spec.d1, sys_spec.g1, sys_spec.b1, mu) for mu in mus]
     eigen.write_lambda_curve(os.path.join(cfg.output, "lambda_curve_species1.csv"),
                              mus, results)
     return {"lambda_species1": lam1.lam, "lambda_species2": lam2.lam,
@@ -306,9 +308,8 @@ def main():
 @main.command("run")
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--refine", is_flag=True, help="Richardson grid-doubling study for speeds.")
-@click.option("--jobs", default=1, show_default=True, help="Worker cap for sweeps.")
 @click.option("--quiet", is_flag=True, help="Suppress progress output.")
-def cmd_run(config_path, refine, jobs, quiet):
+def cmd_run(config_path, refine, quiet):
     """Execute a scenario config."""
     try:
         with open(config_path) as fh:
@@ -316,7 +317,7 @@ def cmd_run(config_path, refine, jobs, quiet):
     except json.JSONDecodeError as exc:
         click.echo(f"validation failure: bad JSON: {exc}", err=True)
         raise SystemExit(EXIT_VALIDATION)
-    raise SystemExit(run_scenario(raw, refine=refine, jobs=jobs, quiet=quiet))
+    raise SystemExit(run_scenario(raw, refine=refine, quiet=quiet))
 
 
 @main.command("validate")

@@ -228,7 +228,9 @@ class CoefficientField:
     expr: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        # C order keeps reductions such as the period map's mean shift
+        # bit-identical between a field and its reflected copies
+        v = np.ascontiguousarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
         if not (self.omega > 0 and self.ell > 0):
             raise ValueError("periods must be positive")
@@ -253,10 +255,6 @@ class CoefficientField:
     @property
     def dx(self):
         return self.ell / self.nx
-
-    def row(self, j):
-        """Samples at time index j, periodically wrapped."""
-        return self.values[j % self.nt]
 
     def evaluate(self, t, x):
         """Bilinear periodic interpolation; exact at grid nodes."""
@@ -351,10 +349,6 @@ def build_field(expr: str, omega: float, ell: float, nt: int, nx: int) -> Coeffi
     t = (np.arange(nt) * (omega / nt))[:, None]
     x = (np.arange(nx) * (ell / nx))[None, :]
     return CoefficientField(omega, ell, tree.evaluate(t, x), expr)
-
-
-def constant_field(value: float, omega: float, ell: float, nt: int, nx: int) -> CoefficientField:
-    return build_field(repr(float(value)), omega, ell, nt, nx)
 
 
 def refine_field(f: CoefficientField, factor: int = 2) -> CoefficientField:

@@ -52,9 +52,6 @@ class EigenResult:
     def nx(self):
         return self.eigenfunction.shape[1]
 
-    def eigenfunction_field(self) -> CoefficientField:
-        return CoefficientField(self.omega, self.ell, self.eigenfunction, None)
-
 
 def _power_iteration(k_matrix, tol=POWER_TOL, cap=POWER_CAP):
     """Perron root and vector of a positive matrix, sup-norm normalization."""
@@ -205,21 +202,6 @@ def lambda_diagnostics(d, g, m, mu_grid, m2=None, even_check_mus=(0.3, 1.0),
         evenness_ok=evenness_ok,
         monotone_margin=monotone_margin, monotone_ok=monotone_ok,
     )
-
-
-def refined_lambda(build, factor=2):
-    """Richardson comparison of an eigenvalue across one grid doubling.
-
-    `build(factor)` must return the EigenResult computed on the base grid
-    scaled by `factor`.  Returns (extrapolated, base_result, fine_result,
-    error_estimate) where error_estimate bounds the base-grid error under
-    the first-order model.
-    """
-    base = build(1)
-    fine = build(factor)
-    extrapolated = 2.0 * fine.lam - base.lam
-    estimate = 2.0 * abs(fine.lam - base.lam)
-    return extrapolated, base, fine, estimate
 
 
 def write_lambda_curve(path, mus, results):

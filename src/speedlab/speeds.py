@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from . import eigen, orbits
 from .coeffs import CoefficientField, build_field, mean_and_symmetry, reflect_x, refine_field
@@ -29,7 +30,6 @@ from .pde import CellPeriodMap
 
 MU_RANGE = (1e-3, 20.0)
 MU_REL_TOL = 1e-6
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 FIELD_NAMES = ("d1", "d2", "g1", "g2", "b1", "b2", "a11", "a12", "a21", "a22")
 
@@ -167,16 +167,16 @@ class MinimizeResult:
     c_star: float
     mu0: float
     evaluations: int
-    mu_lo: float
-    mu_hi: float
 
 
 def minimize_speed(lambda_eval, mu_range=MU_RANGE, rel_tol=MU_REL_TOL) -> MinimizeResult:
-    """Golden-section minimization of mu -> lambda(mu)/mu on (0, mu_max].
+    """Brent minimization of mu -> lambda(mu)/mu on mu_range.
 
     Requires an interior minimum, verified by the slope signs at both ends;
     a monotone profile raises NoInteriorMinimum with the endpoint data, since
     the infimum then sits on the boundary and the formula regime fails.
+    rel_tol is Brent's absolute tolerance in mu (xatol); the result is the
+    smallest value evaluated, endpoint probes included.
     """
     lo, hi = mu_range
     if not 0 < lo < hi:
@@ -184,6 +184,7 @@ def minimize_speed(lambda_eval, mu_range=MU_RANGE, rel_tol=MU_REL_TOL) -> Minimi
     cache = {}
 
     def f(mu):
+        mu = float(mu)
         if mu not in cache:
             cache[mu] = lambda_eval(mu) / mu
         return cache[mu]
@@ -196,37 +197,31 @@ def minimize_speed(lambda_eval, mu_range=MU_RANGE, rel_tol=MU_REL_TOL) -> Minimi
     if f(hi) <= f(probe_hi):
         raise NoInteriorMinimum("lambda(mu)/mu is nonincreasing at the upper end", data)
 
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > rel_tol * b:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    mid = 0.5 * (a + b)
-    f(mid)
-    mu0, c_star = min(((mu, val) for mu, val in cache.items() if a <= mu <= b),
-                      key=lambda item: item[1])
-    return MinimizeResult(c_star=c_star, mu0=mu0, evaluations=len(cache),
-                          mu_lo=lo, mu_hi=hi)
+    minimize_scalar(f, bounds=mu_range, method="bounded", options={"xatol": rel_tol})
+    mu0, c_star = min(cache.items(), key=lambda item: item[1])
+    return MinimizeResult(c_star=c_star, mu0=mu0, evaluations=len(cache))
+
+
+def richardson(base, fine):
+    """First-order Richardson step across one grid doubling.
+
+    Returns (2*fine - base, 2*|fine - base|): the extrapolated value and the
+    estimate that bounds the base-grid error under the first-order model.
+    """
+    return 2.0 * fine - base, 2.0 * abs(fine - base)
 
 
 def _lambda_curve(d, g, m, best=None):
     """mu -> lambda(mu) of the tilted problem.
 
-    best, when given, is a dict that keeps the mu and the eigenpair of the
-    smallest lambda(mu)/mu evaluated so far: one EigenResult, not one per mu.
+    best, when given, is a dict that keeps the eigenpair of the smallest
+    lambda(mu)/mu evaluated so far, which is the one minimize_speed returns
+    as mu0: one EigenResult, not one per mu.
     """
     def ev(mu):
         res = eigen.lambda_of_mu(d, g, m, mu)
-        if best is not None and ("mu" not in best or res.lam / mu < best["ratio"]):
-            best.update(mu=mu, ratio=res.lam / mu, eigen=res)
+        if best is not None and ("ratio" not in best or res.lam / mu < best["ratio"]):
+            best.update(ratio=res.lam / mu, eigen=res)
         return res.lam
     return ev
 
@@ -246,7 +241,7 @@ class KppSpeeds:
     refined: bool = False
 
 
-def scalar_kpp_speeds(d, g, b, mu_range=MU_RANGE, refine=False) -> KppSpeeds:
+def scalar_kpp_speeds(d, g, b, refine=False) -> KppSpeeds:
     """Rightward and leftward KPP spreading speeds of one scalar equation.
 
     c_right = inf_{mu>0} lambda_b(mu)/mu from the tilted eigenvalue family;
@@ -259,16 +254,16 @@ def scalar_kpp_speeds(d, g, b, mu_range=MU_RANGE, refine=False) -> KppSpeeds:
         raise NotMonostable(f"lambda(d,g,b) = {lam0:.6g} <= 0")
 
     def both(df, gf, bf):
-        return (minimize_speed(_lambda_curve(df, gf, bf), mu_range),
-                minimize_speed(_leftward_curve(df, gf, bf), mu_range))
+        return (minimize_speed(_lambda_curve(df, gf, bf)),
+                minimize_speed(_leftward_curve(df, gf, bf)))
 
     right, left = both(d, g, b)
     if not refine:
         return KppSpeeds(right.c_star, left.c_star, right.mu0, left.mu0, lam0)
     d2f, g2f, b2f = refine_field(d), refine_field(g), refine_field(b)
     right_f, left_f = both(d2f, g2f, b2f)
-    return KppSpeeds(2.0 * right_f.c_star - right.c_star,
-                     2.0 * left_f.c_star - left.c_star,
+    return KppSpeeds(richardson(right.c_star, right_f.c_star)[0],
+                     richardson(left.c_star, left_f.c_star)[0],
                      right_f.mu0, left_f.mu0, lam0, refined=True)
 
 
@@ -279,12 +274,11 @@ class C0Result:
     lambda0_at_mu0: float
     h2_margin: float
     refined: bool = False
-    c0_base: float | None = None
     discretization_estimate: float | None = None
     eigen_at_mu0: eigen.EigenResult | None = None
 
 
-def linear_speed_c0(sys: SystemSpec, mu_range=MU_RANGE, refine=False) -> C0Result:
+def linear_speed_c0(sys: SystemSpec, refine=False) -> C0Result:
     """Linearized speed c0 = inf_{mu>0} lambda0(mu)/mu at the invaded state.
 
     lambda0 is the tilted eigenvalue with potential b1 - a12*u2star.  The
@@ -298,18 +292,17 @@ def linear_speed_c0(sys: SystemSpec, mu_range=MU_RANGE, refine=False) -> C0Resul
         if margin <= 0.0:
             raise NotMonostable(f"lambda(d1,g1,b1-a12*u2) = {margin:.6g} <= 0")
         best = {}
-        res = minimize_speed(_lambda_curve(s.d1, s.g1, s.invaded_potential(), best), mu_range)
-        return res, margin, (best["eigen"] if best["mu"] == res.mu0 else None)
+        res = minimize_speed(_lambda_curve(s.d1, s.g1, s.invaded_potential(), best))
+        return res, margin, best["eigen"]
 
     res, margin, eig = compute(sys)
     if not refine:
         return C0Result(res.c_star, res.mu0, res.c_star * res.mu0, margin, eigen_at_mu0=eig)
     sys_f = sys.refined()
     res_f, _, _ = compute(sys_f)
-    c0 = 2.0 * res_f.c_star - res.c_star
+    c0, estimate = richardson(res.c_star, res_f.c_star)
     return C0Result(c0, res_f.mu0, c0 * res_f.mu0, margin, refined=True,
-                    c0_base=res.c_star,
-                    discretization_estimate=2.0 * abs(res_f.c_star - res.c_star))
+                    discretization_estimate=estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +466,7 @@ def _prop_c_margins(sys: SystemSpec):
                                                 "max_a21_over_a11": ratio2}
 
 
-def check_hypotheses(sys: SystemSpec, mu_range=MU_RANGE) -> HypothesisReport:
+def check_hypotheses(sys: SystemSpec) -> HypothesisReport:
     """Evaluate H1-H5 plus the envelope condition and the shared-growth test.
 
     H3 is undecidable numerically in general, so only the sufficient
@@ -512,8 +505,8 @@ def check_hypotheses(sys: SystemSpec, mu_range=MU_RANGE) -> HypothesisReport:
             # H4 needs only species 1 rightward and species 2 leftward; both
             # are assigned together so H5 sees c1p only when H4 is decided
             c1p, c2m = (
-                minimize_speed(_lambda_curve(sys.d1, sys.g1, sys.b1), mu_range).c_star,
-                minimize_speed(_leftward_curve(sys.d2, sys.g2, sys.b2), mu_range).c_star)
+                minimize_speed(_lambda_curve(sys.d1, sys.g1, sys.b1)).c_star,
+                minimize_speed(_leftward_curve(sys.d2, sys.g2, sys.b2)).c_star)
             certs["H4"] = Certificate("H4", "pass" if c1p + c2m > 0 else "fail",
                                       c1p + c2m, {"c1_plus": c1p, "c2_minus": c2m,
                                                   "symmetric_media": symmetric})
@@ -686,10 +679,10 @@ class SpeedReport:
         }
 
 
-def compute_speed_report(sys: SystemSpec, refine=False, mu_range=MU_RANGE) -> SpeedReport:
+def compute_speed_report(sys: SystemSpec, refine=False) -> SpeedReport:
     """Full pipeline: orbits, speeds, coupled eigenfunction, all certificates."""
     notes = []
-    hyp = check_hypotheses(sys, mu_range=mu_range)
+    hyp = check_hypotheses(sys)
     certs = dict(hyp.certificates)
     c1_plus = certs["H4"].details.get("c1_plus")
     c2_minus = certs["H4"].details.get("c2_minus")
@@ -697,7 +690,7 @@ def compute_speed_report(sys: SystemSpec, refine=False, mu_range=MU_RANGE) -> Sp
     c0 = mu0 = lam0 = lambar = None
     determinate = False
     if certs["H1"].passed and certs["H2"].passed:
-        res = linear_speed_c0(sys, mu_range=mu_range, refine=refine)
+        res = linear_speed_c0(sys, refine=refine)
         c0, mu0, lam0 = res.c0, res.mu0, res.lambda0_at_mu0
         if res.refined:
             notes.append(f"c0 Richardson-refined; discretization estimate "

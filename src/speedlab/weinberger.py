@@ -346,11 +346,12 @@ def classify_profile(result: RecursionResult, sys, station=None, drift_tol=None)
 def bracket_speeds(sys, c_grid_or_bisection, n_index=1, cap=DEFAULT_CAP, A=None):
     """Bracket the slow and fast critical speeds by classifying candidate c.
 
-    c_grid_or_bisection is either an explicit iterable of speeds to classify
-    or a tuple (c_lo, c_hi, steps) driving two bisections on the shared
-    classification cache: the beta/not-beta transition brackets the slow
-    edge, the positive/zero transition brackets the fast edge.  A
-    classification trace that is non-monotone along c raises
+    c_grid_or_bisection is either an explicit list of speeds to classify
+    or a tuple (c_lo, c_hi, steps), with c_lo < c_hi and an integer
+    steps >= 0, driving two bisections on the shared classification cache;
+    any other tuple raises ValueError.  The beta/not-beta transition
+    brackets the slow edge, the positive/zero transition brackets the fast
+    edge.  A classification trace that is non-monotone along c raises
     InconsistentClassification.  Every candidate runs recursion_limit on
     the same domain, by default the half width of _half_width for the
     largest speed; both brackets keep each candidate's final profile and
@@ -358,8 +359,14 @@ def bracket_speeds(sys, c_grid_or_bisection, n_index=1, cap=DEFAULT_CAP, A=None)
     """
     _check_monostable(sys)
 
-    if isinstance(c_grid_or_bisection, tuple) and len(c_grid_or_bisection) == 3:
-        c_lo, c_hi, steps = c_grid_or_bisection
+    if isinstance(c_grid_or_bisection, tuple):
+        spec = c_grid_or_bisection
+        steps = spec[2] if len(spec) == 3 else None
+        if (not isinstance(steps, (int, np.integer)) or isinstance(steps, bool)
+                or steps < 0 or not spec[0] < spec[1]):
+            raise ValueError(f"bisection spec must be (c_lo, c_hi, steps) with c_lo < c_hi "
+                             f"and an integer steps >= 0, got {spec!r}")
+        c_lo, c_hi, steps = spec
         grid_mode = False
     else:
         cs = sorted(float(c) for c in c_grid_or_bisection)

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from speedlab import cli, eigen, pde, speeds, weinberger
 from speedlab.cli import (DEMOS, EXIT_INCONCLUSIVE, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                           ScenarioConfig, main, run_scenario)
-from speedlab.errors import ValidationError
+from speedlab.errors import NoConvergence, ValidationError
 
 from conftest import make_system
 
@@ -236,9 +236,32 @@ def test_lost_recursion_monotonicity_is_a_numerical_failure(tmp_path, monkeypatc
     assert len(calls) == 2
 
 
+def _diverging_report(*args, **kwargs):
+    raise NoConvergence("power iteration cap reached", iterations=1)
+
+
+@pytest.mark.parametrize("code,status,model,tasks,broken_report", [
+    (EXIT_OK, "ok", {}, ("speed",), None),
+    (EXIT_VALIDATION, "validation-failure", {"d1": "0"}, ("speed",), None),
+    (EXIT_NUMERICAL, "numerical-failure", {}, ("speed",), _diverging_report),
+    (EXIT_INCONCLUSIVE, "inconclusive", {"b2": "-1"}, ("weinberger",), None),
+])
+def test_every_exit_code_leaves_a_report_with_its_status(tmp_path, monkeypatch, code, status,
+                                                         model, tasks, broken_report):
+    if broken_report is not None:
+        monkeypatch.setattr(cli, "compute_speed_report", broken_report)
+    cfg = fisher_config(tmp_path / "out", tasks=tasks, nt=50, nx=8)
+    cfg["model"].update(model)
+    assert run_scenario(cfg, quiet=True) == code
+    rep = read_report(tmp_path / "out")
+    assert rep["status"] == status
+    assert "generated_at" in rep
+    assert ("reason" in rep) == (code != EXIT_OK)
+
+
 def test_eigen_task_writes_lambda_curve(tmp_path):
     cfg = fisher_config(tmp_path / "out", tasks=("eigen",), nt=100, nx=16)
-    assert run_scenario(cfg, quiet=True, jobs=2) == EXIT_OK
+    assert run_scenario(cfg, quiet=True) == EXIT_OK
     path = os.path.join(str(tmp_path / "out"), "lambda_curve_species1.csv")
     with open(path) as fh:
         header = fh.readline().strip()

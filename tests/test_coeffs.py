@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from speedlab import build_field, mean_and_symmetry, parse_expression, reflect_x, refine_field
 from speedlab.errors import EvalError, ParseError
@@ -71,6 +73,27 @@ def test_roundtrip_unparse_reparse_identical_evaluation():
         tree = parse_expression(expr)
         again = parse_expression(tree.unparse())
         assert np.array_equal(tree.evaluate(t, x), again.evaluate(t, x))
+
+
+# grammar trees rendered as text: finite literals, variables, constants and
+# every production of unary minus, function call, parentheses and binary op
+_ATOMS = st.one_of(
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(lambda v: repr(abs(v))),
+    st.sampled_from(["t", "x", "pi", "e"]))
+
+
+def _productions(inner):
+    return st.one_of(
+        inner.map(lambda a: f"-{a}"),
+        st.builds(lambda f, a: f"{f}({a})", st.sampled_from(["sin", "cos", "exp", "abs"]), inner),
+        inner.map(lambda a: f"({a})"),
+        st.builds(lambda a, op, b: f"{a}{op}{b}", inner, st.sampled_from("+-*/^"), inner))
+
+
+@given(st.recursive(_ATOMS, _productions, max_leaves=12))
+def test_unparse_is_a_fixed_point_on_generated_expressions(text):
+    rendered = parse_expression(text).unparse()
+    assert parse_expression(rendered).unparse() == rendered
 
 
 def test_reflect_constant_and_even_fixed_odd_negated():

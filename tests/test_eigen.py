@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from speedlab import lambda_diagnostics, lambda_of_mu, principal_eigen
-from speedlab.eigen import refined_lambda
+from speedlab import CoefficientField, lambda_diagnostics, lambda_of_mu, principal_eigen
 from speedlab.errors import NonEllipticError
+from speedlab.speeds import richardson
 
 from conftest import field
 
@@ -30,15 +33,12 @@ def test_cos_potential_positive_gap_and_continuum_value():
     # spatial structure lifts the eigenvalue strictly above the plain average
     assert base.lam > 0.0
 
-    def build(factor):
-        return principal_eigen(field("1", nt=200 * factor, nx=64 * factor),
-                               field("0", nt=200 * factor, nx=64 * factor),
-                               field("cos(2*pi*x)", nt=200 * factor, nx=64 * factor))
-
-    extrapolated, res_base, res_fine, estimate = refined_lambda(build)
+    fine = principal_eigen(field("1", nt=400, nx=128), field("0", nt=400, nx=128),
+                           field("cos(2*pi*x)", nt=400, nx=128))
+    extrapolated, estimate = richardson(base.lam, fine.lam)
     assert extrapolated == pytest.approx(LAMBDA_COS_CONTINUUM, abs=2e-5)
     # Cauchy property: the reported estimate bounds the base-grid error
-    assert abs(res_base.lam - LAMBDA_COS_CONTINUUM) <= 1.5 * estimate
+    assert abs(base.lam - LAMBDA_COS_CONTINUUM) <= 1.5 * estimate
 
 
 def test_residual_contract_and_positivity():
@@ -55,6 +55,19 @@ def test_potential_shift_identity_exact():
     base = principal_eigen(d, g, m).lam
     shifted = principal_eigen(d, g, m + 3.25).lam
     assert shifted - base == pytest.approx(3.25, abs=1e-10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), nt=st.integers(2, 8), nx=st.integers(2, 8),
+       c=st.floats(-5.0, 5.0))
+def test_potential_shift_identity_on_random_fields(data, nt, nx, c):
+    def draw(lo, hi):
+        values = data.draw(arrays(np.float64, (nt, nx), elements=st.floats(lo, hi)))
+        return CoefficientField(1.0, 1.0, values)
+
+    d, g, h = draw(0.1, 2.0), draw(-1.0, 1.0), draw(-2.0, 2.0)
+    base = principal_eigen(d, g, h).lam
+    assert principal_eigen(d, g, h + c).lam == pytest.approx(base + c, abs=1e-10)
 
 
 @pytest.mark.parametrize("d,g,m,mu,expected", [

@@ -69,6 +69,14 @@ def test_reflection_duality():
     assert direct.c_right == swapped.c_left
 
 
+def test_twice_reflected_coefficients_give_bit_identical_lambda():
+    # reflection gathers columns; the fields stay in C order, so every
+    # reduction over them sums in the same order as for the original
+    d, g, b = field("1"), field("0.6"), field("1 + 0.3*cos(2*pi*x)")
+    twice = reflected_scalar_coefficients(*reflected_scalar_coefficients(d, g, b))
+    assert eigen.lambda_of_mu(*twice, 1.234567).lam == eigen.lambda_of_mu(d, g, b, 1.234567).lam
+
+
 def test_linear_speed_c0_constants(constants_system):
     res = linear_speed_c0(constants_system)
     assert res.c0 == pytest.approx(2.0 * math.sqrt(1.7), abs=1e-6)

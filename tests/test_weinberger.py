@@ -114,6 +114,17 @@ def test_bracket_grid_mode_classifications(fisher_small):
     assert cstar.c_lo == 0.5 and cstar.c_hi == 2.9
 
 
+def test_bracket_tuple_is_a_bisection_spec_and_list_a_grid():
+    sys = make_system(nt=50, nx=8)
+    cstar, _ = bracket_speeds(sys, [0.5, 1.0, 2.0], cap=2)
+    assert [c for c, _, _, _ in cstar.trace] == [0.5, 1.0, 2.0]
+    cstar, _ = bracket_speeds(sys, (0.5, 2.0, 0), cap=2)
+    assert sorted(c for c, _, _, _ in cstar.trace) == [0.5, 2.0]
+    for spec in ((0.5, 1.0, 2.0), (0.5, 1.0), (2.0, 0.5, 1), (0.5, 2.0, -1), (0.5, 2.0, True)):
+        with pytest.raises(ValueError):
+            bracket_speeds(sys, spec, cap=2)
+
+
 def test_bracket_open_ended_flag(fisher_small):
     # both endpoints below the speed: the beta classification never breaks
     cstar, cbar = bracket_speeds(fisher_small, [0.2, 0.7], cap=60)
