@@ -10,10 +10,10 @@ from .frontsim import (FrontTrace, fit_speed, front_position, run_front,
 from .orbits import PeriodicOrbit, logistic_orbit, orbit_residual
 from .pde import (CellPeriodMap, CellState, LineState, LineSystemEvolver,
                   evolve_system, period_map, step_scalar_linear)
-from .speeds import (Certificate, CoupledEigenfunction, HypothesisReport, SpeedReport,
-                     SystemSpec, check_hypotheses, check_linear_determinacy,
-                     compute_speed_report, coupled_eigenfunction, linear_speed_c0,
-                     minimize_speed, scalar_kpp_speeds)
+from .speeds import (Certificate, CoupledEigenfunction, SpeedReport, SystemSpec,
+                     check_hypotheses, check_linear_determinacy, compute_speed_report,
+                     coupled_eigenfunction, linear_speed_c0, minimize_speed,
+                     scalar_kpp_speeds)
 from .weinberger import (Profile, SpeedBracket, apply_R, bracket_speeds, init_profile,
                          recursion_limit)
 
@@ -27,7 +27,7 @@ __all__ = [
     "PeriodicOrbit", "logistic_orbit", "orbit_residual",
     "CellState", "LineState", "CellPeriodMap", "LineSystemEvolver",
     "step_scalar_linear", "period_map", "evolve_system",
-    "SystemSpec", "SpeedReport", "Certificate", "HypothesisReport",
+    "SystemSpec", "SpeedReport", "Certificate",
     "CoupledEigenfunction", "minimize_speed", "scalar_kpp_speeds",
     "linear_speed_c0", "coupled_eigenfunction", "check_hypotheses",
     "check_linear_determinacy", "compute_speed_report",

@@ -221,7 +221,7 @@ def _task_weinberger(cfg, sys_spec, speed_report):
     if speed_report is not None:
         c_ref = speed_report.c0_plus or speed_report.c1_plus
     if c_ref is None:
-        c_ref = 2.0 * math.sqrt(sys_spec.d1.max() * max(sys_spec.b1.max(), 1e-9))
+        c_ref = sys_spec.speed_estimate()
     c_hi = 1.2 * c_ref + 1.0
     cstar, cbar = weinberger.bracket_speeds(
         sys_spec, (0.0, c_hi, weinberger.DEFAULT_BISECTION_STEPS))
@@ -244,8 +244,7 @@ def _task_weinberger(cfg, sys_spec, speed_report):
 def _task_front(cfg, sys_spec, speed_report):
     c0 = speed_report.c0_plus if speed_report is not None else None
     # pad the sizing estimate; validate the chosen domain against the raw one
-    c_sizing = 1.5 * c0 if c0 else 2.0 * 2.0 * math.sqrt(
-        sys_spec.d1.max() * max(sys_spec.b1.max(), 1e-9))
+    c_sizing = 1.5 * c0 if c0 else 2.0 * sys_spec.speed_estimate()
     a_needed = c_sizing * cfg.periods * sys_spec.omega + 10.0 * sys_spec.ell
     half_width = cfg.domain_half_width or a_needed
     trace = frontsim.run_front(sys_spec, half_width, cfg.periods, c_estimate=c0)

@@ -276,41 +276,35 @@ class CoefficientField:
         return (self.omega == other.omega and self.ell == other.ell
                 and self.nt == other.nt and self.nx == other.nx)
 
-    def _combine(self, other, op, sym, rsym=None):
+    def _combine(self, other, op, reverse=False):
+        """op(self, other), or op(other, self) when reverse; a composed field
+        carries no expression, so refine_field rejects it."""
         if isinstance(other, CoefficientField):
             if not self.same_grid(other):
                 raise ValueError("field arithmetic requires matching grids")
-            expr = None
-            if self.expr is not None and other.expr is not None:
-                expr = f"({self.expr}){sym}({other.expr})"
-            return CoefficientField(self.omega, self.ell, op(self.values, other.values), expr)
-        c = float(other)
-        expr = None if self.expr is None else (
-            f"({self.expr}){sym}({c!r})" if rsym is None else f"({c!r}){sym}({self.expr})")
-        return CoefficientField(self.omega, self.ell,
-                                op(self.values, c) if rsym is None else op(c, self.values), expr)
+            other = other.values
+        else:
+            other = float(other)
+        values = op(other, self.values) if reverse else op(self.values, other)
+        return CoefficientField(self.omega, self.ell, values)
 
     def __add__(self, other):
-        return self._combine(other, np.add, "+")
+        return self._combine(other, np.add)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __sub__(self, other):
-        return self._combine(other, np.subtract, "-")
+        return self._combine(other, np.subtract)
 
     def __rsub__(self, other):
-        return self._combine(other, np.subtract, "-", rsym=True)
+        return self._combine(other, np.subtract, reverse=True)
 
     def __mul__(self, other):
-        return self._combine(other, np.multiply, "*")
+        return self._combine(other, np.multiply)
 
     def __rmul__(self, other):
         return self.__mul__(other)
-
-    def __neg__(self):
-        expr = None if self.expr is None else f"(0-({self.expr}))"
-        return CoefficientField(self.omega, self.ell, -self.values, expr)
 
     def min(self):
         return float(self.values.min())
@@ -351,11 +345,14 @@ def build_field(expr: str, omega: float, ell: float, nt: int, nx: int) -> Coeffi
     return CoefficientField(omega, ell, tree.evaluate(t, x), expr)
 
 
-def refine_field(f: CoefficientField, factor: int = 2) -> CoefficientField:
-    """Resample an expression-backed field on a grid refined by `factor`."""
+def refine_field(f: CoefficientField) -> CoefficientField:
+    """Resample an expression-backed field on the grid doubled in t and x.
+
+    Always a doubling: speeds.richardson extrapolates across exactly one.
+    """
     if f.expr is None:
         raise ValueError("field carries no expression, cannot resample exactly")
-    return build_field(f.expr, f.omega, f.ell, factor * f.nt, factor * f.nx)
+    return build_field(f.expr, f.omega, f.ell, 2 * f.nt, 2 * f.nx)
 
 
 def reflect_x(f: CoefficientField) -> CoefficientField:

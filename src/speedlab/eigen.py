@@ -25,6 +25,9 @@ from .pde import CellPeriodMap, write_csv
 POWER_TOL = 1e-12          # successive-ratio change, relative
 RESIDUAL_TOL = 1e-8        # contract: |K psi - rho psi|_inf <= tol * |psi|_inf
 POWER_CAP = 10_000
+EVEN_CHECK_MUS = (0.3, 1.0)  # tilts at which lambda(mu) = lambda(-mu) is checked
+CONVEXITY_TOL = 1e-8         # most negative second difference that passes
+EVENNESS_TOL = 1e-8          # largest |lambda(mu) - lambda(-mu)| that passes
 
 
 @dataclass
@@ -32,12 +35,10 @@ class EigenResult:
     """Principal eigenpair of one periodic parabolic problem.
 
     eigenfunction[j] is the positive periodic eigenfunction at t_j (nt rows,
-    global max normalized to 1); rho is the spectral radius of the period
-    map, lam = ln(rho)/omega.
+    global max normalized to 1); lam = ln(rho(K))/omega for the period map K.
     """
 
     lam: float
-    rho: float
     eigenfunction: np.ndarray
     iterations: int
     residual: float
@@ -53,13 +54,13 @@ class EigenResult:
         return self.eigenfunction.shape[1]
 
 
-def _power_iteration(k_matrix, tol=POWER_TOL, cap=POWER_CAP):
+def _power_iteration(k_matrix):
     """Perron root and vector of a positive matrix, sup-norm normalization."""
     n = k_matrix.shape[0]
     psi = np.ones(n)
     ratio_prev = None
     ratios = []
-    for it in range(1, cap + 1):
+    for it in range(1, POWER_CAP + 1):
         w = k_matrix @ psi
         nrm = np.max(np.abs(w))
         if nrm == 0.0 or not np.isfinite(nrm):
@@ -75,13 +76,13 @@ def _power_iteration(k_matrix, tol=POWER_TOL, cap=POWER_CAP):
                 accel = r2 - (r2 - r1) ** 2 / denom
                 if np.isfinite(accel) and accel > 0:
                     rho = accel
-        if ratio_prev is not None and abs(ratio - ratio_prev) <= tol * max(1.0, ratio):
+        if ratio_prev is not None and abs(ratio - ratio_prev) <= POWER_TOL * max(1.0, ratio):
             resid = np.max(np.abs(k_matrix @ psi - rho * psi))
             if resid <= RESIDUAL_TOL:
                 return rho, psi, it, resid
         ratio_prev = ratio
     resid = float(np.max(np.abs(k_matrix @ psi - rho * psi)))
-    raise NoConvergence("power iteration cap reached", iterations=cap, residual=resid)
+    raise NoConvergence("power iteration cap reached", iterations=POWER_CAP, residual=resid)
 
 
 def principal_eigen(d: CoefficientField, g: CoefficientField, h: CoefficientField) -> EigenResult:
@@ -108,9 +109,7 @@ def principal_of_map(pmap: CellPeriodMap) -> EigenResult:
     ef /= ef.max()
     if ef.min() <= 0.0:
         raise NoConvergence("eigenfunction lost positivity", iterations=iterations)
-    full_exponent = lam * pmap.omega
-    rho = math.exp(full_exponent) if full_exponent < 700 else math.inf
-    return EigenResult(lam=lam, rho=rho, eigenfunction=ef, iterations=iterations,
+    return EigenResult(lam=lam, eigenfunction=ef, iterations=iterations,
                        residual=float(residual), omega=pmap.omega, ell=pmap.ell)
 
 
@@ -133,10 +132,11 @@ def lambda_of_mu(d: CoefficientField, g: CoefficientField,
 class DiagnosticsReport:
     """Tabulated lambda(mu) with structural checks.
 
-    convexity_margin is the most negative second difference (>= -tol passes).
-    evenness entries are |lambda(mu) - lambda(-mu)| for the checked mu, or
-    None when the symmetry preconditions do not hold.  monotone_margin is
-    min_mu (lambda_m1 - lambda_m2) when a comparison potential was supplied.
+    convexity_margin is the most negative second difference; it passes at
+    >= -CONVEXITY_TOL.  evenness entries are |lambda(mu) - lambda(-mu)| for
+    the checked mu, or None when the symmetry preconditions do not hold.
+    monotone_margin is min_mu (lambda_m1 - lambda_m2) when a comparison
+    potential was supplied.
     """
 
     mu_grid: np.ndarray
@@ -152,12 +152,12 @@ class DiagnosticsReport:
     monotone_ok: bool | None
 
 
-def lambda_diagnostics(d, g, m, mu_grid, m2=None, even_check_mus=(0.3, 1.0),
-                       convexity_tol=1e-8, evenness_tol=1e-8):
+def lambda_diagnostics(d, g, m, mu_grid, m2=None):
     """Evaluate lambda(mu) on a grid and check the structural properties.
 
-    Checks discrete convexity on the grid, evenness lambda(mu) = lambda(-mu)
-    when d and m are even in x and g is odd in x, and monotonicity against a
+    Checks discrete convexity on the grid (CONVEXITY_TOL), evenness
+    lambda(mu) = lambda(-mu) at EVEN_CHECK_MUS (EVENNESS_TOL) when d and m
+    are even in x and g is odd in x, and monotonicity against a
     second potential m2 >= m (supplied as the *smaller* one: m >= m2).
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
@@ -177,10 +177,10 @@ def lambda_diagnostics(d, g, m, mu_grid, m2=None, even_check_mus=(0.3, 1.0),
     evenness_ok = None
     if qualifies:
         evenness_ok = True
-        for mu in even_check_mus:
+        for mu in EVEN_CHECK_MUS:
             dev = abs(lambda_of_mu(d, g, m, mu).lam - lambda_of_mu(d, g, m, -mu).lam)
             evenness_devs[mu] = dev
-            evenness_ok = evenness_ok and dev <= evenness_tol
+            evenness_ok = evenness_ok and dev <= EVENNESS_TOL
 
     monotone_margin = None
     monotone_ok = None
@@ -197,7 +197,7 @@ def lambda_diagnostics(d, g, m, mu_grid, m2=None, even_check_mus=(0.3, 1.0),
         residuals=np.array([r.residual for r in results]),
         iterations=np.array([r.iterations for r in results]),
         convexity_margin=convexity_margin,
-        convexity_ok=convexity_margin >= -convexity_tol,
+        convexity_ok=convexity_margin >= -CONVEXITY_TOL,
         evenness_checked=qualifies, evenness_devs=evenness_devs,
         evenness_ok=evenness_ok,
         monotone_margin=monotone_margin, monotone_ok=monotone_ok,

@@ -86,11 +86,7 @@ class InconsistentClassification(SpeedlabError):
 
 
 class DomainTooSmall(SpeedlabError):
-    """Front reached the boundary guard zone before the run finished."""
-
-    def __init__(self, message, trace=None):
-        self.trace = trace
-        super().__init__(message)
+    """The front domain is narrower than the run can reach (checked before it starts)."""
 
 
 class NoCrossing(SpeedlabError):

@@ -21,6 +21,7 @@ from .pde import (LineState, LineSystemEvolver, ceil_to_multiple, cell_offsets,
 
 FRONT_THRESHOLD = 0.5
 DISCARD_FRACTION = 0.3
+SPEED_TOL = 0.05  # relative gap allowed between the fitted speed and c0
 BOUNDARY_GUARD_PERIODS = 5.0  # front must stay this many ell from the edge
 AHEAD_FRACTION = 1.05   # ahead tail checked on x >= 1.05 * c_fit * T
 BEHIND_FRACTION = 0.80  # behind tail checked on x <= 0.80 * c_fit * T
@@ -95,8 +96,7 @@ def front_position(state: LineState, u1_star, threshold=FRONT_THRESHOLD):
     return pos
 
 
-def run_front(sys, A, periods, threshold=FRONT_THRESHOLD,
-              c_estimate=None, keep_every=None) -> FrontTrace:
+def run_front(sys, A, periods, c_estimate=None, keep_every=None) -> FrontTrace:
     """Evolve the invasion front for `periods` periods, recording positions.
 
     Initial data in cooperative variables: v1 = u1*(0,x) for x <= 0 and 0
@@ -107,7 +107,7 @@ def run_front(sys, A, periods, threshold=FRONT_THRESHOLD,
     """
     ell, omega = sys.ell, sys.omega
     if c_estimate is None:
-        c_estimate = 2.0 * 2.0 * np.sqrt(sys.d1.max() * max(sys.b1.max(), 1e-12))
+        c_estimate = 2.0 * sys.speed_estimate()
     need = c_estimate * periods * omega + 10.0 * ell
     if A < need:
         raise DomainTooSmall(
@@ -129,7 +129,7 @@ def run_front(sys, A, periods, threshold=FRONT_THRESHOLD,
         v = ev.period(v, period_index=p - 1)
         t = p * omega
         state = LineState(v.copy(), t, -A, A)
-        pos = front_position(state, u1_star, threshold)
+        pos = front_position(state, u1_star)
         trace.times.append(t)
         trace.positions.append(pos)
         if keep_every and p % keep_every == 0:
@@ -142,14 +142,15 @@ def run_front(sys, A, periods, threshold=FRONT_THRESHOLD,
     return trace
 
 
-def fit_speed(trace: FrontTrace, discard_fraction=DISCARD_FRACTION) -> FitResult:
-    """Least-squares front speed after discarding the initial transient.
+def fit_speed(trace: FrontTrace) -> FitResult:
+    """Least-squares front speed after discarding the transient, the first
+    DISCARD_FRACTION of the trace.
 
     Returns the slope, the coefficient of determination, and the half-width
     of the slope's 95% confidence interval under i.i.d. residuals.
     """
     n = trace.n_points
-    drop = int(np.ceil(discard_fraction * n))
+    drop = int(np.ceil(DISCARD_FRACTION * n))
     t = np.asarray(trace.times, dtype=float)[drop:]
     y = np.asarray(trace.positions, dtype=float)[drop:]
     if t.size < 10:
@@ -169,18 +170,18 @@ def fit_speed(trace: FrontTrace, discard_fraction=DISCARD_FRACTION) -> FitResult
                      intercept=intercept)
 
 
-def spreading_verdict(sys, trace: FrontTrace, c_report, speed_tol=0.05,
-                      discard_fraction=DISCARD_FRACTION) -> SpreadingVerdict:
+def spreading_verdict(sys, trace: FrontTrace, c_report) -> SpreadingVerdict:
     """Check the spreading dichotomy on the final state and compare speeds.
 
     Ahead of the front the solution must be below 1% of the carrying pair;
-    behind it must sit within 5%.  The decisive stations follow the
-    dichotomy's moving frame, x >= 1.05*c_fit*T and x <= 0.8*c_fit*T; the
-    fixed two-period offsets x_f +/- 2*ell are also reported since a front
-    whose width exceeds a couple of periods straddles them.  Note: the
-    simulator's step data touches the carrying pair on the left, which
-    matches the lower statement's initial class and only approximates the
-    upper one; the verdict reports both tails regardless.
+    behind it must sit within 5%; the fitted speed must be within SPEED_TOL
+    of c0, relatively.  The decisive stations follow the dichotomy's moving
+    frame, x >= 1.05*c_fit*T and x <= 0.8*c_fit*T; the fixed two-period
+    offsets x_f +/- 2*ell are also reported since a front whose width
+    exceeds a couple of periods straddles them.  Note: the simulator's step
+    data touches the carrying pair on the left, which matches the lower
+    statement's initial class and only approximates the upper one; the
+    verdict reports both tails regardless.
     """
     notes = ["initial data touches the carrying pair behind the front, so the "
              "upper-tail statement is checked on the approximating run"]
@@ -189,7 +190,7 @@ def spreading_verdict(sys, trace: FrontTrace, c_report, speed_tol=0.05,
         return SpreadingVerdict(None, None, None, c0, None, None, None, None, None,
                                 "inconclusive", notes + ["empty trace"])
     try:
-        fit = fit_speed(trace, discard_fraction)
+        fit = fit_speed(trace)
     except TooFewPoints as exc:
         return SpreadingVerdict(None, None, None, c0, None, None, None, None, None,
                                 "inconclusive", notes + [str(exc)])
@@ -229,7 +230,7 @@ def spreading_verdict(sys, trace: FrontTrace, c_report, speed_tol=0.05,
     checks = [tail_front is not None and tail_front < 0.01,
               tail_back is not None and tail_back < 0.05]
     if gap is not None:
-        checks.append(gap < speed_tol)
+        checks.append(gap < SPEED_TOL)
     verdict = "pass" if all(checks) else "fail"
     return SpreadingVerdict(fit.speed, fit.r2, fit.ci_halfwidth, c0, gap,
                             tail_front, tail_back, tail_front_2ell, tail_back_2ell,

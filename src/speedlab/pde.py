@@ -83,7 +83,6 @@ class LineState:
     t: float
     x_lo: float
     x_hi: float
-    boundary: str = "neumann"
 
     def __post_init__(self):
         self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
@@ -283,17 +282,19 @@ def step_scalar_linear(state, d, g, h, dt):
     raise TypeError("state must be a CellState or LineState")
 
 
-def period_map(u0, d, g, h, steps_per_period, omega=None):
-    """Compose step_scalar_linear over one period; linear in u0."""
+def period_map(u0, d, g, h, steps_per_period):
+    """Compose step_scalar_linear over one period; linear in u0.
+
+    The period is that of the first coefficient given as a CoefficientField.
+    """
     if steps_per_period < 1:
         raise ValueError("steps_per_period must be >= 1")
-    if omega is None:
-        for c in (d, g, h):
-            if isinstance(c, CoefficientField):
-                omega = c.omega
-                break
-        else:
-            raise ValueError("omega must be given when no coefficient is a field")
+    for c in (d, g, h):
+        if isinstance(c, CoefficientField):
+            omega = c.omega
+            break
+    else:
+        raise ValueError("period_map needs at least one coefficient field")
     dt = omega / steps_per_period
     state = u0
     for _ in range(steps_per_period):
@@ -415,6 +416,9 @@ class CellPeriodMap:
                 out[j + 1] = v
         return out if keep else v
 
+    # perfbench/tracing.py wraps these four by name for its pde.cell_march
+    # spans; ROADMAP item 4 moves the tracer onto in-package counters and
+    # retires them
     def apply(self, v):
         return self._march(v)
 

@@ -29,7 +29,7 @@ from .errors import D1Violated, NoConvergence, NoInteriorMinimum, NonEllipticErr
 from .pde import CellPeriodMap
 
 MU_RANGE = (1e-3, 20.0)
-MU_REL_TOL = 1e-6
+MU_TOL = 1e-6  # absolute tolerance in mu of the Brent search
 
 FIELD_NAMES = ("d1", "d2", "g1", "g2", "b1", "b2", "a11", "a12", "a21", "a22")
 
@@ -86,9 +86,6 @@ class SystemSpec:
     def nx(self):
         return self.d1.nx
 
-    def fields(self):
-        return {name: getattr(self, name) for name in FIELD_NAMES}
-
     @classmethod
     def from_expressions(cls, exprs: dict, omega, ell, nt, nx):
         missing = [n for n in FIELD_NAMES if n not in exprs]
@@ -97,9 +94,9 @@ class SystemSpec:
         built = {n: build_field(str(exprs[n]), omega, ell, nt, nx) for n in FIELD_NAMES}
         return cls(**built)
 
-    def refined(self, factor=2):
-        """The same system sampled on a grid refined by `factor`."""
-        built = {n: refine_field(getattr(self, n), factor) for n in FIELD_NAMES}
+    def refined(self):
+        """The same system sampled on the grid doubled in t and x."""
+        built = {n: refine_field(getattr(self, n)) for n in FIELD_NAMES}
         return SystemSpec(**built)
 
     def _cached(self, key, build):
@@ -149,8 +146,13 @@ class SystemSpec:
                 return False
         return True
 
-    def state_bound(self):
-        return max(self.b1.max(), self.b2.max()) / min(self.a11.min(), self.a22.min())
+    def speed_estimate(self):
+        """Species-1 KPP speed bound 2*sqrt(max d1 * max b1), for sizing domains.
+
+        It ignores the drift g1, which can make the true speed larger; max b1
+        is floored at 1e-9.
+        """
+        return 2.0 * math.sqrt(self.d1.max() * max(self.b1.max(), 1e-9))
 
 
 def reflected_scalar_coefficients(d, g, b):
@@ -166,21 +168,21 @@ def reflected_scalar_coefficients(d, g, b):
 class MinimizeResult:
     c_star: float
     mu0: float
+    # read by name by perfbench/tracing.py (speeds.minimize_evals); ROADMAP
+    # item 4 moves that count into in-package counters and retires the field
     evaluations: int
 
 
-def minimize_speed(lambda_eval, mu_range=MU_RANGE, rel_tol=MU_REL_TOL) -> MinimizeResult:
-    """Brent minimization of mu -> lambda(mu)/mu on mu_range.
+def minimize_speed(lambda_eval, mu_tol=MU_TOL) -> MinimizeResult:
+    """Brent minimization of mu -> lambda(mu)/mu on MU_RANGE.
 
     Requires an interior minimum, verified by the slope signs at both ends;
     a monotone profile raises NoInteriorMinimum with the endpoint data, since
     the infimum then sits on the boundary and the formula regime fails.
-    rel_tol is Brent's absolute tolerance in mu (xatol); the result is the
-    smallest value evaluated, endpoint probes included.
+    mu_tol is Brent's absolute tolerance in mu (xatol), not a relative one;
+    the result is the smallest value evaluated, endpoint probes included.
     """
-    lo, hi = mu_range
-    if not 0 < lo < hi:
-        raise ValueError("mu_range must satisfy 0 < lo < hi")
+    lo, hi = MU_RANGE
     cache = {}
 
     def f(mu):
@@ -197,7 +199,7 @@ def minimize_speed(lambda_eval, mu_range=MU_RANGE, rel_tol=MU_REL_TOL) -> Minimi
     if f(hi) <= f(probe_hi):
         raise NoInteriorMinimum("lambda(mu)/mu is nonincreasing at the upper end", data)
 
-    minimize_scalar(f, bounds=mu_range, method="bounded", options={"xatol": rel_tol})
+    minimize_scalar(f, bounds=MU_RANGE, method="bounded", options={"xatol": mu_tol})
     mu0, c_star = min(cache.items(), key=lambda item: item[1])
     return MinimizeResult(c_star=c_star, mu0=mu0, evaluations=len(cache))
 
@@ -324,15 +326,11 @@ class CoupledEigenfunction:
     mu0: float
     lambda0: float
     lambdabar: float
-    rho1: float
     residual: float
     degenerate: bool
+    # read by name by perfbench/tracing.py (speeds.coupled_terms); ROADMAP
+    # item 4 moves that count into in-package counters and retires the field
     series_terms: int
-
-    def ratio_field(self):
-        if self.degenerate:
-            raise ValueError("ratio undefined for a degenerate (zero) phi2")
-        return self.phi1 / self.phi2
 
 
 def _second_tilted(sys: SystemSpec, u2f, mu):
@@ -367,7 +365,6 @@ def coupled_eigenfunction(sys: SystemSpec, mu0, phi1_scale=1.0,
     if eig1 is None:
         eig1 = eigen.lambda_of_mu(sys.d1, sys.g1, sys.invaded_potential(), mu0)
     lam0 = eig1.lam
-    rho1 = math.exp(lam0 * sys.omega)
 
     map2 = CellPeriodMap(sys.d2, *_second_tilted(sys, u2f, mu0))
     eig2 = eigen.principal_of_map(map2)
@@ -392,7 +389,7 @@ def coupled_eigenfunction(sys: SystemSpec, mu0, phi1_scale=1.0,
     forcing = map2.apply_with_source(np.zeros(nx), source)
     if np.max(np.abs(forcing)) < 1e-300:
         return CoupledEigenfunction(phi1=phi1, phi2=np.zeros((nt, nx)), mu0=mu0,
-                                    lambda0=lam0, lambdabar=lambar, rho1=rho1,
+                                    lambda0=lam0, lambdabar=lambar,
                                     residual=float(eig1.residual), degenerate=True,
                                     series_terms=0)
 
@@ -417,7 +414,7 @@ def coupled_eigenfunction(sys: SystemSpec, mu0, phi1_scale=1.0,
     denom = max(np.max(np.abs(phi2_start)), 1e-300)
     residual = max(float(eig1.residual), resid2 / denom)
     return CoupledEigenfunction(phi1=phi1, phi2=phi2, mu0=mu0, lambda0=lam0,
-                                lambdabar=lambar, rho1=rho1, residual=residual,
+                                lambdabar=lambar, residual=residual,
                                 degenerate=False, series_terms=terms)
 
 
@@ -441,17 +438,6 @@ class Certificate:
         return {"verdict": self.verdict, "margin": self.margin, "details": self.details}
 
 
-@dataclass
-class HypothesisReport:
-    certificates: dict
-
-    def __getitem__(self, name):
-        return self.certificates[name]
-
-    def passed(self, name):
-        return self.certificates[name].passed
-
-
 def _prop_c_margins(sys: SystemSpec):
     """Envelope margins of the coexistence-exclusion sufficient condition."""
     dt = sys.omega / sys.nt
@@ -466,8 +452,10 @@ def _prop_c_margins(sys: SystemSpec):
                                                 "max_a21_over_a11": ratio2}
 
 
-def check_hypotheses(sys: SystemSpec) -> HypothesisReport:
+def check_hypotheses(sys: SystemSpec) -> dict:
     """Evaluate H1-H5 plus the envelope condition and the shared-growth test.
+
+    Returns the Certificates keyed by name: H1-H5, PropC and M.
 
     H3 is undecidable numerically in general, so only the sufficient
     envelope condition is evaluated and the verdict is three-valued:
@@ -541,7 +529,7 @@ def check_hypotheses(sys: SystemSpec) -> HypothesisReport:
                                   {"note": "requires species-2 orbit and c1_plus"})
 
     certs["M"] = _condition_m(sys)
-    return HypothesisReport(certs)
+    return certs
 
 
 def _condition_m(sys: SystemSpec) -> Certificate:
@@ -567,7 +555,6 @@ def _condition_m(sys: SystemSpec) -> Certificate:
 class CertificateReport:
     certificates: dict
     linearly_determinate: bool
-    summary: str
 
     def __getitem__(self, name):
         return self.certificates[name]
@@ -643,10 +630,7 @@ def check_linear_determinacy(sys: SystemSpec, mu0, phi1, phi2,
     p1, p2 = _p_conditions(sys)
     certs["P1"], certs["P2"] = p1, p2
 
-    determinate = certs["D1"].passed and certs["D2"].passed
-    summary = ("linearly determinate (sufficient conditions met)" if determinate
-               else "linear determinacy not certified")
-    return CertificateReport(certs, determinate, summary)
+    return CertificateReport(certs, certs["D1"].passed and certs["D2"].passed)
 
 
 # ---------------------------------------------------------------------------
@@ -682,8 +666,7 @@ class SpeedReport:
 def compute_speed_report(sys: SystemSpec, refine=False) -> SpeedReport:
     """Full pipeline: orbits, speeds, coupled eigenfunction, all certificates."""
     notes = []
-    hyp = check_hypotheses(sys)
-    certs = dict(hyp.certificates)
+    certs = check_hypotheses(sys)
     c1_plus = certs["H4"].details.get("c1_plus")
     c2_minus = certs["H4"].details.get("c2_minus")
 

@@ -1,6 +1,6 @@
 """Discretized profile recursion bracketing the nonlinear spreading speeds.
 
-The recursion iterates R[a] = max(floor/n, shift_{-c omega}(period_map(a)))
+The recursion iterates R[a] = max(floor, shift_{-c omega}(period_map(a)))
 on non-increasing two-component profiles over a truncated line, starting
 from a compactly supported ramp.  The limit's behaviour at the right end
 classifies each candidate speed c: profiles that refill to the carrying
@@ -160,16 +160,14 @@ def _shift_left(x, values, shift, ell):
     return out
 
 
-def apply_R(p: Profile, c, n_index, sys, evolver=None, floor=None) -> Profile:
+def apply_R(p: Profile, c, sys, evolver=None, floor=None) -> Profile:
     """One recursion step: evolve one period, shift by c*omega, clamp, floor.
 
     The profile is evolved under the cooperative nonlinear period map on the
     truncated line, translated so the frame moves with speed c, projected
     back onto non-increasing profiles, clipped into [0, beta], and finally
-    maxed with (1/n_index) times the initial ramp.
+    maxed with the initial ramp.
     """
-    if n_index < 1:
-        raise ValueError("n_index must be >= 1")
     A = p.half_width
     shift = c * sys.omega
     if abs(shift) > A / 4.0:
@@ -183,7 +181,7 @@ def apply_R(p: Profile, c, n_index, sys, evolver=None, floor=None) -> Profile:
     shifted = _shift_left(p.x, evolved, shift, sys.ell)
     clamped = np.stack([pava_nonincreasing(shifted[i]) for i in range(2)])
     np.clip(clamped, 0.0, p.beta_est[:, None], out=clamped)
-    new_values = np.maximum(clamped, floor / float(n_index))
+    new_values = np.maximum(clamped, floor)
     return Profile(x=p.x, values=new_values, beta_est=p.beta_est)
 
 
@@ -220,8 +218,7 @@ def _half_width(sys, c):
     return ceil_to_multiple(A, sys.ell)
 
 
-def recursion_limit(c, n_index, sys, cap=DEFAULT_CAP, A=None,
-                    stop_probe=None) -> RecursionResult:
+def recursion_limit(c, sys, cap=DEFAULT_CAP, A=None, stop_probe=None) -> RecursionResult:
     """Iterate the recursion until the sup change drops below 1e-6 or cap.
 
     The run starts from init_profile on [-A, A] with the plateau of the
@@ -277,7 +274,7 @@ def recursion_limit(c, n_index, sys, cap=DEFAULT_CAP, A=None,
     iterations = 0
     fronts = []
     for m in range(1, cap + 1):
-        new = apply_R(current, c, n_index, sys, evolver=evolver, floor=floor)
+        new = apply_R(current, c, sys, evolver=evolver, floor=floor)
         apply_ceiling(new)
         # nondecreasing in m up to the truncated-tail tolerance; the iterate
         # is NOT clipped against its predecessor, a ratchet would keep every
@@ -343,19 +340,19 @@ def classify_profile(result: RecursionResult, sys, station=None, drift_tol=None)
     return cls, value, left
 
 
-def bracket_speeds(sys, c_grid_or_bisection, n_index=1, cap=DEFAULT_CAP, A=None):
+def bracket_speeds(sys, c_grid_or_bisection, cap=DEFAULT_CAP, A=None):
     """Bracket the slow and fast critical speeds by classifying candidate c.
 
     c_grid_or_bisection is either an explicit list of speeds to classify
     or a tuple (c_lo, c_hi, steps), with c_lo < c_hi and an integer
     steps >= 0, driving two bisections on the shared classification cache;
-    any other tuple raises ValueError.  The beta/not-beta transition
-    brackets the slow edge, the positive/zero transition brackets the fast
-    edge.  A classification trace that is non-monotone along c raises
-    InconsistentClassification.  Every candidate runs recursion_limit on
-    the same domain, by default the half width of _half_width for the
-    largest speed; both brackets keep each candidate's final profile and
-    iteration count in `profiles`, keyed by c.
+    any other tuple, and an empty list, raises ValueError.  The
+    beta/not-beta transition brackets the slow edge, the positive/zero
+    transition brackets the fast edge.  A classification trace that is
+    non-monotone along c raises InconsistentClassification.  Every candidate
+    runs recursion_limit on the same domain, by default the half width of
+    _half_width for the largest speed; both brackets keep each candidate's
+    final profile and iteration count in `profiles`, keyed by c.
     """
     _check_monostable(sys)
 
@@ -370,6 +367,8 @@ def bracket_speeds(sys, c_grid_or_bisection, n_index=1, cap=DEFAULT_CAP, A=None)
         grid_mode = False
     else:
         cs = sorted(float(c) for c in c_grid_or_bisection)
+        if not cs:
+            raise ValueError("the speed grid is empty")
         c_lo, c_hi, steps = cs[0], cs[-1], 0
         grid_mode = True
 
@@ -384,7 +383,7 @@ def bracket_speeds(sys, c_grid_or_bisection, n_index=1, cap=DEFAULT_CAP, A=None)
 
     def classify(c):
         if c not in cache:
-            res = recursion_limit(c, n_index, sys, cap=cap, A=A, stop_probe=probe)
+            res = recursion_limit(c, sys, cap=cap, A=A, stop_probe=probe)
             cache[c] = classify_profile(res, sys, station, drift_tol=drift_tol)
             profiles[c] = (res.profile, res.iterations)
         return cache[c][0]

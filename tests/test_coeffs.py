@@ -148,9 +148,15 @@ def test_field_arithmetic_and_grid_guard():
     np.testing.assert_allclose((a + b).values, a.values + b.values)
     np.testing.assert_allclose((a - 0.5).values, a.values - 0.5)
     np.testing.assert_allclose((2.0 * a).values, 2.0 * a.values)
+    np.testing.assert_allclose((1.0 - a).values, 1.0 - a.values)
     other = field("1", nt=8, nx=8)
     with pytest.raises(ValueError):
         _ = a + other
+    # a composed field carries no expression, so it cannot be resampled
+    composed = a + b
+    assert composed.expr is None
+    with pytest.raises(ValueError):
+        refine_field(composed)
 
 
 def test_refine_field_resamples_exactly():

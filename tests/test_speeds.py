@@ -28,8 +28,8 @@ def test_minimize_speed_quadratics():
 
 
 def test_minimize_speed_stable_under_extra_iterations():
-    coarse = minimize_speed(lambda mu: mu * mu + 1.3, rel_tol=1e-6)
-    fine = minimize_speed(lambda mu: mu * mu + 1.3, rel_tol=1e-12)
+    coarse = minimize_speed(lambda mu: mu * mu + 1.3, mu_tol=1e-6)
+    fine = minimize_speed(lambda mu: mu * mu + 1.3, mu_tol=1e-12)
     assert abs(coarse.c_star - fine.c_star) <= 1e-5
 
 

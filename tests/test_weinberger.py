@@ -51,23 +51,21 @@ def test_apply_r_zero_profile_returns_floor(fisher_small):
     p = init_profile((1.0, 1.0), 12.0, 12 * 2 * sys.nx)
     zero = p.copy()
     zero.values[:] = 0.0
-    out = apply_R(zero, 0.0, 1, sys)
+    out = apply_R(zero, 0.0, sys)
     np.testing.assert_allclose(out.values, p.values, atol=1e-12)
-    half = apply_R(zero, 0.0, 2, sys)
-    np.testing.assert_allclose(half.values, 0.5 * p.values, atol=1e-12)
 
 
 def test_apply_r_shift_guard(fisher_small):
     p = init_profile((1.0, 1.0), 12.0, 12 * 2 * fisher_small.nx)
     with pytest.raises(ShiftOutOfRange):
-        apply_R(p, 4.0, 1, fisher_small)
+        apply_R(p, 4.0, fisher_small)
 
 
 def test_apply_r_keeps_profile_in_order_interval(fisher_small):
     sys = fisher_small
     # comparison oracle: the plateau estimate is invariant under the map
     p = init_profile((1.0, 1.0), 12.0, 12 * 2 * sys.nx)
-    out = apply_R(p, 1.0, 1, sys)
+    out = apply_R(p, 1.0, sys)
     assert out.values.max() <= 1.0 + 1e-9
     assert out.values.min() >= 0.0
     assert np.all(np.diff(out.values, axis=1) <= 1e-9)
@@ -75,13 +73,13 @@ def test_apply_r_keeps_profile_in_order_interval(fisher_small):
 
 def test_recursion_monotone_in_m(fisher_small):
     sys = fisher_small
-    res = recursion_limit(1.0, 1, sys, cap=12, A=12.0)
+    res = recursion_limit(1.0, sys, cap=12, A=12.0)
     p0 = init_profile((1.0, 1.0), 12.0, 12 * 2 * sys.nx)
     # rerun step by step and check nodewise growth
     ev = LineSystemEvolver(sys, -12.0, 12.0, "cooperative")
     cur = p0
     for _ in range(6):
-        nxt = apply_R(cur, 1.0, 1, sys, evolver=ev)
+        nxt = apply_R(cur, 1.0, sys, evolver=ev)
         assert float(np.max(cur.values - nxt.values)) <= 1e-9
         cur = nxt
     assert res.iterations >= 1
@@ -89,7 +87,7 @@ def test_recursion_monotone_in_m(fisher_small):
 
 def test_recursion_zero_speed_fills_to_carrying_level(fisher_small):
     sys = fisher_small
-    res = recursion_limit(0.0, 1, sys, cap=80, A=12.0)
+    res = recursion_limit(0.0, sys, cap=80, A=12.0)
     left = res.profile.value_at(-12.0 + 2.0)
     assert left[0] == pytest.approx(1.0, abs=0.05)
     cls, value, _ = classify_profile(res, sys)
@@ -99,7 +97,7 @@ def test_recursion_zero_speed_fills_to_carrying_level(fisher_small):
 def test_recursion_supercritical_speed_dies_on_the_right(fisher_small):
     sys = fisher_small
     # |c * omega| <= A/4 guard requires a wide domain for c = 10
-    res = recursion_limit(10.0, 1, sys, cap=30, A=44.0)
+    res = recursion_limit(10.0, sys, cap=30, A=44.0)
     right = res.profile.value_at(44.0 - 2.0)
     assert right[0] < 1e-6
     left = res.profile.value_at(-44.0 + 2.0)
@@ -120,7 +118,8 @@ def test_bracket_tuple_is_a_bisection_spec_and_list_a_grid():
     assert [c for c, _, _, _ in cstar.trace] == [0.5, 1.0, 2.0]
     cstar, _ = bracket_speeds(sys, (0.5, 2.0, 0), cap=2)
     assert sorted(c for c, _, _, _ in cstar.trace) == [0.5, 2.0]
-    for spec in ((0.5, 1.0, 2.0), (0.5, 1.0), (2.0, 0.5, 1), (0.5, 2.0, -1), (0.5, 2.0, True)):
+    for spec in ((0.5, 1.0, 2.0), (0.5, 1.0), (2.0, 0.5, 1), (0.5, 2.0, -1), (0.5, 2.0, True),
+                 []):
         with pytest.raises(ValueError):
             bracket_speeds(sys, spec, cap=2)
 
@@ -136,7 +135,7 @@ def test_doubling_domain_never_flips_beta_to_zero(fisher_small):
     # decided classifications are stable under widening the truncation
     for c, expected in ((0.5, "beta"), (2.9, "zero")):
         for a_half in (12.0, 24.0):
-            res = recursion_limit(c, 1, fisher_small, cap=60, A=a_half)
+            res = recursion_limit(c, fisher_small, cap=60, A=a_half)
             cls, _, _ = classify_profile(res, fisher_small)
             assert cls == expected
 
@@ -181,9 +180,9 @@ def test_recursion_default_half_width_fits_grid_and_shift(fisher_small):
     # give a coarse cell's profile its 200 nodes, and 16 cells keep the
     # shift c*omega = 3.5 within A/4
     coarse = make_system(nt=100, nx=8, b1="0.3", d2="1", a12="0", a21="0")
-    res = recursion_limit(0.5, 1, coarse, cap=2)
+    res = recursion_limit(0.5, coarse, cap=2)
     assert res.profile.x.size == 2 * 13 * 8 + 1
     assert res.iterations == 2
-    fast = recursion_limit(3.5, 1, fisher_small, cap=2)
+    fast = recursion_limit(3.5, fisher_small, cap=2)
     assert fast.profile.half_width == 16.0
     assert fast.iterations >= 1
