@@ -1,7 +1,8 @@
 """Scenario runner: JSON config in, report.json plus CSV artifacts out.
 
-Exit codes: 0 completed (failed hypotheses are results, not errors),
-2 validation failure, 3 numerical failure, 4 inconclusive guard abort.
+Exit codes: 0 completed (failed hypotheses are results, not errors), otherwise
+the code of the error's category in errors.py; an inconclusive front exits as
+Inconclusive does.  Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -14,11 +15,7 @@ import os
 import click
 
 from . import eigen, frontsim, orbits, pde, weinberger
-from .errors import (BlowupError, DomainTooSmall, EvalError, InconsistentClassification,
-                     MonotonicityLost, NoConvergence, NoCrossing, NoInteriorMinimum,
-                     NonEllipticError, NotMonostable, ParseError, ShiftOutOfRange,
-                     SingularSolve, SparseSupport, StiffReaction, TooFewNodes,
-                     ValidationError)
+from .errors import Inconclusive, NumericalFailure, SpeedlabError, ValidationError
 from .speeds import FIELD_NAMES, SystemSpec, compute_speed_report
 
 TASKS = ("eigen", "orbit", "speed", "check", "weinberger", "front")
@@ -32,9 +29,9 @@ _TASK_DEPS = {
 }
 
 EXIT_OK = 0
-EXIT_VALIDATION = 2
-EXIT_NUMERICAL = 3
-EXIT_INCONCLUSIVE = 4
+EXIT_VALIDATION = ValidationError.exit_code
+EXIT_NUMERICAL = NumericalFailure.exit_code
+EXIT_INCONCLUSIVE = Inconclusive.exit_code
 
 
 class ScenarioConfig:
@@ -70,12 +67,9 @@ class ScenarioConfig:
             raise ValidationError(f"unknown discretization keys: {sorted(extra)}")
         self.nt = _resolve_steps(disc, "nt", "dt", self.omega, default=200)
         self.nx = _resolve_steps(disc, "nx", "dx", self.ell, default=64)
-        self.domain_half_width = disc.get("A")
-        if self.domain_half_width is not None and self.domain_half_width <= 0:
-            raise ValidationError("A must be positive")
-        self.periods = int(disc.get("T", 30))
-        if self.periods < 1:
-            raise ValidationError("T must be >= 1")
+        self.domain_half_width = (_positive_number(disc, "A")
+                                  if disc.get("A") is not None else None)
+        self.periods = _integer(disc.get("T", 30), "T", least=1)
 
         tasks = raw["tasks"]
         if (not isinstance(tasks, list) or not tasks
@@ -95,31 +89,32 @@ class ScenarioConfig:
             self.system = SystemSpec.from_expressions(
                 {n: str(model[n]) for n in FIELD_NAMES},
                 self.omega, self.ell, self.nt, self.nx)
-        except (ParseError, EvalError, NonEllipticError, ValueError) as exc:
+        except ValidationError as exc:
             raise ValidationError(f"model rejected: {exc}") from exc
         self.raw = raw
 
 
 def _positive_number(obj, key):
     v = obj[key]
-    if not isinstance(v, (int, float)) or not math.isfinite(v) or v <= 0:
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v) or v <= 0:
         raise ValidationError(f"{key} must be a positive number")
     return float(v)
+
+
+def _integer(v, key, least):
+    if isinstance(v, bool) or not isinstance(v, int) or v < least:
+        raise ValidationError(f"{key} must be an integer >= {least}")
+    return v
 
 
 def _resolve_steps(disc, count_key, width_key, period, default):
     if count_key in disc and width_key in disc:
         raise ValidationError(f"give either {count_key} or {width_key}, not both")
     if width_key in disc:
-        w = disc[width_key]
-        if not isinstance(w, (int, float)) or w <= 0:
-            raise ValidationError(f"{width_key} must be positive")
-        n = int(round(period / w))
+        n = int(round(period / _positive_number(disc, width_key)))
     else:
         n = disc.get(count_key, default)
-    if not isinstance(n, int) or n < 2:
-        raise ValidationError(f"{count_key} must be an integer >= 2")
-    return n
+    return _integer(n, count_key, least=2)
 
 
 def run_scenario(config: dict | ScenarioConfig, refine=False, quiet=False) -> int:
@@ -139,8 +134,8 @@ def run_scenario(config: dict | ScenarioConfig, refine=False, quiet=False) -> in
             click.echo(f"validation failure: {exc}", err=True)
         output = config.get("output") if isinstance(config, dict) else None
         if isinstance(output, str) and output:
-            _write_report(output, {"status": "validation-failure", "reason": str(exc)}, log)
-        return EXIT_VALIDATION
+            _write_report(output, {"status": exc.status, "reason": str(exc)}, log)
+        return exc.exit_code
 
     report = {
         "tasks": cfg.tasks,
@@ -169,17 +164,10 @@ def run_scenario(config: dict | ScenarioConfig, refine=False, quiet=False) -> in
                 report["front"] = frag
                 if inconclusive:
                     status = max(status, EXIT_INCONCLUSIVE)
-    except (NoConvergence, BlowupError, SingularSolve, NonEllipticError,
-            MonotonicityLost) as exc:
-        report["status"] = "numerical-failure"
+    except SpeedlabError as exc:
+        report["status"] = exc.status
         report["reason"] = f"{type(exc).__name__}: {exc}"
-        status = EXIT_NUMERICAL
-    except (DomainTooSmall, ShiftOutOfRange, InconsistentClassification, NoCrossing,
-            NoInteriorMinimum, NotMonostable, StiffReaction, TooFewNodes,
-            SparseSupport) as exc:
-        report["status"] = "inconclusive"
-        report["reason"] = f"{type(exc).__name__}: {exc}"
-        status = EXIT_INCONCLUSIVE
+        status = exc.exit_code
 
     _write_report(cfg.output, report, log)
     return status
@@ -304,19 +292,23 @@ def main():
     """Spreading speeds for time-space periodic reaction-advection-diffusion systems."""
 
 
+def _read_config(config_path):
+    """The JSON in a config file; a file that is not UTF-8 JSON exits 2."""
+    try:
+        with open(config_path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8; nesting too deep
+        click.echo(f"validation failure: not a UTF-8 JSON file: {exc}", err=True)
+        raise SystemExit(EXIT_VALIDATION)
+
+
 @main.command("run")
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--refine", is_flag=True, help="Richardson grid-doubling study for speeds.")
 @click.option("--quiet", is_flag=True, help="Suppress progress output.")
 def cmd_run(config_path, refine, quiet):
     """Execute a scenario config."""
-    try:
-        with open(config_path) as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        click.echo(f"validation failure: bad JSON: {exc}", err=True)
-        raise SystemExit(EXIT_VALIDATION)
-    raise SystemExit(run_scenario(raw, refine=refine, quiet=quiet))
+    raise SystemExit(run_scenario(_read_config(config_path), refine=refine, quiet=quiet))
 
 
 @main.command("validate")
@@ -324,12 +316,10 @@ def cmd_run(config_path, refine, quiet):
 def cmd_validate(config_path):
     """Validate a scenario config without running it."""
     try:
-        with open(config_path) as fh:
-            raw = json.load(fh)
-        ScenarioConfig(raw)
-    except (json.JSONDecodeError, ValidationError) as exc:
+        ScenarioConfig(_read_config(config_path))
+    except ValidationError as exc:
         click.echo(f"invalid: {exc}", err=True)
-        raise SystemExit(EXIT_VALIDATION)
+        raise SystemExit(exc.exit_code)
     click.echo("ok")
     raise SystemExit(EXIT_OK)
 

@@ -27,6 +27,9 @@ from .errors import EvalError, ParseError
 
 # Relative tolerance deciding whether a structural symmetry holds.
 SYMMETRY_TOL = 1e-10
+# Deepest accepted expression tree: evaluation and unparse() recurse once per
+# level, and this keeps them well inside Python's default recursion limit.
+MAX_DEPTH = 600
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
@@ -57,7 +60,7 @@ class Expr:
         out = np.broadcast_to(out, np.broadcast_shapes(t.shape, x.shape)).copy()
         if not np.all(np.isfinite(out)):
             bad = np.argwhere(~np.isfinite(np.atleast_1d(out)))
-            raise EvalError(f"non-finite value at grid node index {tuple(bad[0])}")
+            raise EvalError(f"non-finite value at grid node index {tuple(bad[0].tolist())}")
         return out
 
     def unparse(self):
@@ -206,7 +209,21 @@ class _Parser:
 
 def parse_expression(text: str) -> Expr:
     """Parse a coefficient expression; raises ParseError with position."""
-    return Expr(_Parser(text).parse())
+    try:
+        node = _Parser(text).parse()
+    except RecursionError:
+        raise ParseError("expression nests too deeply for the parser") from None
+    if _depth(node) > MAX_DEPTH:
+        raise ParseError(f"expression tree is deeper than {MAX_DEPTH} levels")
+    return Expr(node)
+
+
+def _depth(node):
+    """Levels of an expression tree, counted without recursion."""
+    depth, level = 0, [node]
+    while level:
+        depth, level = depth + 1, [c for n in level for c in n if isinstance(c, tuple)]
+    return depth
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,33 @@
 """Exception types shared across the package.
 
-Names follow the operation contracts: solver-level failures (SingularSolve,
-BlowupError, NoConvergence, MonotonicityLost), regime guards (NotMonostable,
-NoInteriorMinimum, D1Violated), measurement guards (DomainTooSmall,
-NoCrossing, TooFewPoints), and resolution guards that a finer grid or other
-input lifts (StiffReaction, TooFewNodes, SparseSupport).  The resolution
-guards are also ValueErrors, so callers that catch ValueError still see
-them.
+Each package error derives from exactly one category, whose class attributes
+give the report status and exit code of a run that ends in it: ValidationError
+(rejected input), NumericalFailure (a solver failed) or Inconclusive (a regime,
+measurement or resolution guard stopped).  The resolution guards, which a
+finer grid or other input lifts, are also ValueErrors.
 """
 
 
 class SpeedlabError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; its category sets status and exit_code."""
 
 
-class ParseError(SpeedlabError):
+class ValidationError(SpeedlabError):
+    status = "validation-failure"
+    exit_code = 2
+
+
+class NumericalFailure(SpeedlabError):
+    status = "numerical-failure"
+    exit_code = 3
+
+
+class Inconclusive(SpeedlabError):
+    status = "inconclusive"
+    exit_code = 4
+
+
+class ParseError(ValidationError):
     """Expression does not match the coefficient grammar."""
 
     def __init__(self, message, position=None):
@@ -24,23 +37,23 @@ class ParseError(SpeedlabError):
         super().__init__(message)
 
 
-class EvalError(SpeedlabError):
+class EvalError(ValidationError):
     """Expression produced a non-finite value at a grid node."""
 
 
-class NonEllipticError(SpeedlabError):
+class NonEllipticError(ValidationError):
     """Diffusion coefficient is not strictly positive somewhere."""
 
 
-class SingularSolve(SpeedlabError):
+class SingularSolve(NumericalFailure):
     """An implicit step matrix could not be solved."""
 
 
-class BlowupError(SpeedlabError):
+class BlowupError(NumericalFailure):
     """A nonlinear evolution exceeded the a-priori bound guard."""
 
 
-class NoConvergence(SpeedlabError):
+class NoConvergence(NumericalFailure):
     """Iteration cap reached before the requested tolerance."""
 
     def __init__(self, message, iterations=None, residual=None):
@@ -49,15 +62,15 @@ class NoConvergence(SpeedlabError):
         super().__init__(message)
 
 
-class MonotonicityLost(SpeedlabError):
+class MonotonicityLost(NumericalFailure):
     """A recursion iterate fell below its predecessor beyond roundoff."""
 
 
-class NotMonostable(SpeedlabError):
+class NotMonostable(Inconclusive):
     """Growth eigenvalue is non-positive, no positive speed regime."""
 
 
-class NoInteriorMinimum(SpeedlabError):
+class NoInteriorMinimum(Inconclusive):
     """mu -> lambda(mu)/mu is monotone on the search range."""
 
     def __init__(self, message, endpoint_data=None):
@@ -65,7 +78,7 @@ class NoInteriorMinimum(SpeedlabError):
         super().__init__(message)
 
 
-class D1Violated(SpeedlabError):
+class D1Violated(Inconclusive):
     """Coupled eigenfunction series is non-contractive (D1 fails)."""
 
     def __init__(self, message, lambdabar):
@@ -73,11 +86,11 @@ class D1Violated(SpeedlabError):
         super().__init__(message)
 
 
-class ShiftOutOfRange(SpeedlabError):
+class ShiftOutOfRange(Inconclusive):
     """Requested profile shift exceeds the safe fraction of the domain."""
 
 
-class InconsistentClassification(SpeedlabError):
+class InconsistentClassification(Inconclusive):
     """Profile classifications are non-monotone along the speed axis."""
 
     def __init__(self, message, trace=None):
@@ -85,29 +98,26 @@ class InconsistentClassification(SpeedlabError):
         super().__init__(message)
 
 
-class DomainTooSmall(SpeedlabError):
+class DomainTooSmall(Inconclusive):
     """The front domain is narrower than the run can reach (checked before it starts)."""
 
 
-class NoCrossing(SpeedlabError):
+class NoCrossing(Inconclusive):
     """Normalized field does not cross the front threshold."""
 
 
-class TooFewPoints(SpeedlabError):
+class TooFewPoints(Inconclusive):
     """Not enough retained trace points for a speed fit."""
 
 
-class StiffReaction(SpeedlabError, ValueError):
+class StiffReaction(Inconclusive, ValueError):
     """dt times the reaction Lipschitz bound is >= 1; the line step loses order."""
 
 
-class TooFewNodes(SpeedlabError, ValueError):
+class TooFewNodes(Inconclusive, ValueError):
     """A recursion profile has fewer nodes than the recursion resolves."""
 
 
-class SparseSupport(SpeedlabError, ValueError):
+class SparseSupport(Inconclusive, ValueError):
     """The orbit's self-limitation e is positive on too small a share of nodes."""
 
-
-class ValidationError(SpeedlabError):
-    """Scenario configuration failed schema or guard validation."""

@@ -373,8 +373,6 @@ class CellPeriodMap:
         for other in (g, h):
             if not d.same_grid(other):
                 raise ValueError("period map fields must share one grid")
-        if d.min() <= 0.0:
-            raise NonEllipticError("diffusion field must be strictly positive")
         self.nt, self.nx = d.nt, d.nx
         self.omega, self.ell = d.omega, d.ell
         self.dt = d.dt

@@ -25,7 +25,8 @@ from scipy.optimize import minimize_scalar
 
 from . import eigen, orbits
 from .coeffs import CoefficientField, build_field, mean_and_symmetry, reflect_x, refine_field
-from .errors import D1Violated, NoConvergence, NoInteriorMinimum, NonEllipticError, NotMonostable
+from .errors import (D1Violated, NoConvergence, NoInteriorMinimum, NonEllipticError,
+                     NotMonostable, ValidationError)
 from .pde import CellPeriodMap
 
 MU_RANGE = (1e-3, 20.0)
@@ -65,10 +66,10 @@ class SystemSpec:
                 raise NonEllipticError(f"{name} must be strictly positive")
         for name in ("a11", "a22"):
             if getattr(self, name).min() <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+                raise ValidationError(f"{name} must be strictly positive")
         for name in ("a12", "a21"):
             if getattr(self, name).min() < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
+                raise ValidationError(f"{name} must be nonnegative")
 
     @property
     def omega(self):

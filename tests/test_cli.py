@@ -9,7 +9,8 @@ from click.testing import CliRunner
 from speedlab import cli, eigen, pde, speeds, weinberger
 from speedlab.cli import (DEMOS, EXIT_INCONCLUSIVE, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                           ScenarioConfig, main, run_scenario)
-from speedlab.errors import NoConvergence, ValidationError
+from speedlab.errors import (D1Violated, Inconclusive, NoConvergence, NumericalFailure,
+                             SpeedlabError, ValidationError)
 
 from conftest import make_system
 
@@ -69,6 +70,14 @@ def test_ellipticity_guard_is_a_validation_failure(tmp_path):
     lambda c: c["model"].update(b1="sin("),
     lambda c: c["discretization"].update(dt=0.005),  # both nt and dt given
     lambda c: c["discretization"].update(A=-3.0),
+    lambda c: c["discretization"].update(A="10"),
+    lambda c: c["discretization"].update(A=float("nan")),
+    lambda c: c["discretization"].update(A=float("inf")),
+    lambda c: c["discretization"].update(T="abc"),
+    lambda c: c["discretization"].update(T=2.7),
+    lambda c: c["discretization"].update(T="25"),
+    lambda c: c.update(discretization={"nt": 200, "dx": float("nan")}),
+    lambda c: c["model"].update(omega=True),
 ])
 def test_validation_rejections(tmp_path, mutate):
     cfg = fisher_config(tmp_path / "out")
@@ -167,6 +176,16 @@ def test_cli_run_and_validate_commands(tmp_path):
     res = runner.invoke(main, ["validate", str(bad)])
     assert res.exit_code == EXIT_VALIDATION
 
+    # not UTF-8, and JSON nested past the decoder's recursion limit
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(json.dumps(cfg).replace("speed", "sp\u00e9ed").encode("latin-1"))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    for path in (latin1, deep):
+        for command in (["run", str(path)], ["validate", str(path)]):
+            res = runner.invoke(main, command)
+            assert res.exit_code == EXIT_VALIDATION, command
+
 
 def test_demo_configs_all_validate():
     for name, cfg in DEMOS.items():
@@ -240,12 +259,29 @@ def _diverging_report(*args, **kwargs):
     raise NoConvergence("power iteration cap reached", iterations=1)
 
 
+def _package_errors(base=SpeedlabError):
+    for cls in base.__subclasses__():
+        yield cls
+        yield from _package_errors(cls)
+
+
+def _raising(error):
+    extra = {D1Violated: (0.0,)}.get(error, ())  # D1Violated's required lambdabar
+
+    def broken_report(*args, **kwargs):
+        raise error("injected", *extra)
+
+    broken_report.error = error
+    return broken_report
+
+
 @pytest.mark.parametrize("code,status,model,tasks,broken_report", [
     (EXIT_OK, "ok", {}, ("speed",), None),
     (EXIT_VALIDATION, "validation-failure", {"d1": "0"}, ("speed",), None),
     (EXIT_NUMERICAL, "numerical-failure", {}, ("speed",), _diverging_report),
     (EXIT_INCONCLUSIVE, "inconclusive", {"b2": "-1"}, ("weinberger",), None),
-])
+] + [pytest.param(cls.exit_code, cls.status, {}, ("speed",), _raising(cls), id=cls.__name__)
+     for cls in _package_errors()])
 def test_every_exit_code_leaves_a_report_with_its_status(tmp_path, monkeypatch, code, status,
                                                          model, tasks, broken_report):
     if broken_report is not None:
@@ -257,6 +293,28 @@ def test_every_exit_code_leaves_a_report_with_its_status(tmp_path, monkeypatch, 
     assert rep["status"] == status
     assert "generated_at" in rep
     assert ("reason" in rep) == (code != EXIT_OK)
+    error = getattr(broken_report, "error", None)
+    if error is not None:
+        assert rep["reason"].startswith(f"{error.__name__}: ")
+
+
+def test_every_package_error_derives_from_one_category():
+    categories = (ValidationError, NumericalFailure, Inconclusive)
+    for cls in _package_errors():
+        assert sum(issubclass(cls, c) for c in categories) == 1, cls
+
+
+@pytest.mark.parametrize("model", [
+    {"b1": "2 + 0/(x - 0.0625)"},  # finite on the base grid, 0/0 on the doubled one
+    {"a11": "1 + cos(2*pi*8*x)"},  # 2 on the base grid, 0 at odd nodes of the doubled one
+    {"d1": "1 + cos(2*pi*8*x)"},
+])
+def test_model_rejected_on_the_refined_grid_is_a_validation_failure(tmp_path, model):
+    cfg = fisher_config(tmp_path / "out", nt=50, nx=8)
+    cfg["model"].update(model)
+    assert run_scenario(cfg, refine=True, quiet=True) == EXIT_VALIDATION
+    rep = read_report(tmp_path / "out")
+    assert rep["status"] == "validation-failure"
 
 
 def test_eigen_task_writes_lambda_curve(tmp_path):

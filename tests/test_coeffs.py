@@ -44,13 +44,18 @@ def test_cosine_mean_is_zero_to_machine_precision():
     ("1.5e2", 150.0),
     (".5 + 2.", 2.5),
     (" ( 1+ 2 ) *3 ", 9.0),
+    pytest.param("1" + "+0" * 500, 1.0, id="500-term-left-deep-sum"),
 ])
 def test_grammar_values(expr, expected):
     tree = parse_expression(expr)
     assert float(tree.evaluate(0.0, 0.0)) == pytest.approx(expected, rel=1e-15)
 
 
-@pytest.mark.parametrize("expr", ["1 +", "sin(", "(1", "foo(2)", "2 $", "", "x x"])
+@pytest.mark.parametrize("expr", [
+    "1 +", "sin(", "(1", "foo(2)", "2 $", "", "x x",
+    pytest.param("(" * 300 + "1" + ")" * 300, id="300-nested-parentheses"),
+    pytest.param("1" + "+0" * 3000, id="3000-term-left-deep-sum"),
+])
 def test_parse_errors_carry_position(expr):
     with pytest.raises(ParseError):
         parse_expression(expr).evaluate(0.0, 0.0)
