@@ -33,6 +33,11 @@ EXIT_VALIDATION = ValidationError.exit_code
 EXIT_NUMERICAL = NumericalFailure.exit_code
 EXIT_INCONCLUSIVE = Inconclusive.exit_code
 
+# memory bounds, checked before any field is built: ten coefficient fields and
+# the eigenfunctions hold nt*nx floats each, the dense monodromy nx*nx
+MAX_GRID_NODES = 10**6
+MAX_NX = 1024
+
 
 class ScenarioConfig:
     """Validated scenario: system spec, discretization controls, task list."""
@@ -67,6 +72,9 @@ class ScenarioConfig:
             raise ValidationError(f"unknown discretization keys: {sorted(extra)}")
         self.nt = _resolve_steps(disc, "nt", "dt", self.omega, default=200)
         self.nx = _resolve_steps(disc, "nx", "dx", self.ell, default=64)
+        if self.nx > MAX_NX or self.nt * self.nx > MAX_GRID_NODES:
+            raise ValidationError(f"grid nt = {self.nt}, nx = {self.nx} is too large: "
+                                  f"need nx <= {MAX_NX} and nt*nx <= {MAX_GRID_NODES:,}")
         self.domain_half_width = (_positive_number(disc, "A")
                                   if disc.get("A") is not None else None)
         self.periods = _integer(disc.get("T", 30), "T", least=1)
@@ -111,7 +119,10 @@ def _resolve_steps(disc, count_key, width_key, period, default):
     if count_key in disc and width_key in disc:
         raise ValidationError(f"give either {count_key} or {width_key}, not both")
     if width_key in disc:
-        n = int(round(period / _positive_number(disc, width_key)))
+        steps = period / _positive_number(disc, width_key)
+        if steps > MAX_GRID_NODES:
+            raise ValidationError(f"{width_key} is too small: {steps:.3g} steps per period")
+        n = int(round(steps))
     else:
         n = disc.get(count_key, default)
     return _integer(n, count_key, least=2)
@@ -121,7 +132,9 @@ def run_scenario(config: dict | ScenarioConfig, refine=False, quiet=False) -> in
     """Execute the scenario; writes report.json and per-task CSVs.
 
     A config that fails validation still gets a report, with status
-    "validation-failure", when its "output" is a non-empty string.
+    "validation-failure", when its "output" is a non-empty string.  An output
+    directory that cannot be created gets no report: the run exits as a
+    validation failure with the reason on stderr, even when quiet.
     """
     def log(msg):
         if not quiet:
@@ -133,9 +146,11 @@ def run_scenario(config: dict | ScenarioConfig, refine=False, quiet=False) -> in
         if not quiet:
             click.echo(f"validation failure: {exc}", err=True)
         output = config.get("output") if isinstance(config, dict) else None
-        if isinstance(output, str) and output:
+        if isinstance(output, str) and output and _output_ready(output):
             _write_report(output, {"status": exc.status, "reason": str(exc)}, log)
         return exc.exit_code
+    if not _output_ready(cfg.output):
+        return EXIT_VALIDATION
 
     report = {
         "tasks": cfg.tasks,
@@ -144,7 +159,6 @@ def run_scenario(config: dict | ScenarioConfig, refine=False, quiet=False) -> in
     }
     status = EXIT_OK
     sys_spec = cfg.system
-    os.makedirs(cfg.output, exist_ok=True)
     try:
         speed_report = None
         for task in cfg.tasks:
@@ -173,8 +187,17 @@ def run_scenario(config: dict | ScenarioConfig, refine=False, quiet=False) -> in
     return status
 
 
+def _output_ready(output):
+    """Create the output directory; False, with the reason on stderr, if it cannot be."""
+    try:
+        os.makedirs(output, exist_ok=True)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        click.echo(f"validation failure: cannot create output {output!r}: {exc}", err=True)
+        return False
+    return True
+
+
 def _write_report(output, report, log):
-    os.makedirs(output, exist_ok=True)
     report["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     path = os.path.join(output, "report.json")
     with open(path, "w") as fh:

@@ -128,7 +128,7 @@ class _Parser:
                 stripped = self.text[pos:].lstrip()
                 if not stripped:
                     break
-                raise ParseError(f"unexpected character {stripped[0]!r}", pos)
+                raise ParseError(f"unexpected character {stripped[0]!r} (at position {pos})")
             if m.lastgroup is not None:
                 self.tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
             pos = m.end()
@@ -146,13 +146,14 @@ class _Parser:
     def expect_op(self, op):
         kind, val, pos = self.take()
         if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}, found {val or 'end of input'!r}", pos)
+            raise ParseError(f"expected {op!r}, found {val or 'end of input'!r} "
+                             f"(at position {pos})")
 
     def parse(self):
         node = self.expr()
         kind, val, pos = self.peek()
         if kind != "end":
-            raise ParseError(f"trailing input {val!r}", pos)
+            raise ParseError(f"trailing input {val!r} (at position {pos})")
         return node
 
     def expr(self):
@@ -199,12 +200,13 @@ class _Parser:
                 inner = self.expr()
                 self.expect_op(")")
                 return ("call", val, inner)
-            raise ParseError(f"unknown name {val!r}", pos)
+            raise ParseError(f"unknown name {val!r} (at position {pos})")
         if kind == "op" and val == "(":
             inner = self.expr()
             self.expect_op(")")
             return inner
-        raise ParseError(f"expected a value, found {val or 'end of input'!r}", pos)
+        raise ParseError(f"expected a value, found {val or 'end of input'!r} "
+                         f"(at position {pos})")
 
 
 def parse_expression(text: str) -> Expr:

@@ -64,7 +64,7 @@ def _power_iteration(k_matrix):
         w = k_matrix @ psi
         nrm = np.max(np.abs(w))
         if nrm == 0.0 or not np.isfinite(nrm):
-            raise NoConvergence("power iteration produced a degenerate iterate", iterations=it)
+            raise NoConvergence(f"power iteration produced a degenerate iterate at step {it}")
         ratio = nrm  # psi is sup-normalized, so |K psi| / |psi| = |w|
         ratios.append(ratio)
         psi = w / nrm
@@ -82,7 +82,8 @@ def _power_iteration(k_matrix):
                 return rho, psi, it, resid
         ratio_prev = ratio
     resid = float(np.max(np.abs(k_matrix @ psi - rho * psi)))
-    raise NoConvergence("power iteration cap reached", iterations=POWER_CAP, residual=resid)
+    raise NoConvergence(f"power iteration cap reached ({POWER_CAP} iterations, "
+                        f"residual {resid:.3g})")
 
 
 def principal_eigen(d: CoefficientField, g: CoefficientField, h: CoefficientField) -> EigenResult:
@@ -108,7 +109,7 @@ def principal_of_map(pmap: CellPeriodMap) -> EigenResult:
     ef = raw * scale[:, None]
     ef /= ef.max()
     if ef.min() <= 0.0:
-        raise NoConvergence("eigenfunction lost positivity", iterations=iterations)
+        raise NoConvergence("eigenfunction lost positivity")
     return EigenResult(lam=lam, eigenfunction=ef, iterations=iterations,
                        residual=float(residual), omega=pmap.omega, ell=pmap.ell)
 

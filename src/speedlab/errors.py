@@ -4,7 +4,10 @@ Each package error derives from exactly one category, whose class attributes
 give the report status and exit code of a run that ends in it: ValidationError
 (rejected input), NumericalFailure (a solver failed) or Inconclusive (a regime,
 measurement or resolution guard stopped).  The resolution guards, which a
-finer grid or other input lifts, are also ValueErrors.
+finer grid or other input lifts, are also ValueErrors.  An error carries only
+its message, which is what a report records; a failed certificate such as D1
+is a verdict, not an error.  NoInteriorMinimum alone keeps data, the endpoint
+probes that become the H4 details.
 """
 
 
@@ -30,12 +33,6 @@ class Inconclusive(SpeedlabError):
 class ParseError(ValidationError):
     """Expression does not match the coefficient grammar."""
 
-    def __init__(self, message, position=None):
-        self.position = position
-        if position is not None:
-            message = f"{message} (at position {position})"
-        super().__init__(message)
-
 
 class EvalError(ValidationError):
     """Expression produced a non-finite value at a grid node."""
@@ -56,11 +53,6 @@ class BlowupError(NumericalFailure):
 class NoConvergence(NumericalFailure):
     """Iteration cap reached before the requested tolerance."""
 
-    def __init__(self, message, iterations=None, residual=None):
-        self.iterations = iterations
-        self.residual = residual
-        super().__init__(message)
-
 
 class MonotonicityLost(NumericalFailure):
     """A recursion iterate fell below its predecessor beyond roundoff."""
@@ -78,24 +70,12 @@ class NoInteriorMinimum(Inconclusive):
         super().__init__(message)
 
 
-class D1Violated(Inconclusive):
-    """Coupled eigenfunction series is non-contractive (D1 fails)."""
-
-    def __init__(self, message, lambdabar):
-        self.lambdabar = lambdabar
-        super().__init__(message)
-
-
 class ShiftOutOfRange(Inconclusive):
     """Requested profile shift exceeds the safe fraction of the domain."""
 
 
 class InconsistentClassification(Inconclusive):
     """Profile classifications are non-monotone along the speed axis."""
-
-    def __init__(self, message, trace=None):
-        self.trace = trace or []
-        super().__init__(message)
 
 
 class DomainTooSmall(Inconclusive):

@@ -10,7 +10,7 @@ its periodic level before thresholding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 from scipy import stats
@@ -68,14 +68,7 @@ class SpreadingVerdict:
     notes: list
 
     def to_dict(self):
-        return {
-            "fitted_speed": self.fitted_speed, "r2": self.r2, "ci": self.ci,
-            "c0": self.c0, "relative_gap": self.relative_gap,
-            "tail_front": self.tail_front, "tail_back": self.tail_back,
-            "tail_front_2ell": self.tail_front_2ell,
-            "tail_back_2ell": self.tail_back_2ell,
-            "verdict": self.verdict, "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def front_position(state: LineState, u1_star, threshold=FRONT_THRESHOLD):

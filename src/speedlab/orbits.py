@@ -124,8 +124,7 @@ def logistic_orbit(d, g, c, e, start_value=None, growth=None) -> PeriodicOrbit:
         if gap < CYCLE_TOL:
             break
     else:
-        raise NoConvergence("orbit cycle gap did not close", iterations=PERIOD_CAP,
-                            residual=gap)
+        raise NoConvergence(f"orbit cycle gap {gap:.3g} did not close in {PERIOD_CAP} periods")
 
     snaps, u_end = _nonlinear_period(transport, c, e, u)
     closure = float(np.max(np.abs(u_end - snaps[0])))

@@ -4,9 +4,10 @@ Rightward speeds come from minimizing mu -> lambda(mu)/mu over mu > 0,
 where lambda(mu) is the principal eigenvalue of the mu-tilted problem;
 leftward speeds use the change of variable x -> -x.  The linearized speed
 of the coupled system at the invaded state is produced the same way from
-the potential b1 - a12*u2star, and the coupled positive eigenfunction
-needed for the determinacy ratio test is built by a contractive series in
-the second component.
+the potential b1 - a12*u2star, and the second component of the coupled
+positive eigenfunction needed for the determinacy ratio test comes from one
+resolvent solve, which D1 makes positive; a system that fails D1 gets its
+verdict and no second component.
 
 Certificates: H1, H2 (instability eigenvalues), H3 via the envelope
 sufficient condition (three-valued, never "fail"), H4, H5 (speed
@@ -25,8 +26,7 @@ from scipy.optimize import minimize_scalar
 
 from . import eigen, orbits
 from .coeffs import CoefficientField, build_field, mean_and_symmetry, reflect_x, refine_field
-from .errors import (D1Violated, NoConvergence, NoInteriorMinimum, NonEllipticError,
-                     NotMonostable, ValidationError)
+from .errors import NoInteriorMinimum, NonEllipticError, NotMonostable, ValidationError
 from .pde import CellPeriodMap
 
 MU_RANGE = (1e-3, 20.0)
@@ -318,19 +318,22 @@ class CoupledEigenfunction:
 
     phi1 is sup-normalized to 1; phi2 carries the scale induced by phi1
     through the coupling, so the ratio field phi1/phi2 is normalization
-    free.  residual is the sup-norm defect of one coupled period-map
-    application against rho1 = e^{lambda0 omega}.
+    free.  phi2 is None when D1 fails (lambdabar >= lambda0), since the
+    coupled problem then has no positive eigenfunction.  residual is the
+    sup-norm defect of one coupled period-map application against
+    rho1 = e^{lambda0 omega}.
     """
 
     phi1: np.ndarray
-    phi2: np.ndarray
+    phi2: np.ndarray | None
     mu0: float
     lambda0: float
     lambdabar: float
     residual: float
     degenerate: bool
-    # read by name by perfbench/tracing.py (speeds.coupled_terms); ROADMAP
-    # item 4 moves that count into in-package counters and retires the field
+    # resolvent solves: 1, or 0 when the pair is degenerate or D1 fails; read
+    # by name by perfbench/tracing.py (speeds.coupled_terms); ROADMAP item 4
+    # moves that count into in-package counters and retires the field
     series_terms: int
 
 
@@ -341,24 +344,19 @@ def _second_tilted(sys: SystemSpec, u2f, mu):
     return drift, potential - 2.0 * sys.a22 * u2f
 
 
-NEUMANN_TRUNCATION = 1e-12
-NEUMANN_CAP = 200_000
-
-
 def coupled_eigenfunction(sys: SystemSpec, mu0, phi1_scale=1.0,
                           eig1=None) -> CoupledEigenfunction:
     """Build (phi1*, phi2*) for the coupled eigenproblem at the tilt mu0.
 
     The coupling is linearized at the system's own orbit sys.u2_star().
-    phi1 solves the decoupled first equation; phi2 solves
-    (rho1 - K2) phi2 = F by the geometric series sum_k rho1^{-k} K2^{k-1} F,
-    truncated when a term's sup norm falls below 1e-12.  Convergence is
-    guaranteed by D1 (rho(K2) < rho1), otherwise D1Violated is raised with
+    phi1 solves the decoupled first equation; phi2(0) solves
+    (rho1 - K2) phi2 = F in one dense solve.  D1 (rho(K2) < rho1) makes that
+    resolvent positive; when D1 fails the pair comes back with phi2 None and
     the lambdabar it computed.  K2 is the unit-scale map, its mean potential
-    factored out, so the series runs in that frame: rho1, the source and
-    the snapshots carry the same factor, which leaves every term unchanged.
-    The snapshots are then reconstructed along the period by marching with
-    the coupling source, so the pair is an exact discrete eigenpair.
+    factored out, so the solve runs in that frame: rho1, the source and the
+    snapshots carry the same factor, which leaves phi2 unchanged.  The
+    snapshots are then reconstructed along the period by marching with the
+    coupling source, so the pair is an exact discrete eigenpair.
     eig1 is the first equation's eigenpair at mu0 when the caller already
     has it (the c0 minimization evaluated it); it is solved here otherwise.
     """
@@ -366,20 +364,19 @@ def coupled_eigenfunction(sys: SystemSpec, mu0, phi1_scale=1.0,
     if eig1 is None:
         eig1 = eigen.lambda_of_mu(sys.d1, sys.g1, sys.invaded_potential(), mu0)
     lam0 = eig1.lam
+    phi1 = eig1.eigenfunction * phi1_scale
 
     map2 = CellPeriodMap(sys.d2, *_second_tilted(sys, u2f, mu0))
-    eig2 = eigen.principal_of_map(map2)
-    lambar = eig2.lam
+    lambar = eigen.principal_of_map(map2).lam
     if lambar >= lam0:
-        raise D1Violated(
-            f"lambdabar({mu0:.6g}) = {lambar:.6g} >= lambda0 = {lam0:.6g}; series diverges",
-            lambdabar=lambar)
+        return CoupledEigenfunction(phi1=phi1, phi2=None, mu0=mu0, lambda0=lam0,
+                                    lambdabar=lambar, residual=float(eig1.residual),
+                                    degenerate=False, series_terms=0)
 
     # the shifted frame: K2 and the forcing carry exp(-shift*omega) per period
     rate = lam0 - map2.shift
     rho1_shifted = math.exp(rate * sys.omega)
     nt, nx = sys.nt, sys.nx
-    phi1 = eig1.eigenfunction * phi1_scale
     # running (non-normalized) first component at the arrival time of step j
     powers = np.exp(rate * map2.dt * np.arange(1, nt + 1))
     rows = [(j + 1) % nt for j in range(nt)]
@@ -394,17 +391,7 @@ def coupled_eigenfunction(sys: SystemSpec, mu0, phi1_scale=1.0,
                                     residual=float(eig1.residual), degenerate=True,
                                     series_terms=0)
 
-    k2 = map2.matrix()
-    term = forcing / rho1_shifted
-    phi2_start = term.copy()
-    terms = 1
-    while np.max(np.abs(term)) >= NEUMANN_TRUNCATION:
-        term = (k2 @ term) / rho1_shifted
-        phi2_start += term
-        terms += 1
-        if terms > NEUMANN_CAP:
-            raise NoConvergence("coupling series did not truncate", iterations=terms)
-
+    phi2_start = np.linalg.solve(rho1_shifted * np.eye(nx) - map2.matrix(), forcing)
     raw2 = map2.snapshots_with_source(phi2_start, source)
     scale = np.exp(-rate * map2.dt * np.arange(nt))
     phi2 = raw2[:-1] * scale[:, None]
@@ -416,8 +403,7 @@ def coupled_eigenfunction(sys: SystemSpec, mu0, phi1_scale=1.0,
     residual = max(float(eig1.residual), resid2 / denom)
     return CoupledEigenfunction(phi1=phi1, phi2=phi2, mu0=mu0, lambda0=lam0,
                                 lambdabar=lambar, residual=residual,
-                                degenerate=False, series_terms=terms)
-
+                                degenerate=False, series_terms=1)
 
 
 # ---------------------------------------------------------------------------
@@ -552,15 +538,6 @@ def _condition_m(sys: SystemSpec) -> Certificate:
                        {"even_in_x": rep.even_in_x, "x_dependent": nontrivial, "mean": mean})
 
 
-@dataclass
-class CertificateReport:
-    certificates: dict
-    linearly_determinate: bool
-
-    def __getitem__(self, name):
-        return self.certificates[name]
-
-
 def _p_conditions(sys: SystemSpec) -> tuple[Certificate, Certificate]:
     """P1/P2 sufficient set for the x-independent, drift-free normalized model."""
     tol = 1e-9
@@ -601,37 +578,34 @@ def _p_conditions(sys: SystemSpec) -> tuple[Certificate, Certificate]:
     return p1, p2
 
 
-def check_linear_determinacy(sys: SystemSpec, mu0, phi1, phi2,
-                             lambda0, lambdabar) -> CertificateReport:
-    """Evaluate D1, D2 margins and the P1/P2 sufficient set.
+def check_linear_determinacy(sys: SystemSpec, pair: CoupledEigenfunction) -> dict:
+    """Evaluate D1 and D2 on the coupled eigenpair at mu0.
 
-    D1 margin: lambda0(mu0) - lambdabar(mu0), both as coupled_eigenfunction
-    computed them.  D2 margin: minimum over the period cell of phi1/phi2 -
-    max(a12/a11, a22/a21).  The report declares linear determinacy
-    (sufficient conditions met) iff both are positive.
+    Returns the Certificates keyed by name.  D1 margin:
+    lambda0(mu0) - lambdabar(mu0), both as coupled_eigenfunction computed
+    them.  D2 margin: minimum over the period cell of phi1/phi2 -
+    max(a12/a11, a22/a21); not applicable without a positive phi2 (D1
+    fails or the pair degenerates) or with zero coupling.  Both positive
+    are the sufficient conditions for linear determinacy.
     """
     certs = {}
-    d1_margin = lambda0 - lambdabar
+    d1_margin = pair.lambda0 - pair.lambdabar
     certs["D1"] = Certificate("D1", "pass" if d1_margin > 0 else "fail", d1_margin,
-                              {"lambda0": lambda0, "lambdabar": lambdabar, "mu0": mu0})
+                              {"lambda0": pair.lambda0, "lambdabar": pair.lambdabar,
+                               "mu0": pair.mu0})
 
-    phi2 = np.asarray(phi2, dtype=float)
-    if np.all(phi2 <= 0.0) or sys.a21.min() <= 0.0:
+    if pair.phi2 is None or np.all(pair.phi2 <= 0.0) or sys.a21.min() <= 0.0:
         certs["D2"] = Certificate("D2", "not-applicable", None,
                                   {"note": "degenerate second component or zero coupling"})
     else:
-        ratio = np.asarray(phi1, dtype=float) / phi2
+        ratio = pair.phi1 / pair.phi2
         bound = np.maximum(sys.a12.values / sys.a11.values,
                            sys.a22.values / sys.a21.values)
         d2_margin = float(np.min(ratio - bound))
         certs["D2"] = Certificate("D2", "pass" if d2_margin > 0 else "fail", d2_margin,
                                   {"min_ratio": float(ratio.min()),
                                    "max_bound": float(bound.max())})
-
-    p1, p2 = _p_conditions(sys)
-    certs["P1"], certs["P2"] = p1, p2
-
-    return CertificateReport(certs, certs["D1"].passed and certs["D2"].passed)
+    return certs
 
 
 # ---------------------------------------------------------------------------
@@ -679,24 +653,18 @@ def compute_speed_report(sys: SystemSpec, refine=False) -> SpeedReport:
         if res.refined:
             notes.append(f"c0 Richardson-refined; discretization estimate "
                          f"{res.discretization_estimate:.3g}")
-        try:
-            pair = coupled_eigenfunction(sys, mu0, eig1=res.eigen_at_mu0)
-            lambar = pair.lambdabar
-            det = check_linear_determinacy(sys, mu0, pair.phi1, pair.phi2,
-                                           pair.lambda0, lambar)
-            if pair.degenerate:
-                notes.append("coupled eigenfunction degenerates (zero coupling)")
-        except D1Violated as exc:
-            notes.append(f"D1 violated: {exc}")
-            lambar = exc.lambdabar
-            det = check_linear_determinacy(sys, mu0, np.ones((sys.nt, sys.nx)),
-                                           np.zeros((sys.nt, sys.nx)), lam0, lambar)
-        certs.update(det.certificates)
-        determinate = det.linearly_determinate
+        pair = coupled_eigenfunction(sys, mu0, eig1=res.eigen_at_mu0)
+        lambar = pair.lambdabar
+        if pair.phi2 is None:
+            notes.append(f"D1 violated: lambdabar({mu0:.6g}) = {lambar:.6g} "
+                         f">= lambda0 = {pair.lambda0:.6g}")
+        elif pair.degenerate:
+            notes.append("coupled eigenfunction degenerates (zero coupling)")
+        certs.update(check_linear_determinacy(sys, pair))
+        determinate = certs["D1"].passed and certs["D2"].passed
     else:
         notes.append("H1/H2 not satisfied, linearized speed undefined")
-        p1, p2 = _p_conditions(sys)
-        certs["P1"], certs["P2"] = p1, p2
+    certs["P1"], certs["P2"] = _p_conditions(sys)
 
     return SpeedReport(c0_plus=c0, mu0=mu0, c1_plus=c1_plus, c2_minus=c2_minus,
                        lambda0_at_mu0=lam0, lambdabar_at_mu0=lambar,

@@ -416,8 +416,8 @@ def bracket_speeds(sys, c_grid_or_bisection, cap=DEFAULT_CAP, A=None):
     trace = sorted((c, *cache[c]) for c in cache)
     ranks = [_RANK[t[1]] for t in trace]
     if any(r2 > r1 for r1, r2 in zip(ranks, ranks[1:])):
-        raise InconsistentClassification(
-            "classification is non-monotone along c", trace=trace)
+        raise InconsistentClassification("classification is non-monotone along c: " + ", ".join(
+            f"{c:.6g} {cls}" for c, cls, *_ in trace))
 
     betas = [c for c, cls, *_ in trace if cls == "beta"]
     not_betas = [c for c, cls, *_ in trace if cls != "beta"]

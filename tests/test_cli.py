@@ -9,8 +9,8 @@ from click.testing import CliRunner
 from speedlab import cli, eigen, pde, speeds, weinberger
 from speedlab.cli import (DEMOS, EXIT_INCONCLUSIVE, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                           ScenarioConfig, main, run_scenario)
-from speedlab.errors import (D1Violated, Inconclusive, NoConvergence, NumericalFailure,
-                             SpeedlabError, ValidationError)
+from speedlab.errors import (Inconclusive, NoConvergence, NumericalFailure, SpeedlabError,
+                             ValidationError)
 
 from conftest import make_system
 
@@ -78,12 +78,31 @@ def test_ellipticity_guard_is_a_validation_failure(tmp_path):
     lambda c: c["discretization"].update(T="25"),
     lambda c: c.update(discretization={"nt": 200, "dx": float("nan")}),
     lambda c: c["model"].update(omega=True),
+    # grids past the memory bounds, rejected before any field is built
+    lambda c: c.update(discretization={"nx": 64, "dt": 1e-320}),  # period/dt overflows
+    lambda c: c.update(discretization={"nx": 64, "dt": 1e-9}),
+    lambda c: c["discretization"].update(nt=10**9),
+    lambda c: c["discretization"].update(nx=10**9),
+    lambda c: c["discretization"].update(nt=2, nx=4096),  # nt*nx is small, nx*nx is not
 ])
 def test_validation_rejections(tmp_path, mutate):
     cfg = fisher_config(tmp_path / "out")
     mutate(cfg)
     with pytest.raises(ValidationError):
         ScenarioConfig(cfg)
+
+
+@pytest.mark.parametrize("model", [{}, {"d1": "0"}], ids=["valid", "invalid"])
+@pytest.mark.parametrize("output", ["through-a-file", "nul-byte"])
+def test_unwritable_output_is_a_validation_failure(tmp_path, capsys, model, output):
+    # no report can be written there, so stderr carries the reason even when quiet
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    path = blocker / "out" if output == "through-a-file" else tmp_path / "a\0b"
+    cfg = fisher_config(path, nt=50, nx=8)
+    cfg["model"].update(model)
+    assert run_scenario(cfg, quiet=True) == EXIT_VALIDATION
+    assert "cannot create output" in capsys.readouterr().err
 
 
 def test_dt_dx_aliases(tmp_path):
@@ -256,7 +275,7 @@ def test_lost_recursion_monotonicity_is_a_numerical_failure(tmp_path, monkeypatc
 
 
 def _diverging_report(*args, **kwargs):
-    raise NoConvergence("power iteration cap reached", iterations=1)
+    raise NoConvergence("power iteration cap reached")
 
 
 def _package_errors(base=SpeedlabError):
@@ -266,10 +285,8 @@ def _package_errors(base=SpeedlabError):
 
 
 def _raising(error):
-    extra = {D1Violated: (0.0,)}.get(error, ())  # D1Violated's required lambdabar
-
     def broken_report(*args, **kwargs):
-        raise error("injected", *extra)
+        raise error("injected")
 
     broken_report.error = error
     return broken_report

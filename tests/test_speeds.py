@@ -6,7 +6,7 @@ import pytest
 
 from speedlab import (check_hypotheses, check_linear_determinacy, coupled_eigenfunction,
                       linear_speed_c0, minimize_speed, scalar_kpp_speeds)
-from speedlab.errors import D1Violated, NoInteriorMinimum, NotMonostable
+from speedlab.errors import NoInteriorMinimum, NotMonostable
 from speedlab import eigen, speeds
 from speedlab.speeds import compute_speed_report, reflected_scalar_coefficients
 
@@ -106,14 +106,14 @@ def test_coupled_eigenfunction_constants_closed_form(constants_system):
     assert ratio.max() - ratio.min() < 1e-12  # spatially and temporally constant
     assert pair.lambda0 == pytest.approx(3.4, abs=1e-4)
     assert pair.lambdabar == pytest.approx(-0.15, abs=1e-4)
-    assert pair.residual < 1e-10
+    assert pair.residual < 1e-11
 
 
 def test_coupled_eigenfunction_periodic_residual(periodic_b2_system):
     sysp = periodic_b2_system
     res = linear_speed_c0(sysp)
     pair = coupled_eigenfunction(sysp, res.mu0)
-    assert pair.residual < 1e-6
+    assert pair.residual < 1e-11
     assert pair.phi2.min() > 0.0
 
 
@@ -165,14 +165,14 @@ def test_check_hypotheses_symmetric_media_branch():
 def test_determinacy_constants_pass(constants_system):
     res = linear_speed_c0(constants_system)
     pair = coupled_eigenfunction(constants_system, res.mu0)
-    det = check_linear_determinacy(constants_system, res.mu0, pair.phi1, pair.phi2,
-                                   pair.lambda0, pair.lambdabar)
-    assert det.linearly_determinate
+    det = check_linear_determinacy(constants_system, pair)
+    assert det["D1"].passed and det["D2"].passed
     assert det["D1"].margin == pytest.approx(3.55, abs=1e-3)
     assert det["D2"].margin == pytest.approx(2.125, abs=0.05)
-    assert det["P1"].verdict == "pass"
-    assert det["P2"].verdict == "pass"
-    assert det["P2"].margin == pytest.approx(0.3, abs=1e-6)
+    p1, p2 = speeds._p_conditions(constants_system)
+    assert p1.verdict == "pass"
+    assert p2.verdict == "pass"
+    assert p2.margin == pytest.approx(0.3, abs=1e-6)
 
 
 def test_determinacy_d2_fails_for_fast_second_diffuser():
@@ -180,11 +180,9 @@ def test_determinacy_d2_fails_for_fast_second_diffuser():
     sys_d2 = make_system(d2="2.2")
     res = linear_speed_c0(sys_d2)
     pair = coupled_eigenfunction(sys_d2, res.mu0)
-    det = check_linear_determinacy(sys_d2, res.mu0, pair.phi1, pair.phi2,
-                                   pair.lambda0, pair.lambdabar)
+    det = check_linear_determinacy(sys_d2, pair)
     assert det["D1"].verdict == "pass"
     assert det["D2"].verdict == "fail"
-    assert not det.linearly_determinate
 
 
 def test_determinacy_tiny_a21_still_passes_d2():
@@ -193,20 +191,16 @@ def test_determinacy_tiny_a21_still_passes_d2():
     sys_tiny = make_system(a21="0.01")
     res = linear_speed_c0(sys_tiny)
     pair = coupled_eigenfunction(sys_tiny, res.mu0)
-    det = check_linear_determinacy(sys_tiny, res.mu0, pair.phi1, pair.phi2,
-                                   pair.lambda0, pair.lambdabar)
+    det = check_linear_determinacy(sys_tiny, pair)
     assert det["D2"].verdict == "pass"
     assert det["D2"].margin == pytest.approx(355.0 - 100.0, rel=0.05)
 
 
 def test_p_conditions_not_applicable_for_x_dependent_media():
     sys_x = make_system(nt=100, nx=32, b1="2 + 0.2*cos(2*pi*x)")
-    res = linear_speed_c0(sys_x)
-    pair = coupled_eigenfunction(sys_x, res.mu0)
-    det = check_linear_determinacy(sys_x, res.mu0, pair.phi1, pair.phi2,
-                                   pair.lambda0, pair.lambdabar)
-    assert det["P1"].verdict == "not-applicable"
-    assert det["P2"].verdict == "not-applicable"
+    p1, p2 = speeds._p_conditions(sys_x)
+    assert p1.verdict == "not-applicable"
+    assert p2.verdict == "not-applicable"
 
 
 def test_speed_report_aggregates(constants_system):
@@ -255,18 +249,16 @@ def test_speed_report_solves_each_eigenproblem_once(monkeypatch):
 
 def test_d1_violated_report_reuses_the_series_lambdabar(monkeypatch):
     # d2 = 3 makes the second species' tilted problem outgrow the first, so
-    # the series refuses to start; the report carries the lambdabar that the
-    # series computed instead of solving the same problem again
+    # D1 fails and the pair has no second component; the report carries the
+    # lambdabar that coupled_eigenfunction computed instead of solving the
+    # same problem again
     sysp = make_system(nt=50, nx=8, d2="3")
-    raised, solves = [], Counter()
+    pairs, solves = [], Counter()
     coupled, solve = speeds.coupled_eigenfunction, eigen.principal_of_map
 
     def recording_coupled(*args, **kwargs):
-        try:
-            return coupled(*args, **kwargs)
-        except D1Violated as exc:
-            raised.append(exc.lambdabar)
-            raise
+        pairs.append(coupled(*args, **kwargs))
+        return pairs[-1]
 
     def counting_solve(pmap):
         solves[tuple(a.tobytes() for a in (pmap._d, pmap._g, pmap._h))] += 1
@@ -277,7 +269,18 @@ def test_d1_violated_report_reuses_the_series_lambdabar(monkeypatch):
     rep = compute_speed_report(sysp)
     assert rep.certificates["D1"].verdict == "fail"
     assert any(note.startswith("D1 violated") for note in rep.notes)
-    assert len(raised) == 1
-    assert rep.lambdabar_at_mu0 == raised[0]
-    assert rep.certificates["D1"].details["lambdabar"] == raised[0]
+    assert len(pairs) == 1 and pairs[0].phi2 is None
+    assert rep.lambdabar_at_mu0 == pairs[0].lambdabar
+    assert rep.certificates["D1"].details["lambdabar"] == pairs[0].lambdabar
     assert solves and set(solves.values()) == {1}
+
+
+def test_near_critical_d1_gets_a_verdict():
+    # d2 = 2.5882 puts lambdabar about 6e-5 below lambda0: D1 holds by a hair
+    # and the resolvent is nearly singular, yet the pair is a positive one
+    rep = compute_speed_report(make_system(nt=50, nx=8, d2="2.5882"))
+    d1 = rep.certificates["D1"]
+    assert d1.verdict == "pass"
+    assert 0.0 < d1.margin < 1e-4
+    assert rep.certificates["D2"].verdict == "fail"
+    assert not rep.linearly_determinate
