@@ -33,8 +33,10 @@ EXIT_VALIDATION = ValidationError.exit_code
 EXIT_NUMERICAL = NumericalFailure.exit_code
 EXIT_INCONCLUSIVE = Inconclusive.exit_code
 
-# memory bounds, checked before any field is built: ten coefficient fields and
-# the eigenfunctions hold nt*nx floats each, the dense monodromy nx*nx
+# memory bounds: ten coefficient fields and the eigenfunctions hold nt*nx
+# floats each and the dense monodromy of t-independent media (and of the
+# coupled resolvent) nx*nx, checked before any field is built; the front
+# records one position per period and its line has 2*A*nx/ell cells
 MAX_GRID_NODES = 10**6
 MAX_NX = 1024
 
@@ -78,6 +80,8 @@ class ScenarioConfig:
         self.domain_half_width = (_positive_number(disc, "A")
                                   if disc.get("A") is not None else None)
         self.periods = _integer(disc.get("T", 30), "T", least=1)
+        if self.periods > MAX_GRID_NODES:
+            raise ValidationError(f"T = {self.periods} is too large: need T <= {MAX_GRID_NODES:,}")
 
         tasks = raw["tasks"]
         if (not isinstance(tasks, list) or not tasks
@@ -99,7 +103,25 @@ class ScenarioConfig:
                 self.omega, self.ell, self.nt, self.nx)
         except ValidationError as exc:
             raise ValidationError(f"model rejected: {exc}") from exc
+        if "front" in self.tasks:
+            self.front_half_width(None)  # the line fits, at least with the speed estimate
         self.raw = raw
+
+    def front_half_width(self, c0):
+        """Half width of the front's line: A as given, else sized from c0 or the speed estimate.
+
+        The sizing speed pads c0 (run_front checks A against the raw one), and
+        the line must fit in MAX_GRID_NODES: 2*A*nx/ell cells.
+        """
+        sys_spec = self.system
+        c_sizing = 1.5 * c0 if c0 else 2.0 * sys_spec.speed_estimate()
+        half_width = (self.domain_half_width
+                      or c_sizing * self.periods * sys_spec.omega + 10.0 * sys_spec.ell)
+        cells = 2.0 * half_width * self.nx / sys_spec.ell
+        if not cells <= MAX_GRID_NODES:
+            raise ValidationError(f"the front's line is too large: A = {half_width:.3g} gives "
+                                  f"2*A*nx/ell = {cells:.3g} cells, need <= {MAX_GRID_NODES:,}")
+        return half_width
 
 
 def _positive_number(obj, key):
@@ -254,10 +276,7 @@ def _task_weinberger(cfg, sys_spec, speed_report):
 
 def _task_front(cfg, sys_spec, speed_report):
     c0 = speed_report.c0_plus if speed_report is not None else None
-    # pad the sizing estimate; validate the chosen domain against the raw one
-    c_sizing = 1.5 * c0 if c0 else 2.0 * sys_spec.speed_estimate()
-    a_needed = c_sizing * cfg.periods * sys_spec.omega + 10.0 * sys_spec.ell
-    half_width = cfg.domain_half_width or a_needed
+    half_width = cfg.front_half_width(c0)
     trace = frontsim.run_front(sys_spec, half_width, cfg.periods, c_estimate=c0)
     frontsim.dump_trace_csv(os.path.join(cfg.output, "front_trace.csv"), trace)
     if trace.final_state is not None:

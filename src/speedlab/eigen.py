@@ -9,6 +9,11 @@ lambda = ln(rho(K)) / omega and the eigenfunction is the positive fixed
 direction of K.  K inherits strict positivity from the M-matrix transport
 steps, so the Perron root is simple and plain power iteration converges;
 an Aitken delta-squared estimate accelerates the Rayleigh ratio sequence.
+
+The iteration needs only K's action.  For time-dependent media each product
+marches one column over the nt steps of the period, and K is never
+assembled; time-independent media share one step matrix, whose nt-th power
+costs a few dense products, so there K is formed and applied as a matrix.
 """
 
 from __future__ import annotations
@@ -54,20 +59,22 @@ class EigenResult:
         return self.eigenfunction.shape[1]
 
 
-def _power_iteration(k_matrix):
-    """Perron root and vector of a positive matrix, sup-norm normalization."""
-    n = k_matrix.shape[0]
+def _power_iteration(apply, n):
+    """Perron root and vector of a positive map given by its action, sup-norm normalization.
+
+    The residual |K psi - rho psi| is measured on the iterate just mapped, with
+    K psi = w, and that psi is returned, so the contract costs no extra map.
+    """
     psi = np.ones(n)
     ratio_prev = None
     ratios = []
     for it in range(1, POWER_CAP + 1):
-        w = k_matrix @ psi
+        w = apply(psi)
         nrm = np.max(np.abs(w))
         if nrm == 0.0 or not np.isfinite(nrm):
             raise NoConvergence(f"power iteration produced a degenerate iterate at step {it}")
         ratio = nrm  # psi is sup-normalized, so |K psi| / |psi| = |w|
         ratios.append(ratio)
-        psi = w / nrm
         rho = ratio
         if len(ratios) >= 3:
             r0, r1, r2 = ratios[-3], ratios[-2], ratios[-1]
@@ -76,12 +83,12 @@ def _power_iteration(k_matrix):
                 accel = r2 - (r2 - r1) ** 2 / denom
                 if np.isfinite(accel) and accel > 0:
                     rho = accel
-        if ratio_prev is not None and abs(ratio - ratio_prev) <= POWER_TOL * max(1.0, ratio):
-            resid = np.max(np.abs(k_matrix @ psi - rho * psi))
-            if resid <= RESIDUAL_TOL:
-                return rho, psi, it, resid
+        resid = float(np.max(np.abs(w - rho * psi)))
+        if (ratio_prev is not None and abs(ratio - ratio_prev) <= POWER_TOL * max(1.0, ratio)
+                and resid <= RESIDUAL_TOL):
+            return rho, psi, it, resid
         ratio_prev = ratio
-    resid = float(np.max(np.abs(k_matrix @ psi - rho * psi)))
+        psi = w / nrm
     raise NoConvergence(f"power iteration cap reached ({POWER_CAP} iterations, "
                         f"residual {resid:.3g})")
 
@@ -96,13 +103,16 @@ def principal_eigen(d: CoefficientField, g: CoefficientField, h: CoefficientFiel
 
 
 def principal_of_map(pmap: CellPeriodMap) -> EigenResult:
-    """Principal eigenpair of an already-assembled linear period map.
+    """Principal eigenpair of a linear period map, iterated on its action.
 
     The map carries its mean potential as a separate exact shift, so the
     power iteration always works at unit scale; the residual is measured on
-    that normalized map.
+    that normalized map.  A time-dependent map is applied by one-column
+    marches; a time-independent one by its dense matrix, which binary
+    powering of the one step matrix makes cheaper than a march.
     """
-    rho_s, psi0, iterations, residual = _power_iteration(pmap.matrix())
+    apply = pmap.matrix().dot if pmap.time_independent else pmap.apply
+    rho_s, psi0, iterations, residual = _power_iteration(apply, pmap.nx)
     lam = math.log(rho_s) / pmap.omega + pmap.shift
     raw = pmap.snapshots(psi0)[:-1]  # rows at t_0 .. t_{nt-1}
     scale = rho_s ** (-np.arange(pmap.nt) / pmap.nt)

@@ -432,14 +432,16 @@ class CellPeriodMap:
         """Forced marching with all intermediate states retained."""
         return self._march(v0, source_steps, keep=True)
 
-    def _time_independent(self):
-        return (np.all(self._d == self._d[0]) and np.all(self._g == self._g[0])
-                and np.all(self._h == self._h[0]))
+    @property
+    def time_independent(self):
+        """True when no coefficient varies along the period (every step is one matrix)."""
+        return bool(np.all(self._d == self._d[0]) and np.all(self._g == self._g[0])
+                    and np.all(self._h == self._h[0]))
 
     def matrix(self):
         """Dense monodromy matrix (the map applied to identity columns)."""
         if self._matrix is None:
-            if self._time_independent():
+            if self.time_independent:
                 # every step shares one matrix; binary powering is exact
                 self._matrix = np.linalg.matrix_power(self._step(0, np.eye(self.nx)), self.nt)
             else:

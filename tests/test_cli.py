@@ -84,12 +84,29 @@ def test_ellipticity_guard_is_a_validation_failure(tmp_path):
     lambda c: c["discretization"].update(nt=10**9),
     lambda c: c["discretization"].update(nx=10**9),
     lambda c: c["discretization"].update(nt=2, nx=4096),  # nt*nx is small, nx*nx is not
+    # fronts whose line would pass 2*A*nx/ell = 10^6 cells
+    lambda c: c.update(tasks=["front"], discretization={"nt": 200, "nx": 64, "A": 1e15}),
+    lambda c: c.update(tasks=["front"], discretization={"nt": 200, "nx": 64, "T": 10**9}),
+    lambda c: c.update(tasks=["front"], discretization={"nt": 200, "nx": 64, "T": 10**5}),
 ])
 def test_validation_rejections(tmp_path, mutate):
     cfg = fisher_config(tmp_path / "out")
     mutate(cfg)
     with pytest.raises(ValidationError):
         ScenarioConfig(cfg)
+
+
+def test_front_sized_from_c0_past_the_line_bound_is_a_validation_failure(tmp_path):
+    # the drift puts c0 = 7 above the speed estimate 2 that validation sizes
+    # the line with, so only the front's own check sees 2*A*nx/ell > 10^6
+    cfg = fisher_config(tmp_path / "out", tasks=("front",), nt=50, nx=8, T=10_000)
+    cfg["model"]["g1"] = "5"
+    ScenarioConfig(cfg)
+    assert run_scenario(cfg, quiet=True) == EXIT_VALIDATION
+    rep = read_report(tmp_path / "out")
+    assert rep["status"] == "validation-failure"
+    assert "line is too large" in rep["reason"]
+    assert "front" not in rep
 
 
 @pytest.mark.parametrize("model", [{}, {"d1": "0"}], ids=["valid", "invalid"])

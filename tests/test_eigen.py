@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from speedlab import CoefficientField, lambda_diagnostics, lambda_of_mu, principal_eigen
 from speedlab.errors import NonEllipticError
+from speedlab.pde import CellPeriodMap
 from speedlab.speeds import richardson
 
 from conftest import field
@@ -47,6 +48,41 @@ def test_residual_contract_and_positivity():
     assert r.residual <= 1e-8
     assert r.eigenfunction.min() > 0.0
     assert r.eigenfunction.max() == pytest.approx(1.0)
+
+
+def _count_matrix_calls(monkeypatch):
+    calls = []
+    matrix = CellPeriodMap.matrix
+
+    def counted(pmap):
+        calls.append(pmap)
+        return matrix(pmap)
+
+    monkeypatch.setattr(CellPeriodMap, "matrix", counted)
+    return calls
+
+
+def test_time_dependent_solve_is_matrix_free_and_matches_dense_oracle(monkeypatch):
+    d, g = field("0.7"), field("0.4*sin(2*pi*x)")
+    h = field("cos(2*pi*x) + 0.3*sin(2*pi*t)")
+    calls = _count_matrix_calls(monkeypatch)
+    r = principal_eigen(d, g, h)
+    assert calls == []
+
+    pmap = CellPeriodMap(d, g, h)
+    k = pmap.matrix()
+    rho = np.max(np.abs(np.linalg.eigvals(k)))
+    assert r.lam == pytest.approx(np.log(rho) / pmap.omega + pmap.shift, abs=1e-12)
+    psi = r.eigenfunction[0]
+    rho_shifted = np.exp((r.lam - pmap.shift) * pmap.omega)
+    assert np.max(np.abs(k @ psi - rho_shifted * psi)) <= 1e-8
+
+
+def test_time_independent_solve_powers_the_dense_matrix_once(monkeypatch):
+    calls = _count_matrix_calls(monkeypatch)
+    r = principal_eigen(field("0.7"), field("0.4*sin(2*pi*x)"), field("cos(2*pi*x)"))
+    assert len(calls) == 1
+    assert r.residual <= 1e-8
 
 
 def test_potential_shift_identity_exact():
