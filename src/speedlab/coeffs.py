@@ -334,22 +334,15 @@ class CoefficientField:
 
 @dataclass(frozen=True)
 class SymmetryReport:
-    """Structural symmetry flags with their max deviations.
+    """Structural symmetry flags of a field in x.
 
-    A flag is true iff the deviation is at most SYMMETRY_TOL relative to the
-    field's max absolute value.
+    A flag is true iff the field's max deviation from the symmetry is at
+    most SYMMETRY_TOL relative to the field's max absolute value.
     """
 
     even_in_x: bool
-    even_in_x_dev: float
     odd_in_x: bool
-    odd_in_x_dev: float
-    even_in_t: bool
-    even_in_t_dev: float
     x_independent: bool
-    x_independent_dev: float
-    t_independent: bool
-    t_independent_dev: float
 
 
 def build_field(expr: str, omega: float, ell: float, nt: int, nx: int) -> CoefficientField:
@@ -386,17 +379,9 @@ def mean_and_symmetry(f: CoefficientField) -> tuple[float, SymmetryReport]:
     scale = float(np.max(np.abs(v)))
     tol = SYMMETRY_TOL * scale
     rx = v[:, (-np.arange(f.nx)) % f.nx]
-    rt = v[(-np.arange(f.nt)) % f.nt, :]
-    dev_even_x = float(np.max(np.abs(v - rx)))
-    dev_odd_x = float(np.max(np.abs(v + rx)))
-    dev_even_t = float(np.max(np.abs(v - rt)))
-    dev_x_indep = float(np.max(np.abs(v - v.mean(axis=1, keepdims=True))))
-    dev_t_indep = float(np.max(np.abs(v - v.mean(axis=0, keepdims=True))))
     rep = SymmetryReport(
-        even_in_x=dev_even_x <= tol, even_in_x_dev=dev_even_x,
-        odd_in_x=dev_odd_x <= tol, odd_in_x_dev=dev_odd_x,
-        even_in_t=dev_even_t <= tol, even_in_t_dev=dev_even_t,
-        x_independent=dev_x_indep <= tol, x_independent_dev=dev_x_indep,
-        t_independent=dev_t_indep <= tol, t_independent_dev=dev_t_indep,
+        even_in_x=float(np.max(np.abs(v - rx))) <= tol,
+        odd_in_x=float(np.max(np.abs(v + rx))) <= tol,
+        x_independent=float(np.max(np.abs(v - v.mean(axis=1, keepdims=True)))) <= tol,
     )
     return float(v.mean()), rep

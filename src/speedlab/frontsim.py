@@ -49,8 +49,6 @@ class FitResult:
     speed: float
     r2: float
     ci_halfwidth: float
-    n_used: int
-    intercept: float
 
 
 @dataclass
@@ -108,7 +106,7 @@ def run_front(sys, A, periods, c_estimate=None, keep_every=None) -> FrontTrace:
     A = ceil_to_multiple(A, ell)
 
     u1_star = sys.u1_star()
-    ev = LineSystemEvolver(sys, -A, A, "cooperative")
+    ev = LineSystemEvolver(sys, -A, A)
     x = ev.x
     v = np.zeros((2, ev.n_nodes))
     v[0] = np.where(x <= 0.0, u1_star.snapshots[0][cell_offsets(x, ell, sys.nx)], 0.0)
@@ -159,8 +157,7 @@ def fit_speed(trace: FrontTrace) -> FitResult:
     dof = t.size - 2
     sigma2 = ss_res / dof if dof > 0 else 0.0
     half = float(stats.t.ppf(0.975, dof) * np.sqrt(sigma2 / stt)) if dof > 0 else 0.0
-    return FitResult(speed=slope, r2=r2, ci_halfwidth=half, n_used=t.size,
-                     intercept=intercept)
+    return FitResult(speed=slope, r2=r2, ci_halfwidth=half)
 
 
 def spreading_verdict(sys, trace: FrontTrace, c_report) -> SpreadingVerdict:

@@ -44,8 +44,6 @@ from scipy.linalg.lapack import dgtsv
 from .coeffs import CoefficientField
 from .errors import BlowupError, NonEllipticError, SingularSolve, StiffReaction
 
-_DENSE_N = 4  # cyclic systems this small are solved densely
-
 
 # ---------------------------------------------------------------------------
 # States
@@ -198,17 +196,10 @@ def _solve_line(ab, rhs):
 def cell_transport_solver(d_row, g_row, dx, dt):
     """Prefactored solve of (I - dt*T) u = rhs on the periodic cell for one row.
 
-    Returns rhs -> u for one right-hand side or stacked columns.  Cells of at
-    most _DENSE_N nodes use the dense inverse; larger ones use the
+    Returns rhs -> u for one right-hand side or stacked columns: the
     Sherman-Morrison correction of the banded solve, with the correction
     vector solved once here.
     """
-    if len(d_row) <= _DENSE_N:
-        try:
-            inv = np.linalg.inv(transport_step_matrix_dense(d_row, g_row, dx, dt, "cell"))
-        except np.linalg.LinAlgError as exc:
-            raise SingularSolve(str(exc)) from exc
-        return lambda rhs: inv @ rhs
     ab, corner_tr, corner_bl = implicit_transport_banded(d_row, g_row, dx, dt, "cell")
     gamma = -ab[1, 0]
     ab[1, 0] -= gamma
@@ -253,7 +244,7 @@ def _coef_at(c, t, x):
 
 
 def step_scalar_linear(state, d, g, h, dt):
-    """One implicit step of u_t = d u_xx - g u_x + h u.
+    """One implicit step of u_t = d u_xx - g u_x + h u on the periodic cell.
 
     Transport is backward Euler with upwinding (sampled at t + dt); the
     zero-order term acts as the exact nodewise factor exp(dt*h).  The step
@@ -261,25 +252,15 @@ def step_scalar_linear(state, d, g, h, dt):
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if not isinstance(state, CellState):
+        raise TypeError("state must be a CellState")
     t_new = state.t + dt
-    if isinstance(state, CellState):
-        x = state.x
-        dx = state.ell / state.nx
-        d_row = _coef_at(d, t_new, x)
-        g_row = _coef_at(g, t_new, x)
-        h_row = _coef_at(h, t_new, x)
-        w = solve_cell_transport(d_row, g_row, dx, dt, state.values)
-        return CellState(np.exp(dt * h_row) * w, t_new, state.ell)
-    if isinstance(state, LineState):
-        if state.values.shape[0] != 1:
-            raise ValueError("scalar step needs a single-component line state")
-        x = state.x
-        d_row = _coef_at(d, t_new, x)
-        g_row = _coef_at(g, t_new, x)
-        h_row = _coef_at(h, t_new, x)
-        w = solve_line_transport(d_row, g_row, state.dx, dt, state.values[0])
-        return LineState((np.exp(dt * h_row) * w)[None, :], t_new, state.x_lo, state.x_hi)
-    raise TypeError("state must be a CellState or LineState")
+    x = state.x
+    d_row = _coef_at(d, t_new, x)
+    g_row = _coef_at(g, t_new, x)
+    h_row = _coef_at(h, t_new, x)
+    w = solve_cell_transport(d_row, g_row, state.ell / state.nx, dt, state.values)
+    return CellState(np.exp(dt * h_row) * w, t_new, state.ell)
 
 
 def period_map(u0, d, g, h, steps_per_period):
@@ -315,8 +296,8 @@ class CellTransport:
     Sherman-Morrison diagonal fix applied, the correction vectors q and the
     scalars w and denom, so a solve is one LAPACK dgtsv call on the row's
     diagonals (one or many right-hand sides) plus the rank-one update.  It is
-    bit for bit the solve of cell_transport_solver on cells of more than
-    _DENSE_N nodes, which calls the same gtsv through solve_banded.
+    bit for bit the solve of cell_transport_solver, which calls the same gtsv
+    through solve_banded.
     """
 
     def __init__(self, d: CoefficientField, g: CoefficientField):
@@ -415,7 +396,7 @@ class CellPeriodMap:
         return out if keep else v
 
     # perfbench/tracing.py wraps these four by name for its pde.cell_march
-    # spans; ROADMAP item 4 moves the tracer onto in-package counters and
+    # spans; ROADMAP item 5 moves the tracer onto in-package counters and
     # retires them
     def apply(self, v):
         return self._march(v)
@@ -454,10 +435,10 @@ class CellPeriodMap:
 # ---------------------------------------------------------------------------
 
 class LineSystemEvolver:
-    """IMEX evolution of the competition system or its cooperative transform.
+    """IMEX evolution of the cooperative form of the competition system.
 
-    The cooperative form v1 = u1, v2 = u2* - u2 uses the system's own
-    species-2 orbit, sys.u2_star().
+    The state is v1 = u1, v2 = u2* - u2 with the system's own species-2
+    orbit, sys.u2_star().
 
     Transport is implicit: each step solves both species at once as one
     stacked tridiagonal system (species 1 on nodes 0..N-1, species 2 on
@@ -468,7 +449,7 @@ class LineSystemEvolver:
 
     The reaction advances explicitly through the nodewise factor
     (1 + dt * rate) with rates sampled at the old time level (plus an
-    explicit additive source for the cooperative second component).  The
+    explicit additive source for the second component).  The
     explicit reaction and implicit transport carry opposite first-order
     biases that cancel in the front speed at the KPP minimizer, where the
     two exponents coincide.  The reaction Lipschitz number dt*L is tracked
@@ -476,10 +457,7 @@ class LineSystemEvolver:
     positivity preserving.
     """
 
-    def __init__(self, sys, x_lo, x_hi, form):
-        if form not in ("competitive", "cooperative"):
-            raise ValueError("form must be 'competitive' or 'cooperative'")
-        self.form = form
+    def __init__(self, sys, x_lo, x_hi):
         self.sys = sys
         self.omega = sys.omega
         self.nt = sys.nt
@@ -495,7 +473,7 @@ class LineSystemEvolver:
         # stacked node k of the two-species system -> its column in the tables
         self._cells = np.concatenate([self._offsets, self._offsets + sys.nx])
         self._lower, self._diag, self._upper, self._ghost = self._stencil_tables()
-        self._u2s = sys.u2_star().snapshots if form == "cooperative" else None
+        self._u2s = sys.u2_star().snapshots
         bmax = max(sys.b1.max(), sys.b2.max())
         amin = min(sys.a11.min(), sys.a22.min())
         if amin <= 0:
@@ -515,11 +493,6 @@ class LineSystemEvolver:
         r = j % self.nt
         s = self.sys
         dt = self.dt
-        if self.form == "competitive":
-            u1, u2 = v
-            rate1 = self._tile(s.b1, r) - self._tile(s.a11, r) * u1 - self._tile(s.a12, r) * u2
-            rate2 = self._tile(s.b2, r) - self._tile(s.a21, r) * u1 - self._tile(s.a22, r) * u2
-            return np.stack([u1 * (1.0 + dt * rate1), u2 * (1.0 + dt * rate2)])
         v1, v2 = v
         u2s = self._u2s[r][self._offsets]
         a12 = self._tile(s.a12, r)
@@ -588,12 +561,10 @@ class LineSystemEvolver:
         return self.run(v, period_index * self.nt, self.nt)
 
 
-def evolve_system(state: LineState, sys, form, t0, t1) -> LineState:
-    """Evolve the two-species system on the line from t0 to t1.
+def evolve_system(state: LineState, sys, t0, t1) -> LineState:
+    """Evolve the cooperative system (v1, v2) = (u1, u2* - u2) on the line from t0 to t1.
 
-    t0 and t1 must sit on the time grid omega/nt.  The competitive and
-    cooperative forms are related by v1 = u1, v2 = u2* - u2 up to the
-    discretization error of the split scheme.
+    t0 and t1 must sit on the time grid omega/nt.
     """
     if t1 <= t0:
         raise ValueError("need t1 > t0")
@@ -602,7 +573,7 @@ def evolve_system(state: LineState, sys, form, t0, t1) -> LineState:
     steps = (t1 - t0) / dt
     if abs(j0 - round(j0)) > 1e-9 or abs(steps - round(steps)) > 1e-9:
         raise ValueError("t0 and t1 must be multiples of omega/nt")
-    ev = LineSystemEvolver(sys, state.x_lo, state.x_hi, form)
+    ev = LineSystemEvolver(sys, state.x_lo, state.x_hi)
     if state.values.shape[0] != 2:
         raise ValueError("system state needs two components")
     if state.n_nodes != ev.n_nodes:

@@ -170,7 +170,7 @@ class MinimizeResult:
     c_star: float
     mu0: float
     # read by name by perfbench/tracing.py (speeds.minimize_evals); ROADMAP
-    # item 4 moves that count into in-package counters and retires the field
+    # item 5 moves that count into in-package counters and retires the field
     evaluations: int
 
 
@@ -238,10 +238,6 @@ def _leftward_curve(d, g, m):
 class KppSpeeds:
     c_right: float
     c_left: float
-    mu_right: float
-    mu_left: float
-    lam0: float
-    refined: bool = False
 
 
 def scalar_kpp_speeds(d, g, b, refine=False) -> KppSpeeds:
@@ -262,12 +258,11 @@ def scalar_kpp_speeds(d, g, b, refine=False) -> KppSpeeds:
 
     right, left = both(d, g, b)
     if not refine:
-        return KppSpeeds(right.c_star, left.c_star, right.mu0, left.mu0, lam0)
+        return KppSpeeds(right.c_star, left.c_star)
     d2f, g2f, b2f = refine_field(d), refine_field(g), refine_field(b)
     right_f, left_f = both(d2f, g2f, b2f)
     return KppSpeeds(richardson(right.c_star, right_f.c_star)[0],
-                     richardson(left.c_star, left_f.c_star)[0],
-                     right_f.mu0, left_f.mu0, lam0, refined=True)
+                     richardson(left.c_star, left_f.c_star)[0])
 
 
 @dataclass
@@ -275,7 +270,6 @@ class C0Result:
     c0: float
     mu0: float
     lambda0_at_mu0: float
-    h2_margin: float
     refined: bool = False
     discretization_estimate: float | None = None
     eigen_at_mu0: eigen.EigenResult | None = None
@@ -296,15 +290,14 @@ def linear_speed_c0(sys: SystemSpec, refine=False) -> C0Result:
             raise NotMonostable(f"lambda(d1,g1,b1-a12*u2) = {margin:.6g} <= 0")
         best = {}
         res = minimize_speed(_lambda_curve(s.d1, s.g1, s.invaded_potential(), best))
-        return res, margin, best["eigen"]
+        return res, best["eigen"]
 
-    res, margin, eig = compute(sys)
+    res, eig = compute(sys)
     if not refine:
-        return C0Result(res.c_star, res.mu0, res.c_star * res.mu0, margin, eigen_at_mu0=eig)
-    sys_f = sys.refined()
-    res_f, _, _ = compute(sys_f)
+        return C0Result(res.c_star, res.mu0, res.c_star * res.mu0, eigen_at_mu0=eig)
+    res_f, _ = compute(sys.refined())
     c0, estimate = richardson(res.c_star, res_f.c_star)
-    return C0Result(c0, res_f.mu0, c0 * res_f.mu0, margin, refined=True,
+    return C0Result(c0, res_f.mu0, c0 * res_f.mu0, refined=True,
                     discretization_estimate=estimate)
 
 
@@ -332,7 +325,7 @@ class CoupledEigenfunction:
     residual: float
     degenerate: bool
     # resolvent solves: 1, or 0 when the pair is degenerate or D1 fails; read
-    # by name by perfbench/tracing.py (speeds.coupled_terms); ROADMAP item 4
+    # by name by perfbench/tracing.py (speeds.coupled_terms); ROADMAP item 5
     # moves that count into in-package counters and retires the field
     series_terms: int
 

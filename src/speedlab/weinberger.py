@@ -60,9 +60,7 @@ class Profile:
 class RecursionResult:
     profile: Profile
     iterations: int
-    converged: bool
     cap_reached: bool
-    sup_change: float
     early_beta_exit: bool = False
     ignited: bool = False
     front_history: list = dc_field(default_factory=list)
@@ -173,7 +171,7 @@ def apply_R(p: Profile, c, sys, evolver=None, floor=None) -> Profile:
     if abs(shift) > A / 4.0:
         raise ShiftOutOfRange(f"|c*omega| = {abs(shift):.3g} exceeds A/4 = {A / 4:.3g}")
     if evolver is None:
-        evolver = LineSystemEvolver(sys, -A, A, "cooperative")
+        evolver = LineSystemEvolver(sys, -A, A)
     if floor is None:
         floor = _ramp(p.beta_est, p.x, A)
 
@@ -248,7 +246,7 @@ def recursion_limit(c, sys, cap=DEFAULT_CAP, A=None, stop_probe=None) -> Recursi
         A = _half_width(sys, c)
     profile = init_profile(_plateau_estimate(sys), A, int(round(2 * A * sys.nx / sys.ell)))
     envelope_mu = _tail_rate_estimate(sys)
-    evolver = LineSystemEvolver(sys, -A, A, "cooperative")
+    evolver = LineSystemEvolver(sys, -A, A)
     floor = _ramp(profile.beta_est, profile.x, A)
     beta1 = float(profile.beta_est[0])
     front_level = 0.4 * beta1
@@ -298,10 +296,9 @@ def recursion_limit(c, sys, cap=DEFAULT_CAP, A=None, stop_probe=None) -> Recursi
         if sup_change < SUP_CHANGE_TOL:
             break
     converged = (sup_change < SUP_CHANGE_TOL or early) and not ignited
-    return RecursionResult(profile=current, iterations=iterations, converged=converged,
+    return RecursionResult(profile=current, iterations=iterations,
                            cap_reached=not converged and not ignited and iterations >= cap,
-                           sup_change=sup_change, early_beta_exit=early,
-                           ignited=ignited, front_history=fronts)
+                           early_beta_exit=early, ignited=ignited, front_history=fronts)
 
 
 def classify_profile(result: RecursionResult, sys, station=None, drift_tol=None):
@@ -340,37 +337,27 @@ def classify_profile(result: RecursionResult, sys, station=None, drift_tol=None)
     return cls, value, left
 
 
-def bracket_speeds(sys, c_grid_or_bisection, cap=DEFAULT_CAP, A=None):
+def bracket_speeds(sys, bisection, cap=DEFAULT_CAP, A=None):
     """Bracket the slow and fast critical speeds by classifying candidate c.
 
-    c_grid_or_bisection is either an explicit list of speeds to classify
-    or a tuple (c_lo, c_hi, steps), with c_lo < c_hi and an integer
-    steps >= 0, driving two bisections on the shared classification cache;
-    any other tuple, and an empty list, raises ValueError.  The
-    beta/not-beta transition brackets the slow edge, the positive/zero
-    transition brackets the fast edge.  A classification trace that is
-    non-monotone along c raises InconsistentClassification.  Every candidate
-    runs recursion_limit on the same domain, by default the half width of
-    _half_width for the largest speed; both brackets keep each candidate's
+    bisection is the tuple (c_lo, c_hi, steps), with c_lo < c_hi and an
+    integer steps >= 0; anything else, a list included, raises ValueError.
+    Both ends are classified first.  Each edge is then bisected `steps`
+    times on the shared classification cache when the ends straddle it:
+    the beta/not-beta transition brackets the slow edge c*, the
+    positive/zero transition the fast edge cbar.  A classification trace
+    that is non-monotone along c raises InconsistentClassification.  Every
+    candidate runs recursion_limit on the same domain, by default the half
+    width of _half_width for c_hi; both brackets keep each candidate's
     final profile and iteration count in `profiles`, keyed by c.
     """
     _check_monostable(sys)
-
-    if isinstance(c_grid_or_bisection, tuple):
-        spec = c_grid_or_bisection
-        steps = spec[2] if len(spec) == 3 else None
-        if (not isinstance(steps, (int, np.integer)) or isinstance(steps, bool)
-                or steps < 0 or not spec[0] < spec[1]):
-            raise ValueError(f"bisection spec must be (c_lo, c_hi, steps) with c_lo < c_hi "
-                             f"and an integer steps >= 0, got {spec!r}")
-        c_lo, c_hi, steps = spec
-        grid_mode = False
-    else:
-        cs = sorted(float(c) for c in c_grid_or_bisection)
-        if not cs:
-            raise ValueError("the speed grid is empty")
-        c_lo, c_hi, steps = cs[0], cs[-1], 0
-        grid_mode = True
+    steps = bisection[2] if isinstance(bisection, tuple) and len(bisection) == 3 else None
+    if (not isinstance(steps, (int, np.integer)) or isinstance(steps, bool)
+            or steps < 0 or not bisection[0] < bisection[1]):
+        raise ValueError(f"bisection spec must be (c_lo, c_hi, steps) with c_lo < c_hi "
+                         f"and an integer steps >= 0, got {bisection!r}")
+    c_lo, c_hi, steps = bisection
 
     if A is None:
         A = _half_width(sys, c_hi)
@@ -388,30 +375,18 @@ def bracket_speeds(sys, c_grid_or_bisection, cap=DEFAULT_CAP, A=None):
             profiles[c] = (res.profile, res.iterations)
         return cache[c][0]
 
-    if grid_mode:
-        for c in cs:
-            classify(c)
-    else:
-        lo_cls = classify(c_lo)
-        hi_cls = classify(c_hi)
-        # beta/not-beta transition
-        if lo_cls == "beta" and hi_cls != "beta":
+    # "below the edge" for c* and for cbar
+    edges = (lambda cls: cls == "beta", lambda cls: cls != "zero")
+    ends = classify(c_lo), classify(c_hi)
+    for below in edges:
+        if below(ends[0]) and not below(ends[1]):
             lo, hi = c_lo, c_hi
             for _ in range(steps):
                 mid = 0.5 * (lo + hi)
-                if classify(mid) == "beta":
+                if below(classify(mid)):
                     lo = mid
                 else:
                     hi = mid
-        # positive/zero transition
-        if lo_cls != "zero" and hi_cls == "zero":
-            lo, hi = c_lo, c_hi
-            for _ in range(steps):
-                mid = 0.5 * (lo + hi)
-                if classify(mid) == "zero":
-                    hi = mid
-                else:
-                    lo = mid
 
     trace = sorted((c, *cache[c]) for c in cache)
     ranks = [_RANK[t[1]] for t in trace]
@@ -419,22 +394,15 @@ def bracket_speeds(sys, c_grid_or_bisection, cap=DEFAULT_CAP, A=None):
         raise InconsistentClassification("classification is non-monotone along c: " + ", ".join(
             f"{c:.6g} {cls}" for c, cls, *_ in trace))
 
-    betas = [c for c, cls, *_ in trace if cls == "beta"]
-    not_betas = [c for c, cls, *_ in trace if cls != "beta"]
-    zeros = [c for c, cls, *_ in trace if cls == "zero"]
-    not_zeros = [c for c, cls, *_ in trace if cls != "zero"]
+    def bracket(below):
+        under = [c for c, cls, *_ in trace if below(cls)]
+        over = [c for c, cls, *_ in trace if not below(cls)]
+        return SpeedBracket(c_lo=max(under) if under else -np.inf,
+                            c_hi=min(over) if over else np.inf,
+                            open_below=not under, open_above=not over, trace=trace,
+                            profiles=profiles)
 
-    cstar = SpeedBracket(
-        c_lo=max(betas) if betas else -np.inf,
-        c_hi=min(not_betas) if not_betas else np.inf,
-        open_below=not betas, open_above=not not_betas, trace=trace,
-        profiles=profiles)
-    cbar = SpeedBracket(
-        c_lo=max(not_zeros) if not_zeros else -np.inf,
-        c_hi=min(zeros) if zeros else np.inf,
-        open_below=not not_zeros, open_above=not zeros, trace=trace,
-        profiles=profiles)
-    return cstar, cbar
+    return tuple(bracket(below) for below in edges)
 
 
 def _check_monostable(sys):

@@ -161,8 +161,8 @@ def test_c7_comparison_principle_suite(const_sys):
     for _ in range(20):
         lo = rng.uniform(0.0, 1.4, (2, n))
         hi = np.minimum(lo + rng.uniform(0.0, 0.6, (2, n)), 2.0)
-        a = evolve_system(LineState(lo, 0.0, -1.0, 1.0), const_sys, "cooperative", 0.0, 1.0)
-        b = evolve_system(LineState(hi, 0.0, -1.0, 1.0), const_sys, "cooperative", 0.0, 1.0)
+        a = evolve_system(LineState(lo, 0.0, -1.0, 1.0), const_sys, 0.0, 1.0)
+        b = evolve_system(LineState(hi, 0.0, -1.0, 1.0), const_sys, 0.0, 1.0)
         worst = max(worst, float(np.max(a.values - b.values)))
     report("C7", worst <= 1e-9, f"worst ordering violation = {worst:.2e} over 20 pairs")
 

@@ -373,7 +373,7 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
         tracer.install()
         assert eigen.principal_of_map is not originals[1]
         # a tiny bracket and report must reach the layers through those names
-        weinberger.bracket_speeds(make_system(nt=50, nx=8), [1.0], cap=2)
+        weinberger.bracket_speeds(make_system(nt=50, nx=8), (0.5, 1.0, 0), cap=2)
         speeds.compute_speed_report(make_system(nt=50, nx=8))
         metrics = tracer.op_metrics([None])[None]
     finally:

@@ -90,16 +90,17 @@ def test_period_map_linearity():
 
 def test_evolve_zero_stays_zero(constants_system):
     st = LineState(np.zeros((2, 129)), 0.0, -1.0, 1.0)
-    out = evolve_system(st, constants_system, "competitive", 0.0, 1.0)
+    out = evolve_system(st, constants_system, 0.0, 1.0)
     assert np.all(out.values == 0.0)
 
 
 def test_semitrivial_equilibrium_is_stationary(constants_system):
-    # (u1*, 0) = (2, 0) for the constants instance
-    st = LineState(np.vstack([np.full(129, 2.0), np.zeros(129)]), 0.0, -1.0, 1.0)
-    out = evolve_system(st, constants_system, "competitive", 0.0, 1.0)
+    # (u1, u2) = (u1*, 0) = (2, 0) for the constants instance, which is
+    # (v1, v2) = (u1*, u2*) = (2, 1) in cooperative variables
+    st = LineState(np.vstack([np.full(129, 2.0), np.ones(129)]), 0.0, -1.0, 1.0)
+    out = evolve_system(st, constants_system, 0.0, 1.0)
     np.testing.assert_allclose(out.values[0], 2.0, atol=1e-11)
-    assert np.all(out.values[1] == 0.0)
+    np.testing.assert_allclose(out.values[1], 1.0, atol=1e-11)
 
 
 def test_cooperative_comparison_stable_under_dt_refinement(constants_system):
@@ -110,8 +111,8 @@ def test_cooperative_comparison_stable_under_dt_refinement(constants_system):
         n = 65
         lo = r.uniform(0, 1.2, (2, n))
         hi = lo + r.uniform(0, 0.5, (2, n))
-        a = evolve_system(LineState(lo, 0.0, -2.0, 2.0), sys_ref, "cooperative", 0.0, 1.0)
-        b = evolve_system(LineState(hi, 0.0, -2.0, 2.0), sys_ref, "cooperative", 0.0, 1.0)
+        a = evolve_system(LineState(lo, 0.0, -2.0, 2.0), sys_ref, 0.0, 1.0)
+        b = evolve_system(LineState(hi, 0.0, -2.0, 2.0), sys_ref, 0.0, 1.0)
         assert float(np.max(a.values - b.values)) <= 1e-9
 
 
@@ -122,9 +123,9 @@ def test_translation_equivariance(periodic_b2_system=None):
     x = np.linspace(-8.0, 8.0, 16 * 64 + 1)
     bump = np.exp(-(x**2))
     v0 = np.vstack([bump, 0.3 * bump])
-    plain = evolve_system(LineState(v0, 0.0, -8.0, 8.0), sysp, "cooperative", 0.0, 1.0)
+    plain = evolve_system(LineState(v0, 0.0, -8.0, 8.0), sysp, 0.0, 1.0)
     shifted0 = np.vstack([np.interp(x - 1.0, x, v0[0]), np.interp(x - 1.0, x, v0[1])])
-    moved = evolve_system(LineState(shifted0, 0.0, -8.0, 8.0), sysp, "cooperative", 0.0, 1.0)
+    moved = evolve_system(LineState(shifted0, 0.0, -8.0, 8.0), sysp, 0.0, 1.0)
     back = np.vstack([np.interp(x + 1.0, x, moved.values[0]),
                       np.interp(x + 1.0, x, moved.values[1])])
     interior = (x > -5.0) & (x < 5.0)
@@ -150,18 +151,18 @@ def test_blowup_guard(constants_system):
     # starting past the a-priori guard trips the abort on the first step
     st = LineState(np.vstack([np.zeros(129), np.full(129, 30.0)]), 0.0, -1.0, 1.0)
     with pytest.raises(BlowupError):
-        evolve_system(st, constants_system, "cooperative", 0.0, 1.0)
+        evolve_system(st, constants_system, 0.0, 1.0)
     # a reaction too stiff for the time grid is rejected outright
     sys_stiff = make_system(nt=100, nx=16, b1="30")
     st2 = LineState(np.zeros((2, 33)), 0.0, -1.0, 1.0)
     with pytest.raises(StiffReaction):
-        evolve_system(st2, sys_stiff, "competitive", 0.0, 1.0)
+        evolve_system(st2, sys_stiff, 0.0, 1.0)
 
 
 def test_time_grid_validation(constants_system):
     st = LineState(np.zeros((2, 129)), 0.0, -1.0, 1.0)
     with pytest.raises(ValueError):
-        evolve_system(st, constants_system, "competitive", 0.0, 0.0012345)
+        evolve_system(st, constants_system, 0.0, 0.0012345)
 
 
 def test_banded_assembly_row_sums():
@@ -181,7 +182,7 @@ VARYING_MEDIA = {"d1": "1 + 0.3*cos(2*pi*(x - t))", "d2": "0.5 + 0.2*sin(2*pi*x)
                  "b1": "2 + 0.5*cos(2*pi*x)", "b2": "1 + 0.5*sin(2*pi*t)"}
 
 
-def _reference_line_period(sys, x, form, u2, v, period_index):
+def _reference_line_period(sys, x, u2, v, period_index):
     """One period on the line: the reaction formula, then solve_line_transport per species."""
     nt, dt, dx = sys.nt, sys.omega / sys.nt, sys.ell / sys.nx
     offsets = cell_offsets(x, sys.ell, sys.nx)
@@ -191,19 +192,13 @@ def _reference_line_period(sys, x, form, u2, v, period_index):
 
     for j in range(period_index * nt, (period_index + 1) * nt):
         r = j % nt
-        if form == "competitive":
-            u1, u2v = v
-            rate1 = tile(sys.b1, r) - tile(sys.a11, r) * u1 - tile(sys.a12, r) * u2v
-            rate2 = tile(sys.b2, r) - tile(sys.a21, r) * u1 - tile(sys.a22, r) * u2v
-            reacted = [u1 * (1.0 + dt * rate1), u2v * (1.0 + dt * rate2)]
-        else:
-            v1, v2 = v
-            u2s = u2.snapshots[r][offsets]
-            a12, a22 = tile(sys.a12, r), tile(sys.a22, r)
-            rate1 = tile(sys.b1, r) - a12 * u2s - tile(sys.a11, r) * v1 + a12 * v2
-            rate2 = tile(sys.b2, r) - 2.0 * a22 * u2s + a22 * v2
-            source2 = tile(sys.a21, r) * v1 * (u2s - v2)
-            reacted = [v1 * (1.0 + dt * rate1), v2 * (1.0 + dt * rate2) + dt * source2]
+        v1, v2 = v
+        u2s = u2.snapshots[r][offsets]
+        a12, a22 = tile(sys.a12, r), tile(sys.a22, r)
+        rate1 = tile(sys.b1, r) - a12 * u2s - tile(sys.a11, r) * v1 + a12 * v2
+        rate2 = tile(sys.b2, r) - 2.0 * a22 * u2s + a22 * v2
+        source2 = tile(sys.a21, r) * v1 * (u2s - v2)
+        reacted = [v1 * (1.0 + dt * rate1), v2 * (1.0 + dt * rate2) + dt * source2]
         r_new = (j + 1) % nt
         v = np.stack([solve_line_transport(tile(d, r_new), tile(g, r_new), dx, dt, w)
                       for (d, g), w in zip(((sys.d1, sys.g1), (sys.d2, sys.g2)), reacted)])
@@ -211,17 +206,16 @@ def _reference_line_period(sys, x, form, u2, v, period_index):
     return v
 
 
-@pytest.mark.parametrize("form", ["competitive", "cooperative"])
-def test_line_evolver_matches_per_species_reference(form):
+def test_line_evolver_matches_per_species_reference():
     # the stacked two-species solve must reproduce separate per-species solves
     # bit for bit; the line starts off the cell origin so the offsets wrap
     sys = make_system(nt=50, nx=16, **VARYING_MEDIA)
     u2 = sys.u2_star()
-    ev = LineSystemEvolver(sys, -2.25, 1.75, form)
+    ev = LineSystemEvolver(sys, -2.25, 1.75)
     r = rng(5)
     v0 = np.vstack([r.uniform(0.0, 2.0, ev.n_nodes), r.uniform(0.0, 0.8, ev.n_nodes)])
     out = ev.period(v0.copy(), period_index=1)
-    ref = _reference_line_period(sys, ev.x, form, u2, v0.copy(), 1)
+    ref = _reference_line_period(sys, ev.x, u2, v0.copy(), 1)
     np.testing.assert_array_equal(out, ref)
     assert not np.array_equal(out, v0)
 
@@ -230,7 +224,7 @@ def test_line_evolver_nonelliptic_guard():
     bad = make_system(nt=50, nx=16)
     bad.d2 = field("0.5*sin(2*pi*x)", nt=50, nx=16)  # bypasses SystemSpec validation
     with pytest.raises(NonEllipticError):
-        LineSystemEvolver(bad, -1.0, 1.0, "competitive")
+        LineSystemEvolver(bad, -1.0, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -239,7 +233,7 @@ def order_evolver():
     # box 0 <= v1 <= state_bound, 0 <= v2 <= u2* = 1 at every time
     media = dict(VARYING_MEDIA, b2="1")
     sys = make_system(nt=50, nx=16, **media)
-    return LineSystemEvolver(sys, -1.0, 1.0, "cooperative")
+    return LineSystemEvolver(sys, -1.0, 1.0)
 
 
 _NODES = 33  # nodes of the line [-1, 1] at nx = 16
@@ -283,11 +277,14 @@ def _reference_march(pmap, d, g, v, source=None):
     return states
 
 
-@pytest.mark.parametrize("shift_mean", [True, False])
-def test_cell_period_map_matches_row_by_row_reference(shift_mean):
+@pytest.mark.parametrize("shift_mean, nx", [
+    pytest.param(shift_mean, nx, id=str(shift_mean) if nx == 64 else f"{shift_mean}-nx{nx}")
+    for nx in (64, 2, 3, 4) for shift_mean in (True, False)])
+def test_cell_period_map_matches_row_by_row_reference(shift_mean, nx):
     # the table-driven kernel must reproduce the per-row cyclic solves bit for
-    # bit on t- and x-dependent media whose drift changes sign
-    nt, nx = 40, 64
+    # bit on t- and x-dependent media whose drift changes sign, also on cells
+    # so small that the corners touch the band
+    nt = 40
     d = field("1 + 0.3*cos(2*pi*(x - t))", nt=nt, nx=nx)
     g = field("0.8*sin(2*pi*(x - t))", nt=nt, nx=nx)
     h = field("2 + 0.5*cos(2*pi*x) + sin(2*pi*t)", nt=nt, nx=nx)

@@ -76,7 +76,7 @@ def test_recursion_monotone_in_m(fisher_small):
     res = recursion_limit(1.0, sys, cap=12, A=12.0)
     p0 = init_profile((1.0, 1.0), 12.0, 12 * 2 * sys.nx)
     # rerun step by step and check nodewise growth
-    ev = LineSystemEvolver(sys, -12.0, 12.0, "cooperative")
+    ev = LineSystemEvolver(sys, -12.0, 12.0)
     cur = p0
     for _ in range(6):
         nxt = apply_R(cur, 1.0, sys, evolver=ev)
@@ -104,29 +104,27 @@ def test_recursion_supercritical_speed_dies_on_the_right(fisher_small):
     assert left[0] < 1.0  # retreating wave never rebuilds the full plateau
 
 
-def test_bracket_grid_mode_classifications(fisher_small):
-    cstar, cbar = bracket_speeds(fisher_small, [0.5, 2.9], cap=60)
+def test_bracket_endpoint_classifications(fisher_small):
+    cstar, cbar = bracket_speeds(fisher_small, (0.5, 2.9, 0), cap=60)
     classes = {c: cls for c, cls, _, _ in cstar.trace}
     assert classes[0.5] == "beta"
     assert classes[2.9] == "zero"
     assert cstar.c_lo == 0.5 and cstar.c_hi == 2.9
 
 
-def test_bracket_tuple_is_a_bisection_spec_and_list_a_grid():
+def test_bracket_takes_only_a_bisection_spec():
     sys = make_system(nt=50, nx=8)
-    cstar, _ = bracket_speeds(sys, [0.5, 1.0, 2.0], cap=2)
-    assert [c for c, _, _, _ in cstar.trace] == [0.5, 1.0, 2.0]
     cstar, _ = bracket_speeds(sys, (0.5, 2.0, 0), cap=2)
     assert sorted(c for c, _, _, _ in cstar.trace) == [0.5, 2.0]
     for spec in ((0.5, 1.0, 2.0), (0.5, 1.0), (2.0, 0.5, 1), (0.5, 2.0, -1), (0.5, 2.0, True),
-                 []):
+                 [], [0.5, 2.0]):
         with pytest.raises(ValueError):
             bracket_speeds(sys, spec, cap=2)
 
 
 def test_bracket_open_ended_flag(fisher_small):
     # both endpoints below the speed: the beta classification never breaks
-    cstar, cbar = bracket_speeds(fisher_small, [0.2, 0.7], cap=60)
+    cstar, cbar = bracket_speeds(fisher_small, (0.2, 0.7, 0), cap=60)
     assert cstar.open_above and cbar.open_above
     assert np.isinf(cstar.c_hi)
 
@@ -142,7 +140,7 @@ def test_doubling_domain_never_flips_beta_to_zero(fisher_small):
 
 def test_profile_and_trace_dumps(tmp_path, fisher_small):
     from speedlab.weinberger import dump_bracket_trace_csv, dump_profile_csv
-    cstar, _ = bracket_speeds(fisher_small, [0.5, 2.9], cap=60)
+    cstar, _ = bracket_speeds(fisher_small, (0.5, 2.9, 0), cap=60)
     trace_path = tmp_path / "trace.csv"
     dump_bracket_trace_csv(trace_path, cstar.trace)
     trace_lines = trace_path.read_text().splitlines()
@@ -170,7 +168,7 @@ def test_bracket_profile_sits_on_the_solver_grid_of_a_coarse_cell():
     # solver nodes; the domain widens to 13 cells instead of padding the
     # profile to 200 nodes off the evolver's grid
     sys = make_system(nt=100, nx=8, b1="0.3", d2="1", a12="0", a21="0")
-    cstar, _ = bracket_speeds(sys, [0.5], cap=5)
+    cstar, _ = bracket_speeds(sys, (0.25, 0.5, 0), cap=5)
     prof, _ = cstar.profiles[0.5]
     assert prof.x.size == 2 * 13 * 8 + 1
 
