@@ -35,8 +35,8 @@ EXIT_INCONCLUSIVE = Inconclusive.exit_code
 
 # memory bounds: ten coefficient fields and the eigenfunctions hold nt*nx
 # floats each and the dense monodromy of t-independent media (and of the
-# coupled resolvent) nx*nx, checked before any field is built; the front
-# records one position per period and its line has 2*A*nx/ell cells
+# coupled resolvent) nx*nx, checked before any field is built; the front's
+# window has (behind + ahead)*nx cells and its trace T positions
 MAX_GRID_NODES = 10**6
 MAX_NX = 1024
 
@@ -69,16 +69,16 @@ class ScenarioConfig:
         disc = raw.get("discretization", {})
         if not isinstance(disc, dict):
             raise ValidationError("discretization must be an object")
-        extra = set(disc) - {"nt", "nx", "dt", "dx", "A", "T"}
+        extra = set(disc) - {"nt", "nx", "dt", "dx", "T"}
         if extra:
-            raise ValidationError(f"unknown discretization keys: {sorted(extra)}")
+            why = "; A is no longer used: the front runs on a fixed co-moving window"
+            raise ValidationError(f"unknown discretization keys: {sorted(extra)}"
+                                  + (why if "A" in extra else ""))
         self.nt = _resolve_steps(disc, "nt", "dt", self.omega, default=200)
         self.nx = _resolve_steps(disc, "nx", "dx", self.ell, default=64)
         if self.nx > MAX_NX or self.nt * self.nx > MAX_GRID_NODES:
             raise ValidationError(f"grid nt = {self.nt}, nx = {self.nx} is too large: "
                                   f"need nx <= {MAX_NX} and nt*nx <= {MAX_GRID_NODES:,}")
-        self.domain_half_width = (_positive_number(disc, "A")
-                                  if disc.get("A") is not None else None)
         self.periods = _integer(disc.get("T", 30), "T", least=1)
         if self.periods > MAX_GRID_NODES:
             raise ValidationError(f"T = {self.periods} is too large: need T <= {MAX_GRID_NODES:,}")
@@ -104,24 +104,15 @@ class ScenarioConfig:
         except ValidationError as exc:
             raise ValidationError(f"model rejected: {exc}") from exc
         if "front" in self.tasks:
-            self.front_half_width(None)  # the line fits, at least with the speed estimate
+            try:
+                behind, ahead = frontsim.window_cells(self.system, self.periods)
+            except OverflowError:  # cells so short that their count is not finite
+                behind = ahead = math.inf
+            if (behind + ahead) * self.nx > MAX_GRID_NODES:
+                raise ValidationError(
+                    f"the front's window is too large: {behind:.3g} cells behind and {ahead:.3g} "
+                    f"ahead at nx = {self.nx}, need (behind + ahead)*nx <= {MAX_GRID_NODES:,}")
         self.raw = raw
-
-    def front_half_width(self, c0):
-        """Half width of the front's line: A as given, else sized from c0 or the speed estimate.
-
-        The sizing speed pads c0 (run_front checks A against the raw one), and
-        the line must fit in MAX_GRID_NODES: 2*A*nx/ell cells.
-        """
-        sys_spec = self.system
-        c_sizing = 1.5 * c0 if c0 else 2.0 * sys_spec.speed_estimate()
-        half_width = (self.domain_half_width
-                      or c_sizing * self.periods * sys_spec.omega + 10.0 * sys_spec.ell)
-        cells = 2.0 * half_width * self.nx / sys_spec.ell
-        if not cells <= MAX_GRID_NODES:
-            raise ValidationError(f"the front's line is too large: A = {half_width:.3g} gives "
-                                  f"2*A*nx/ell = {cells:.3g} cells, need <= {MAX_GRID_NODES:,}")
-        return half_width
 
 
 def _positive_number(obj, key):
@@ -275,9 +266,7 @@ def _task_weinberger(cfg, sys_spec, speed_report):
 
 
 def _task_front(cfg, sys_spec, speed_report):
-    c0 = speed_report.c0_plus if speed_report is not None else None
-    half_width = cfg.front_half_width(c0)
-    trace = frontsim.run_front(sys_spec, half_width, cfg.periods, c_estimate=c0)
+    trace = frontsim.run_front(sys_spec, cfg.periods)
     frontsim.dump_trace_csv(os.path.join(cfg.output, "front_trace.csv"), trace)
     if trace.final_state is not None:
         pde.dump_snapshot_csv(os.path.join(cfg.output, "final_snapshot.csv"),
@@ -301,7 +290,7 @@ DEMOS = {
     "competition-constants": {
         "model": {"omega": 1.0, "ell": 1.0, "d1": "1", "d2": "0.5", "g1": "0", "g2": "0",
                   "b1": "2", "b2": "1", "a11": "1", "a12": "0.3", "a21": "1.2", "a22": "1"},
-        "discretization": {"nt": 200, "nx": 64, "A": 70.0, "T": 20},
+        "discretization": {"nt": 200, "nx": 64, "T": 20},
         "tasks": ["speed", "check", "front"],
         "output": "out-competition-constants",
     },

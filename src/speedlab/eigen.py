@@ -108,13 +108,21 @@ def principal_of_map(pmap: CellPeriodMap) -> EigenResult:
     The map carries its mean potential as a separate exact shift, so the
     power iteration always works at unit scale; the residual is measured on
     that normalized map.  A time-dependent map is applied by one-column
-    marches; a time-independent one by its dense matrix, which binary
+    marches that keep their states, the last of which give the
+    eigenfunction; a time-independent one by its dense matrix, which binary
     powering of the one step matrix makes cheaper than a march.
     """
-    apply = pmap.matrix().dot if pmap.time_independent else pmap.apply
-    rho_s, psi0, iterations, residual = _power_iteration(apply, pmap.nx)
+    last = {}
+
+    def march(psi):  # keeps the states of the latest march
+        last["states"] = pmap.snapshots(psi)
+        return last["states"][-1]
+
+    rho_s, psi0, iterations, residual = _power_iteration(
+        pmap.matrix().dot if pmap.time_independent else march, pmap.nx)
     lam = math.log(rho_s) / pmap.omega + pmap.shift
-    raw = pmap.snapshots(psi0)[:-1]  # rows at t_0 .. t_{nt-1}
+    # a marched psi0 is the iterate just mapped, so the last march holds its states
+    raw = (last["states"] if last else pmap.snapshots(psi0))[:-1]  # rows at t_0 .. t_{nt-1}
     scale = rho_s ** (-np.arange(pmap.nt) / pmap.nt)
     ef = raw * scale[:, None]
     ef /= ef.max()

@@ -78,10 +78,6 @@ class InconsistentClassification(Inconclusive):
     """Profile classifications are non-monotone along the speed axis."""
 
 
-class DomainTooSmall(Inconclusive):
-    """The front domain is narrower than the run can reach (checked before it starts)."""
-
-
 class NoCrossing(Inconclusive):
     """Normalized field does not cross the front threshold."""
 

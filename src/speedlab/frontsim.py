@@ -5,24 +5,33 @@ x <= 0 with species 2 occupying the whole line, evolves the cooperative
 transform of the system, and records the front position once per period.
 Sampling at whole periods removes the time wobble of the periodic medium;
 the residual spatial wobble is removed by normalizing species 1 against
-its periodic level before thresholding.
+its periodic level before thresholding.  The line is a window of whole
+cells that follows the front; a pulled front's edge decays like
+exp(-mu0*x) (van Saarloos, Phys. Rep. 386 (2003)), but its leading edge
+spreads diffusively ahead of it, so the room the window keeps ahead is a
+length growing like sqrt(T), sized from ell, omega, d1 and a bound on the
+front's speed; a fixed room would bias long runs the way a cutoff slows a
+pulled front (Brunet and Derrida, Phys. Rev. E 56 (1997)).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 from scipy import stats
 
-from .errors import DomainTooSmall, NoCrossing, TooFewPoints
-from .pde import (LineState, LineSystemEvolver, ceil_to_multiple, cell_offsets,
-                  rightmost_crossing, write_csv)
+from .errors import NoCrossing, TooFewPoints
+from .pde import LineState, LineSystemEvolver, cell_offsets, rightmost_crossing, write_csv
 
 FRONT_THRESHOLD = 0.5
 DISCARD_FRACTION = 0.3
 SPEED_TOL = 0.05  # relative gap allowed between the fitted speed and c0
-BOUNDARY_GUARD_PERIODS = 5.0  # front must stay this many ell from the edge
+BOUNDARY_GUARD_PERIODS = 5  # front must stay this many ell from the window's right end
+WINDOW_BEHIND = 15  # least cells of the window behind the front, and least length
+WINDOW_AHEAD = 40   # least cells of the window ahead of the front's cell
+EDGE_SPREAD = 40.0  # room ahead of the guard zone is sqrt(EDGE_SPREAD * max d1 * t_final)
 AHEAD_FRACTION = 1.05   # ahead tail checked on x >= 1.05 * c_fit * T
 BEHIND_FRACTION = 0.80  # behind tail checked on x <= 0.80 * c_fit * T
 
@@ -87,49 +96,71 @@ def front_position(state: LineState, u1_star, threshold=FRONT_THRESHOLD):
     return pos
 
 
-def run_front(sys, A, periods, c_estimate=None, keep_every=None) -> FrontTrace:
+def window_cells(sys, periods):
+    """Cells of the front's window behind x = 0 and ahead of it, for a run of `periods`.
+
+    Behind: WINDOW_BEHIND cells, and at least WINDOW_BEHIND in length, since
+    the left wall's error decays in x, not in cells.  Ahead: WINDOW_AHEAD
+    cells, or more to keep a room past the guard zone for a front that
+    starts a period in [0, ell) and moves at the KPP bound
+    2*sqrt(max d1 * max b1) + max |g1|.  In a pulled front's frame
+    u*exp(mu0*z) spreads like heat, so a wall at distance L perturbs the
+    front like exp(-L^2/(4*d*t)) and the room grows like sqrt(t).  A wide
+    fixed line agrees with the window's positions to 1e-12 on Fisher runs
+    with ell = 0.25, with omega = 20, and at T = 120.
+    """
+    ell = sys.ell
+    c_bound = sys.speed_estimate() + max(sys.g1.max(), -sys.g1.min())
+    room = math.sqrt(EDGE_SPREAD * sys.d1.max() * periods * sys.omega)
+    behind = max(WINDOW_BEHIND, math.ceil(WINDOW_BEHIND / ell))
+    ahead = max(WINDOW_AHEAD, 1 + BOUNDARY_GUARD_PERIODS
+                + math.ceil((c_bound * sys.omega + room) / ell))
+    return behind, ahead
+
+
+def run_front(sys, periods, keep_every=None) -> FrontTrace:
     """Evolve the invasion front for `periods` periods, recording positions.
 
     Initial data in cooperative variables: v1 = u1*(0,x) for x <= 0 and 0
     ahead, v2 = 0 (species 2 at carrying level everywhere), with both orbits
-    the system's own (sys.u1_star(), sys.u2_star()).  The half width A is
-    rounded up to whole cells.  Aborts with a flagged partial trace when the
-    front enters the 5-ell boundary zone.
+    the system's own.  The window [-behind*ell, ahead*ell] of window_cells
+    moves by k = floor((x_f - x_lo)/ell) - behind > 0 whole cells after a
+    period, keeping the cell offsets, with zeros (the invaded state)
+    entering on the right; states carry absolute x_lo and x_hi.  Aborts with
+    a flagged partial trace when the front ends a period within
+    BOUNDARY_GUARD_PERIODS*ell of the window's right end.
     """
-    ell, omega = sys.ell, sys.omega
-    if c_estimate is None:
-        c_estimate = 2.0 * sys.speed_estimate()
-    need = c_estimate * periods * omega + 10.0 * ell
-    if A < need:
-        raise DomainTooSmall(
-            f"A = {A:.3g} < c_estimate*T*omega + 10*ell = {need:.3g}")
-    A = ceil_to_multiple(A, ell)
-
+    ell, omega, nx = sys.ell, sys.omega, sys.nx
     u1_star = sys.u1_star()
-    ev = LineSystemEvolver(sys, -A, A)
-    x = ev.x
+    behind, ahead = window_cells(sys, periods)
+    ev = LineSystemEvolver(sys, -behind * ell, ahead * ell)
     v = np.zeros((2, ev.n_nodes))
-    v[0] = np.where(x <= 0.0, u1_star.snapshots[0][cell_offsets(x, ell, sys.nx)], 0.0)
+    v[0] = np.where(ev.x <= 0.0, u1_star.snapshots[0][cell_offsets(ev.x, ell, nx)], 0.0)
     if not np.any(v[0] > 0):
         return FrontTrace(times=[], positions=[], empty=True,
                           note="species 1 initial data is identically zero")
 
     trace = FrontTrace(times=[], positions=[])
-    guard = A - BOUNDARY_GUARD_PERIODS * ell
+    shift = 0  # whole cells the window has moved
     for p in range(1, int(periods) + 1):
         v = ev.period(v, period_index=p - 1)
         t = p * omega
-        state = LineState(v.copy(), t, -A, A)
+        x_lo, x_hi = ev.x_lo + shift * ell, ev.x_hi + shift * ell
+        state = LineState(v.copy(), t, x_lo, x_hi)
         pos = front_position(state, u1_star)
         trace.times.append(t)
         trace.positions.append(pos)
         if keep_every and p % keep_every == 0:
             trace.snapshots.append(state)
         trace.final_state = state
-        if pos > guard:
+        if pos > x_hi - BOUNDARY_GUARD_PERIODS * ell:
             trace.aborted = True
-            trace.note = f"front entered the {BOUNDARY_GUARD_PERIODS:.0f}*ell boundary zone"
+            trace.note = f"front within {BOUNDARY_GUARD_PERIODS}*ell of the window's right end"
             break
+        k = int((pos - x_lo) // ell) - behind
+        if k > 0:
+            v = np.concatenate([v[:, k * nx:], np.zeros((2, k * nx))], axis=1)
+            shift += k
     return trace
 
 
@@ -166,10 +197,13 @@ def spreading_verdict(sys, trace: FrontTrace, c_report) -> SpreadingVerdict:
     Ahead of the front the solution must be below 1% of the carrying pair;
     behind it must sit within 5%; the fitted speed must be within SPEED_TOL
     of c0, relatively.  The decisive stations follow the dichotomy's moving
-    frame, x >= 1.05*c_fit*T and x <= 0.8*c_fit*T; the fixed two-period
-    offsets x_f +/- 2*ell are also reported since a front whose width
-    exceeds a couple of periods straddles them.  Note: the simulator's step
-    data touches the carrying pair on the left, which matches the lower
+    frame on the front's window [x_lo, x_hi]: behind, x <= max(0.8*c_fit*T,
+    x_lo + 5*ell); ahead, x >= min(1.05*c_fit*T, x_hi - 5*ell).  In long runs
+    0.8*c_fit*T leaves the window, whose first five cells then serve; the
+    notes name a station that falls back.  The fixed two-period offsets
+    x_f +/- 2*ell are also reported since a front whose width exceeds a
+    couple of periods straddles them.  Note: the simulator's step data
+    touches the carrying pair on the left, which matches the lower
     statement's initial class and only approximates the upper one; the
     verdict reports both tails regardless.
     """
@@ -206,8 +240,19 @@ def spreading_verdict(sys, trace: FrontTrace, c_report) -> SpreadingVerdict:
     def region_max(arr, mask):
         return float(arr[mask].max()) if mask.any() else None
 
-    tail_front = region_max(rel_size, x >= AHEAD_FRACTION * fit.speed * t_final)
-    tail_back = region_max(rel_dist, x <= BEHIND_FRACTION * fit.speed * t_final)
+    # the fallbacks stop where the window's walls stop being trusted: the
+    # guard zone's depth, BOUNDARY_GUARD_PERIODS*ell, inside either end
+    margin = BOUNDARY_GUARD_PERIODS * sys.ell
+    frame_behind = BEHIND_FRACTION * fit.speed * t_final
+    frame_ahead = AHEAD_FRACTION * fit.speed * t_final
+    behind = max(frame_behind, state.x_lo + margin)
+    ahead = min(frame_ahead, state.x_hi - margin)
+    if behind > frame_behind:
+        notes.append(f"behind station falls back to x_lo + {BOUNDARY_GUARD_PERIODS}*ell = {behind:.6g}")
+    if ahead < frame_ahead:
+        notes.append(f"ahead station falls back to x_hi - {BOUNDARY_GUARD_PERIODS}*ell = {ahead:.6g}")
+    tail_front = region_max(rel_size, x >= ahead)
+    tail_back = region_max(rel_dist, x <= behind)
     tail_front_2ell = region_max(rel_size, x >= x_f + 2.0 * sys.ell)
     tail_back_2ell = region_max(rel_dist, x <= x_f - 2.0 * sys.ell)
 

@@ -1,19 +1,38 @@
 import numpy as np
 import pytest
 
-from speedlab import SystemSpec, build_field
+from speedlab import LineState, LineSystemEvolver, SystemSpec, build_field, front_position
+from speedlab.pde import cell_offsets
 
 
 def field(expr, omega=1.0, ell=1.0, nt=200, nx=64):
     return build_field(expr, omega, ell, nt, nx)
 
 
-def make_system(nt=200, nx=64, **overrides):
+def make_system(nt=200, nx=64, omega=1.0, ell=1.0, **overrides):
     """Constants competition instance; override individual expressions."""
     exprs = {"d1": "1", "d2": "0.5", "g1": "0", "g2": "0", "b1": "2", "b2": "1",
              "a11": "1", "a12": "0.3", "a21": "1.2", "a22": "1"}
     exprs.update(overrides)
-    return SystemSpec.from_expressions(exprs, 1.0, 1.0, nt, nx)
+    return SystemSpec.from_expressions(exprs, omega, ell, nt, nx)
+
+
+def fixed_line_positions(sys, half_width, periods):
+    """Front positions on the fixed line [-A, A] from the front's initial data.
+
+    The oracle for the co-moving window: a line wide enough for the whole run
+    has no moving boundary to truncate the front.
+    """
+    u1 = sys.u1_star()
+    ev = LineSystemEvolver(sys, -half_width, half_width)
+    v = np.zeros((2, ev.n_nodes))
+    v[0] = np.where(ev.x <= 0.0, u1.snapshots[0][cell_offsets(ev.x, sys.ell, sys.nx)], 0.0)
+    positions = []
+    for p in range(periods):
+        v = ev.period(v, period_index=p)
+        state = LineState(v, (p + 1) * sys.omega, -half_width, half_width)
+        positions.append(front_position(state, u1))
+    return np.array(positions)
 
 
 @pytest.fixture(scope="session")

@@ -46,7 +46,7 @@ def const_report(const_sys):
 def const_front(const_sys, const_report):
     rep, rep_seconds = const_report
     t0 = time.perf_counter()
-    trace = run_front(const_sys, 120.0, 40, c_estimate=rep.c0_plus)
+    trace = run_front(const_sys, 40)
     verdict = spreading_verdict(const_sys, trace, rep)
     return trace, verdict, rep_seconds + (time.perf_counter() - t0)
 

@@ -3,16 +3,17 @@ import importlib.util
 import json
 import os
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from speedlab import cli, eigen, pde, speeds, weinberger
+from speedlab import cli, eigen, frontsim, pde, speeds, weinberger
 from speedlab.cli import (DEMOS, EXIT_INCONCLUSIVE, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                           ScenarioConfig, main, run_scenario)
 from speedlab.errors import (Inconclusive, NoConvergence, NumericalFailure, SpeedlabError,
                              ValidationError)
 
-from conftest import make_system
+from conftest import fixed_line_positions, make_system
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "perfbench", "tracing.py")
@@ -69,10 +70,13 @@ def test_ellipticity_guard_is_a_validation_failure(tmp_path):
     lambda c: c["model"].pop("b1"),
     lambda c: c["model"].update(b1="sin("),
     lambda c: c["discretization"].update(dt=0.005),  # both nt and dt given
-    lambda c: c["discretization"].update(A=-3.0),
-    lambda c: c["discretization"].update(A="10"),
-    lambda c: c["discretization"].update(A=float("nan")),
-    lambda c: c["discretization"].update(A=float("inf")),
+    lambda c: c["discretization"].update(T=0),
+    # fronts whose window passes (behind + ahead)*nx = 10^6 cells: short
+    # cells need more of them per length (past any finite count at 1e-310),
+    # and a long run more room ahead
+    lambda c: c.update(tasks=["front"], model={**c["model"], "ell": 1e-310}),
+    lambda c: c.update(tasks=["front"], model={**c["model"], "ell": 1e-3}),
+    lambda c: c.update(tasks=["front"], discretization={"nt": 200, "nx": 256, "T": 10**6}),
     lambda c: c["discretization"].update(T="abc"),
     lambda c: c["discretization"].update(T=2.7),
     lambda c: c["discretization"].update(T="25"),
@@ -84,10 +88,10 @@ def test_ellipticity_guard_is_a_validation_failure(tmp_path):
     lambda c: c["discretization"].update(nt=10**9),
     lambda c: c["discretization"].update(nx=10**9),
     lambda c: c["discretization"].update(nt=2, nx=4096),  # nt*nx is small, nx*nx is not
-    # fronts whose line would pass 2*A*nx/ell = 10^6 cells
+    # fronts past T = 10^6 periods, or with a line half width that is no longer
+    # used (test_given_half_width_is_rejected_with_its_reason checks the reason)
     lambda c: c.update(tasks=["front"], discretization={"nt": 200, "nx": 64, "A": 1e15}),
     lambda c: c.update(tasks=["front"], discretization={"nt": 200, "nx": 64, "T": 10**9}),
-    lambda c: c.update(tasks=["front"], discretization={"nt": 200, "nx": 64, "T": 10**5}),
 ])
 def test_validation_rejections(tmp_path, mutate):
     cfg = fisher_config(tmp_path / "out")
@@ -96,17 +100,33 @@ def test_validation_rejections(tmp_path, mutate):
         ScenarioConfig(cfg)
 
 
-def test_front_sized_from_c0_past_the_line_bound_is_a_validation_failure(tmp_path):
-    # the drift puts c0 = 7 above the speed estimate 2 that validation sizes
-    # the line with, so only the front's own check sees 2*A*nx/ell > 10^6
-    cfg = fisher_config(tmp_path / "out", tasks=("front",), nt=50, nx=8, T=10_000)
-    cfg["model"]["g1"] = "5"
-    ScenarioConfig(cfg)
+@pytest.mark.parametrize("half_width", [70.0, None])
+def test_given_half_width_is_rejected_with_its_reason(tmp_path, half_width):
+    # the key is refused, not ignored, even when it is null
+    cfg = fisher_config(tmp_path / "out", tasks=("front",), A=half_width)
     assert run_scenario(cfg, quiet=True) == EXIT_VALIDATION
     rep = read_report(tmp_path / "out")
     assert rep["status"] == "validation-failure"
-    assert "line is too large" in rep["reason"]
-    assert "front" not in rep
+    assert "co-moving window" in rep["reason"]
+
+
+def test_fast_drifting_front_keeps_up_with_its_window(tmp_path):
+    # the drift makes c0 = 7: the front crosses seven cells a period and the
+    # window follows it without reaching the guard zone
+    cfg = fisher_config(tmp_path / "out", tasks=("front",), nt=50, nx=8, T=12)
+    cfg["model"]["g1"] = "5"
+    # 12 periods leave 8 points for the fit, too few for a verdict
+    assert run_scenario(cfg, quiet=True) == EXIT_INCONCLUSIVE
+    rep = read_report(tmp_path / "out")
+    assert rep["front"]["notes"][-1] == "8 points retained, need >= 10"
+    with open(os.path.join(str(tmp_path / "out"), "front_trace.csv")) as fh:
+        positions = [float(row["x_front"]) for row in csv.DictReader(fh)]
+    assert len(positions) == 12
+
+    sys = ScenarioConfig(cfg).system
+    np.testing.assert_allclose(positions, fixed_line_positions(sys, 140.0, 12), rtol=0, atol=1e-9)
+    assert positions[-1] > 7.0 * 12 - 10.0
+    assert not frontsim.run_front(sys, 12).aborted
 
 
 @pytest.mark.parametrize("model", [{}, {"d1": "0"}], ids=["valid", "invalid"])
@@ -132,7 +152,7 @@ def test_dt_dx_aliases(tmp_path):
 
 def test_dependency_closure_front_pulls_orbit_and_speed(tmp_path):
     cfg = fisher_config(tmp_path / "out", tasks=("front",),
-                        nt=100, nx=32, A=56.0, T=16)
+                        nt=100, nx=32, T=16)
     code = run_scenario(cfg, quiet=True)
     assert code == EXIT_OK
     rep = read_report(tmp_path / "out")
@@ -153,7 +173,7 @@ def test_dependency_closure_front_pulls_orbit_and_speed(tmp_path):
 
 def test_front_without_crossing_is_inconclusive(tmp_path):
     # species 1 cannot invade (H2 fails), so the front dies out
-    cfg = fisher_config(tmp_path / "out", tasks=("front",), nt=50, nx=16, A=100.0, T=20)
+    cfg = fisher_config(tmp_path / "out", tasks=("front",), nt=50, nx=16, T=20)
     cfg["model"].update(a12="3", a21="0.2")
     assert run_scenario(cfg, quiet=True) == EXIT_INCONCLUSIVE
     rep = read_report(tmp_path / "out")

@@ -78,6 +78,22 @@ def test_time_dependent_solve_is_matrix_free_and_matches_dense_oracle(monkeypatc
     assert np.max(np.abs(k @ psi - rho_shifted * psi)) <= 1e-8
 
 
+def test_time_dependent_solve_marches_once_per_iteration(monkeypatch):
+    # the eigenfunction is the last power iterate's march, not one more
+    marches = []
+    inner = CellPeriodMap._march
+
+    def counted(self, *args, **kwargs):
+        marches.append(1)
+        return inner(self, *args, **kwargs)
+
+    monkeypatch.setattr(CellPeriodMap, "_march", counted)
+    r = principal_eigen(field("0.7"), field("0.4*sin(2*pi*x)"),
+                        field("cos(2*pi*x) + 0.3*sin(2*pi*t)"))
+    assert len(marches) == r.iterations
+    assert r.residual <= 1e-8
+
+
 def test_time_independent_solve_powers_the_dense_matrix_once(monkeypatch):
     calls = _count_matrix_calls(monkeypatch)
     r = principal_eigen(field("0.7"), field("0.4*sin(2*pi*x)"), field("cos(2*pi*x)"))

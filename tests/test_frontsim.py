@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from speedlab import fit_speed, front_position, run_front, spreading_verdict
-from speedlab.errors import DomainTooSmall, NoCrossing, TooFewPoints
+from speedlab import fit_speed, front_position, frontsim, run_front, spreading_verdict
+from speedlab.errors import NoCrossing, TooFewPoints
 from speedlab.frontsim import FrontTrace
 from speedlab.pde import LineState
 
-from conftest import make_system
+from conftest import fixed_line_positions, make_system
 
 
 @pytest.fixture(scope="module")
@@ -19,7 +19,7 @@ def fisher_run(fisher_coarse):
     # long enough for the logarithmic front-formation transient to decay
     # below the 5% verdict band
     sys = fisher_coarse
-    return sys, run_front(sys, 92.0, 40, c_estimate=2.0, keep_every=10)
+    return sys, run_front(sys, 40, keep_every=10)
 
 
 def _unit_orbit(sys):
@@ -94,12 +94,6 @@ def test_fit_speed_too_few_points():
         fit_speed(trace)
 
 
-def test_run_front_rejects_small_domain(fisher_coarse):
-    sys = fisher_coarse
-    with pytest.raises(DomainTooSmall):
-        run_front(sys, 15.0, 12, c_estimate=2.0)
-
-
 def test_run_front_empty_species(fisher_coarse):
     sys = fisher_coarse
     empty = FrontTrace(times=[], positions=[], empty=True)
@@ -141,20 +135,63 @@ def test_threshold_invariance_of_measured_speed(fisher_run):
         assert np.ptp(offsets) <= allowance + 0.1
 
 
-def test_doubling_domain_leaves_fit_unchanged(fisher_coarse, fisher_run):
-    # finite-domain control: widening the truncation does not move the fit
+def test_window_matches_a_fixed_line(fisher_run):
+    # the fixed line [-180, 180] holds the whole run, so it is the untruncated oracle
     sys, trace = fisher_run
-    wide = run_front(sys, 184.0, 40, c_estimate=2.0)
+    np.testing.assert_allclose(trace.positions, fixed_line_positions(sys, 180.0, 40),
+                               rtol=0, atol=1e-9)
+    behind, ahead = frontsim.window_cells(sys, 40)
+    assert behind == frontsim.WINDOW_BEHIND and ahead > frontsim.WINDOW_AHEAD  # room for T = 40
+    assert trace.final_state.n_nodes == (behind + ahead) * sys.nx + 1
+    assert trace.final_state.x_lo > 0.0  # absolute coordinates of a window that moved
+
+
+@pytest.mark.parametrize("omega, ell, cells", [(1.0, 0.25, (60, 76)), (20.0, 1.0, (15, 116))],
+                         ids=["short-cells", "long-period"])
+def test_window_sized_in_length_matches_a_fixed_line(omega, ell, cells):
+    # short cells: 15 + 40 cells would leave the front 2 length units of room;
+    # a long period: the front crosses 40 cells a period, past a 40-cell window
+    sys = make_system(nt=100, nx=8, omega=omega, ell=ell, b1="1", d2="1", a12="0", a21="0")
+    periods = 6
+    assert frontsim.window_cells(sys, periods) == cells
+    trace = run_front(sys, periods)
+    assert not trace.aborted
+    half_width = 2.0 * omega * periods + 100.0
+    np.testing.assert_allclose(trace.positions, fixed_line_positions(sys, half_width, periods),
+                               rtol=0, atol=1e-9)
+
+
+def test_widening_the_window_leaves_fit_unchanged(fisher_run, monkeypatch):
+    # finite-window control: widening the truncation does not move the fit
+    sys, trace = fisher_run
+    monkeypatch.setattr(frontsim, "WINDOW_BEHIND", 30)
+    monkeypatch.setattr(frontsim, "WINDOW_AHEAD", 80)
+    wide = run_front(sys, 40)
     f1 = fit_speed(trace)
     f2 = fit_speed(wide)
     assert abs(f1.speed - f2.speed) <= f1.ci_halfwidth + 1e-6
 
 
-def test_aborted_run_is_flagged_and_inconclusive(fisher_coarse):
-    # underestimated speed passes the precondition but hits the guard zone
+def test_aborted_run_is_flagged_and_inconclusive(fisher_coarse, monkeypatch):
+    # a window with too little room ahead puts the front in the guard zone
     sys = fisher_coarse
-    trace = run_front(sys, 36.0, 22, c_estimate=1.1)
+    monkeypatch.setattr(frontsim, "window_cells", lambda sys, periods: (frontsim.WINDOW_BEHIND, 6))
+    trace = run_front(sys, 22)
     assert trace.aborted
     assert trace.n_points < 22
     verdict = spreading_verdict(sys, trace, None)
     assert verdict.verdict == "inconclusive"
+
+
+def test_long_run_checks_behind_on_the_window(fisher_coarse):
+    # by T = 80, 0.8*c*T lies left of the window, so the behind station falls back
+    sys = fisher_coarse
+    trace = run_front(sys, 80)
+
+    class Report:
+        c0_plus = 2.0
+
+    verdict = spreading_verdict(sys, trace, Report())
+    assert verdict.verdict == "pass"
+    assert any(note.startswith("behind station falls back") for note in verdict.notes)
+    assert verdict.tail_back < 0.05
