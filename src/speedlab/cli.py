@@ -39,6 +39,10 @@ EXIT_INCONCLUSIVE = Inconclusive.exit_code
 # window has (behind + ahead)*nx cells and its trace T positions
 MAX_GRID_NODES = 10**6
 MAX_NX = 1024
+# time bound: a front run steps its (behind + ahead)*nx + 1 window nodes
+# T*nt times; 10^10 node-steps take 10 to 20 minutes on one core of a Xeon
+# server (the demo's T = 20 is 1.4e7)
+MAX_FRONT_NODE_STEPS = 10**10
 
 
 class ScenarioConfig:
@@ -112,6 +116,12 @@ class ScenarioConfig:
                 raise ValidationError(
                     f"the front's window is too large: {behind:.3g} cells behind and {ahead:.3g} "
                     f"ahead at nx = {self.nx}, need (behind + ahead)*nx <= {MAX_GRID_NODES:,}")
+            node_steps = self.periods * self.nt * ((behind + ahead) * self.nx + 1)
+            if node_steps > MAX_FRONT_NODE_STEPS:
+                raise ValidationError(
+                    f"the front run is too long: T = {self.periods} periods of nt = {self.nt} "
+                    f"steps on {(behind + ahead) * self.nx + 1:,} nodes make {node_steps:.3g} "
+                    f"node-steps, need T*nt*nodes <= {MAX_FRONT_NODE_STEPS:.0e}")
         self.raw = raw
 
 

@@ -18,10 +18,13 @@ solve_cell_transport / step_scalar_linear / period_map path assembles each
 row on its own and stays independent of those tables.
 
 The line evolver solves both species' transport as one stacked 2N-node
-tridiagonal system, one LAPACK dgtsv call per step; a zero seam between the
-two blocks keeps them independent, so the result is bit for bit that of
-two separate solves.  Its stencil entries are tabulated once on the
-(nt, nx) cell grid and gathered onto the line through the line-to-cell map.
+tridiagonal system; a zero seam between the two blocks keeps them
+independent, so the result is bit for bit that of two separate solves.  Its
+stencil and reaction entries are tabulated once on the (nt, nx) cell grid
+and gathered onto the line through the line-to-cell map.  When d and g do
+not vary in t the line matrix is the same at every step, so it is factored
+once by LAPACK dgttrf and each step is one dgttrs; otherwise each step
+gathers its diagonals and makes one dgtsv call.
 
 The exponential split keeps spatially uniform linear problems exact (a
 constant potential h produces exactly exp(h*omega) per period) and makes
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from .coeffs import CoefficientField
 from .errors import BlowupError, NonEllipticError, SingularSolve, StiffReaction
@@ -105,6 +108,11 @@ class LineState:
 def cell_offsets(x, ell, nx):
     """Cell node under each line node: round(x/dx) mod nx with dx = ell/nx."""
     return np.round(x / (ell / nx)).astype(int) % nx
+
+
+def constant_in_t(*tables):
+    """True when no (nt, nx) table varies along the period (all rows are equal)."""
+    return all(bool(np.all(a == a[0])) for a in tables)
 
 
 def ceil_to_multiple(value, unit):
@@ -416,8 +424,7 @@ class CellPeriodMap:
     @property
     def time_independent(self):
         """True when no coefficient varies along the period (every step is one matrix)."""
-        return bool(np.all(self._d == self._d[0]) and np.all(self._g == self._g[0])
-                    and np.all(self._h == self._h[0]))
+        return constant_in_t(self._d, self._g, self._h)
 
     def matrix(self):
         """Dense monodromy matrix (the map applied to identity columns)."""
@@ -444,12 +451,20 @@ class LineSystemEvolver:
     stacked tridiagonal system (species 1 on nodes 0..N-1, species 2 on
     N..2N-1, zero coupling across the seam).  The matrix entries come from
     tables built once on the cell grid, (nt, 2*nx) with both species side by
-    side, and each step gathers its three diagonals through the line-to-cell
-    map, so memory stays independent of the line length.
+    side, and are gathered onto the line through the line-to-cell map, so
+    memory stays independent of the line length.  When d1, g1, d2 and g2 do
+    not vary in t, the stacked matrix is gathered and LU-factored (dgttrf)
+    once here and each step is one dgttrs solve; otherwise each step gathers
+    its own three diagonals and makes one dgtsv call.  The two routines
+    carry out the same elimination, so the two paths agree bit for bit.
 
     The reaction advances explicitly through the nodewise factor
     (1 + dt * rate) with rates sampled at the old time level (plus an
-    explicit additive source for the second component).  The
+    explicit additive source for the second component).  Its seven cell
+    tables precombine the state-free parts b1 - a12*u2* and b2 - 2*a22*u2*
+    in the rates' own order, so they give the line formula's bits; they are
+    gathered onto the line once when no row differs (media constant in t
+    with a u2* orbit whose rows are equal), every step otherwise.  The
     explicit reaction and implicit transport carry opposite first-order
     biases that cancel in the front speed at the KPP minimizer, where the
     two exponents coincide.  The reaction Lipschitz number dt*L is tracked
@@ -473,7 +488,16 @@ class LineSystemEvolver:
         # stacked node k of the two-species system -> its column in the tables
         self._cells = np.concatenate([self._offsets, self._offsets + sys.nx])
         self._lower, self._diag, self._upper, self._ghost = self._stencil_tables()
-        self._u2s = sys.u2_star().snapshots
+        self._factors = None
+        if constant_in_t(sys.d1.values, sys.g1.values, sys.d2.values, sys.g2.values):
+            *self._factors, info = dgttrf(*self._line_diagonals(0), 1, 1, 1)
+            if info != 0:
+                raise SingularSolve(f"line transport factorization failed (info={info})")
+        self._reaction = self._reaction_tables()
+        self._line_reaction = None
+        if constant_in_t(*self._reaction):
+            self._line_reaction = [f[0][self._offsets] for f in self._reaction]
+        self._reacted = np.empty((2, self.n_nodes))
         bmax = max(sys.b1.max(), sys.b2.max())
         amin = min(sys.a11.min(), sys.a22.min())
         if amin <= 0:
@@ -486,23 +510,31 @@ class LineSystemEvolver:
             raise StiffReaction(
                 f"dt*Lipschitz = {self.dt * self.reaction_lipschitz:.3f} >= 1; refine nt")
 
-    def _tile(self, f, r):
-        return f.values[r % self.nt][self._offsets]
+    def _reaction_tables(self):
+        """The (nt, nx) tables c1, a11, a12, c2, a22, a21, u2* of the two rates.
+
+        c1 = b1 - a12*u2* and c2 = b2 - 2*a22*u2* are formed here exactly as
+        the rates would form them node by node.
+        """
+        s = self.sys
+        u2s = s.u2_star().snapshots[:self.nt]
+        a12, a22 = s.a12.values, s.a22.values
+        return (s.b1.values - a12 * u2s, s.a11.values, a12,
+                s.b2.values - 2.0 * a22 * u2s, a22, s.a21.values, u2s)
 
     def _react(self, v, j):
-        r = j % self.nt
-        s = self.sys
+        """Explicit reaction step from t_j; writes into a buffer the next step reuses."""
+        coefs = self._line_reaction
+        if coefs is None:
+            r = j % self.nt
+            coefs = [f[r][self._offsets] for f in self._reaction]
+        c1, a11, a12, c2, a22, a21, u2s = coefs
         dt = self.dt
         v1, v2 = v
-        u2s = self._u2s[r][self._offsets]
-        a12 = self._tile(s.a12, r)
-        a22 = self._tile(s.a22, r)
-        rate1 = self._tile(s.b1, r) - a12 * u2s - self._tile(s.a11, r) * v1 + a12 * v2
-        rate2 = self._tile(s.b2, r) - 2.0 * a22 * u2s + a22 * v2
-        source2 = self._tile(s.a21, r) * v1 * (u2s - v2)
-        new1 = v1 * (1.0 + dt * rate1)
-        new2 = v2 * (1.0 + dt * rate2) + dt * source2
-        return np.stack([new1, new2])
+        out = self._reacted
+        np.multiply(v1, 1.0 + dt * (c1 - a11 * v1 + a12 * v2), out=out[0])
+        np.add(v2 * (1.0 + dt * (c2 + a22 * v2)), dt * (a21 * v1 * (u2s - v2)), out=out[1])
+        return out
 
     def _stencil_tables(self):
         """Entries of I - dt*T on the cell grid, both species side by side.
@@ -522,9 +554,8 @@ class LineSystemEvolver:
             tables[3, :, cols] = -dt * (lower + upper)
         return tables
 
-    def _transport(self, v, j):
-        """Both species' implicit transport as one stacked solve; overwrites v."""
-        r = (j + 1) % self.nt
+    def _line_diagonals(self, r):
+        """Sub-, main- and super-diagonal of the stacked line matrix of row r."""
         n = self.n_nodes
         cells = self._cells
         dl = self._lower[r][cells[1:]]
@@ -537,7 +568,14 @@ class LineSystemEvolver:
         # the species do not couple in transport; a zero seam leaves the
         # elimination of each block exactly as if it were solved alone
         du[n - 1] = dl[n - 1] = 0.0
-        *_, w, info = dgtsv(dl, d, du, v.ravel(), 1, 1, 1, 1)
+        return dl, d, du
+
+    def _transport(self, v, j):
+        """Both species' implicit transport as one stacked solve; returns a new array."""
+        if self._factors is not None:
+            w, info = dgttrs(*self._factors, v.ravel())
+        else:
+            *_, w, info = dgtsv(*self._line_diagonals((j + 1) % self.nt), v.ravel(), 1, 1, 1)
         if info != 0:  # pragma: no cover - defensive
             raise SingularSolve(f"line transport solve failed (info={info})")
         return w.reshape(v.shape)

@@ -92,6 +92,9 @@ def test_ellipticity_guard_is_a_validation_failure(tmp_path):
     # used (test_given_half_width_is_rejected_with_its_reason checks the reason)
     lambda c: c.update(tasks=["front"], discretization={"nt": 200, "nx": 64, "A": 1e15}),
     lambda c: c.update(tasks=["front"], discretization={"nt": 200, "nx": 64, "T": 10**9}),
+    # fronts whose window fits but whose run passes T*nt*nodes = 10^10 node-steps
+    lambda c: c.update(tasks=["front"], discretization={"nt": 200, "nx": 64, "T": 10**4}),
+    lambda c: c.update(tasks=["front"], discretization={"nt": 200, "nx": 64, "T": 10**5}),
 ])
 def test_validation_rejections(tmp_path, mutate):
     cfg = fisher_config(tmp_path / "out")

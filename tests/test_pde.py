@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from speedlab import (CellState, LineState, evolve_system, logistic_orbit, orbits, period_map,
-                      step_scalar_linear)
+from speedlab import (CellState, LineState, evolve_system, logistic_orbit, orbits, pde,
+                      period_map, step_scalar_linear)
 from speedlab.errors import BlowupError, NonEllipticError, StiffReaction
-from speedlab.pde import (CellPeriodMap, LineSystemEvolver, cell_offsets,
+from speedlab.pde import (CellPeriodMap, LineSystemEvolver, cell_offsets, constant_in_t,
                           implicit_transport_banded, solve_cell_transport, solve_line_transport,
                           transport_step_matrix_dense)
 
@@ -180,6 +180,12 @@ def test_banded_assembly_row_sums():
 VARYING_MEDIA = {"d1": "1 + 0.3*cos(2*pi*(x - t))", "d2": "0.5 + 0.2*sin(2*pi*x)",
                  "g1": "0.8*sin(2*pi*(x - t))", "g2": "0.6*cos(2*pi*(x + t))",
                  "b1": "2 + 0.5*cos(2*pi*x)", "b2": "1 + 0.5*sin(2*pi*t)"}
+# the same shapes frozen in t: the line matrix is factored once, and the
+# species-2 orbit rows differ at roundoff, so the reaction is gathered per row
+X_ONLY_MEDIA = {"d1": "1 + 0.3*cos(2*pi*x)", "d2": "0.5 + 0.2*sin(2*pi*x)",
+                "g1": "0.8*sin(2*pi*x)", "g2": "0.6*cos(2*pi*x)",
+                "b1": "2 + 0.5*cos(2*pi*x)", "b2": "1 + 0.5*sin(2*pi*x)"}
+LINE_MEDIA = {"t-and-x": VARYING_MEDIA, "x-only": X_ONLY_MEDIA, "constants": {}}
 
 
 def _reference_line_period(sys, x, u2, v, period_index):
@@ -206,18 +212,28 @@ def _reference_line_period(sys, x, u2, v, period_index):
     return v
 
 
-def test_line_evolver_matches_per_species_reference():
-    # the stacked two-species solve must reproduce separate per-species solves
-    # bit for bit; the line starts off the cell origin so the offsets wrap
-    sys = make_system(nt=50, nx=16, **VARYING_MEDIA)
+@pytest.mark.parametrize("media", list(LINE_MEDIA))
+def test_line_evolver_matches_per_species_reference(monkeypatch, media):
+    # the stacked two-species solve, factored once or assembled at every step,
+    # must reproduce separate per-species solves bit for bit over consecutive
+    # periods; the line starts off the cell origin so the offsets wrap
+    sys = make_system(nt=50, nx=16, **LINE_MEDIA[media])
     u2 = sys.u2_star()
+    assert constant_in_t(u2.snapshots[:sys.nt]) == (media == "constants")
     ev = LineSystemEvolver(sys, -2.25, 1.75)
     r = rng(5)
     v0 = np.vstack([r.uniform(0.0, 2.0, ev.n_nodes), r.uniform(0.0, 0.8, ev.n_nodes)])
-    out = ev.period(v0.copy(), period_index=1)
     ref = _reference_line_period(sys, ev.x, u2, v0.copy(), 1)
+    ref = _reference_line_period(sys, ev.x, u2, ref, 2)
+
+    # only a transport that varies in t assembles and solves every step afresh
+    calls = []
+    real_dgtsv = pde.dgtsv
+    monkeypatch.setattr(pde, "dgtsv", lambda *a: calls.append(a) or real_dgtsv(*a))
+    out = ev.period(ev.period(v0.copy(), period_index=1), period_index=2)
     np.testing.assert_array_equal(out, ref)
     assert not np.array_equal(out, v0)
+    assert len(calls) == (2 * sys.nt if media == "t-and-x" else 0)
 
 
 def test_line_evolver_nonelliptic_guard():
@@ -236,14 +252,18 @@ def order_evolver():
     return LineSystemEvolver(sys, -1.0, 1.0)
 
 
+@pytest.fixture(scope="module")
+def factored_order_evolver():
+    # the same box on media frozen in t, whose line matrix is factored once
+    sys = make_system(nt=50, nx=16, **dict(X_ONLY_MEDIA, b2="1"))
+    return LineSystemEvolver(sys, -1.0, 1.0)
+
+
 _NODES = 33  # nodes of the line [-1, 1] at nx = 16
 _fractions = arrays(np.float64, (2, _NODES), elements=st.floats(0.0, 1.0))
 
 
-@settings(max_examples=30, deadline=None)
-@given(lo=_fractions, gap=_fractions)
-def test_cooperative_period_preserves_order(order_evolver, lo, gap):
-    ev = order_evolver
+def _assert_period_preserves_order(ev, lo, gap):
     top = np.array([[ev.state_bound], [1.0]])
     v_lo = lo * top
     v_hi = v_lo + gap * (top - v_lo)
@@ -251,6 +271,18 @@ def test_cooperative_period_preserves_order(order_evolver, lo, gap):
     out_hi = ev.period(v_hi)
     # monotone in exact arithmetic; allow roundoff only
     assert np.all(out_lo <= out_hi + 1e-12 * ev.state_bound)
+
+
+@settings(max_examples=30, deadline=None)
+@given(lo=_fractions, gap=_fractions)
+def test_cooperative_period_preserves_order(order_evolver, lo, gap):
+    _assert_period_preserves_order(order_evolver, lo, gap)
+
+
+@settings(max_examples=30, deadline=None)
+@given(lo=_fractions, gap=_fractions)
+def test_cooperative_period_preserves_order_on_factored_transport(factored_order_evolver, lo, gap):
+    _assert_period_preserves_order(factored_order_evolver, lo, gap)
 
 
 class _RowByRowTransport:
