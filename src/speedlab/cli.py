@@ -40,7 +40,7 @@ EXIT_INCONCLUSIVE = Inconclusive.exit_code
 MAX_GRID_NODES = 10**6
 MAX_NX = 1024
 # time bound: a front run steps its (behind + ahead)*nx + 1 window nodes
-# T*nt times; 10^10 node-steps take 10 to 20 minutes on one core of a Xeon
+# T*nt times; 10^10 node-steps take 8 to 18 minutes on one core of a Xeon
 # server (the demo's T = 20 is 1.4e7)
 MAX_FRONT_NODE_STEPS = 10**10
 
