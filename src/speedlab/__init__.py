@@ -3,8 +3,7 @@ periodic two-species reaction-advection-diffusion systems."""
 
 from .coeffs import (CoefficientField, SymmetryReport, build_field, mean_and_symmetry,
                      parse_expression, reflect_x, refine_field)
-from .eigen import (DiagnosticsReport, EigenResult, lambda_diagnostics, lambda_of_mu,
-                    principal_eigen)
+from .eigen import EigenResult, lambda_of_mu, principal_eigen
 from .frontsim import (FrontTrace, fit_speed, front_position, run_front,
                        spreading_verdict)
 from .orbits import PeriodicOrbit, logistic_orbit, orbit_residual
@@ -22,8 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CoefficientField", "SymmetryReport", "build_field", "mean_and_symmetry",
     "parse_expression", "reflect_x", "refine_field",
-    "EigenResult", "DiagnosticsReport", "principal_eigen", "lambda_of_mu",
-    "lambda_diagnostics",
+    "EigenResult", "principal_eigen", "lambda_of_mu",
     "PeriodicOrbit", "logistic_orbit", "orbit_residual",
     "CellState", "LineState", "CellPeriodMap", "LineSystemEvolver",
     "step_scalar_linear", "period_map", "evolve_system",

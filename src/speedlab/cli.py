@@ -280,7 +280,7 @@ def _task_front(cfg, sys_spec, speed_report):
     frontsim.dump_trace_csv(os.path.join(cfg.output, "front_trace.csv"), trace)
     if trace.final_state is not None:
         pde.dump_snapshot_csv(os.path.join(cfg.output, "final_snapshot.csv"),
-                              trace.final_state, labels=("v1", "v2"))
+                              trace.final_state)
     verdict = frontsim.spreading_verdict(sys_spec, trace, speed_report)
     return verdict.to_dict(), verdict.verdict == "inconclusive"
 

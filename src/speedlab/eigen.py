@@ -30,9 +30,6 @@ from .pde import CellPeriodMap, write_csv
 POWER_TOL = 1e-12          # successive-ratio change, relative
 RESIDUAL_TOL = 1e-8        # contract: |K psi - rho psi|_inf <= tol * |psi|_inf
 POWER_CAP = 10_000
-EVEN_CHECK_MUS = (0.3, 1.0)  # tilts at which lambda(mu) = lambda(-mu) is checked
-CONVEXITY_TOL = 1e-8         # most negative second difference that passes
-EVENNESS_TOL = 1e-8          # largest |lambda(mu) - lambda(-mu)| that passes
 
 
 @dataclass
@@ -145,82 +142,6 @@ def lambda_of_mu(d: CoefficientField, g: CoefficientField,
     """Principal eigenvalue lambda_m(mu) of the tilted problem."""
     drift, potential = tilted_coefficients(d, g, m, mu)
     return principal_eigen(d, drift, potential)
-
-
-@dataclass
-class DiagnosticsReport:
-    """Tabulated lambda(mu) with structural checks.
-
-    convexity_margin is the most negative second difference; it passes at
-    >= -CONVEXITY_TOL.  evenness entries are |lambda(mu) - lambda(-mu)| for
-    the checked mu, or None when the symmetry preconditions do not hold.
-    monotone_margin is min_mu (lambda_m1 - lambda_m2) when a comparison
-    potential was supplied.
-    """
-
-    mu_grid: np.ndarray
-    lambdas: np.ndarray
-    residuals: np.ndarray
-    iterations: np.ndarray
-    convexity_margin: float
-    convexity_ok: bool
-    evenness_checked: bool
-    evenness_devs: dict
-    evenness_ok: bool | None
-    monotone_margin: float | None
-    monotone_ok: bool | None
-
-
-def lambda_diagnostics(d, g, m, mu_grid, m2=None):
-    """Evaluate lambda(mu) on a grid and check the structural properties.
-
-    Checks discrete convexity on the grid (CONVEXITY_TOL), evenness
-    lambda(mu) = lambda(-mu) at EVEN_CHECK_MUS (EVENNESS_TOL) when d and m
-    are even in x and g is odd in x, and monotonicity against a
-    second potential m2 >= m (supplied as the *smaller* one: m >= m2).
-    """
-    mu_grid = np.asarray(mu_grid, dtype=float)
-    if mu_grid.size < 3 or np.any(np.diff(mu_grid) <= 0):
-        raise ValueError("mu_grid must be sorted with at least 3 points")
-    results = [lambda_of_mu(d, g, m, mu) for mu in mu_grid]
-    lams = np.array([r.lam for r in results])
-    second = lams[:-2] - 2.0 * lams[1:-1] + lams[2:]
-    convexity_margin = float(second.min())
-
-    from .coeffs import mean_and_symmetry
-    _, sd = mean_and_symmetry(d)
-    _, sg = mean_and_symmetry(g)
-    _, sm = mean_and_symmetry(m)
-    qualifies = sd.even_in_x and sm.even_in_x and sg.odd_in_x
-    evenness_devs = {}
-    evenness_ok = None
-    if qualifies:
-        evenness_ok = True
-        for mu in EVEN_CHECK_MUS:
-            dev = abs(lambda_of_mu(d, g, m, mu).lam - lambda_of_mu(d, g, m, -mu).lam)
-            evenness_devs[mu] = dev
-            evenness_ok = evenness_ok and dev <= EVENNESS_TOL
-
-    monotone_margin = None
-    monotone_ok = None
-    if m2 is not None:
-        diff = m.values - m2.values
-        if np.any(diff < 0) or not np.any(diff > 0):
-            raise ValueError("monotonicity check expects m >= m2 with m != m2")
-        lams2 = np.array([lambda_of_mu(d, g, m2, mu).lam for mu in mu_grid])
-        monotone_margin = float(np.min(lams - lams2))
-        monotone_ok = monotone_margin > 0.0
-
-    return DiagnosticsReport(
-        mu_grid=mu_grid, lambdas=lams,
-        residuals=np.array([r.residual for r in results]),
-        iterations=np.array([r.iterations for r in results]),
-        convexity_margin=convexity_margin,
-        convexity_ok=convexity_margin >= -CONVEXITY_TOL,
-        evenness_checked=qualifies, evenness_devs=evenness_devs,
-        evenness_ok=evenness_ok,
-        monotone_margin=monotone_margin, monotone_ok=monotone_ok,
-    )
 
 
 def write_lambda_curve(path, mus, results):

@@ -17,10 +17,10 @@ pulled front (Brunet and Derrida, Phys. Rev. E 56 (1997)).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .errors import NoCrossing, TooFewPoints
 from .pde import LineState, LineSystemEvolver, cell_offsets, rightmost_crossing, write_csv
@@ -46,7 +46,6 @@ class FrontTrace:
     empty: bool = False
     note: str = ""
     final_state: LineState | None = None
-    snapshots: list = dc_field(default_factory=list)
 
     @property
     def n_points(self):
@@ -118,7 +117,7 @@ def window_cells(sys, periods):
     return behind, ahead
 
 
-def run_front(sys, periods, keep_every=None) -> FrontTrace:
+def run_front(sys, periods) -> FrontTrace:
     """Evolve the invasion front for `periods` periods, recording positions.
 
     Initial data in cooperative variables: v1 = u1*(0,x) for x <= 0 and 0
@@ -146,12 +145,10 @@ def run_front(sys, periods, keep_every=None) -> FrontTrace:
         v = ev.period(v, period_index=p - 1)
         t = p * omega
         x_lo, x_hi = ev.x_lo + shift * ell, ev.x_hi + shift * ell
-        state = LineState(v.copy(), t, x_lo, x_hi)
+        state = LineState(v, t, x_lo, x_hi)
         pos = front_position(state, u1_star)
         trace.times.append(t)
         trace.positions.append(pos)
-        if keep_every and p % keep_every == 0:
-            trace.snapshots.append(state)
         trace.final_state = state
         if pos > x_hi - BOUNDARY_GUARD_PERIODS * ell:
             trace.aborted = True
@@ -187,7 +184,7 @@ def fit_speed(trace: FrontTrace) -> FitResult:
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     dof = t.size - 2
     sigma2 = ss_res / dof if dof > 0 else 0.0
-    half = float(stats.t.ppf(0.975, dof) * np.sqrt(sigma2 / stt)) if dof > 0 else 0.0
+    half = float(stdtrit(dof, 0.975) * np.sqrt(sigma2 / stt)) if dof > 0 else 0.0
     return FitResult(speed=slope, r2=r2, ci_halfwidth=half)
 
 

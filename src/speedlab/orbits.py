@@ -57,9 +57,6 @@ class PeriodicOrbit:
     def as_field(self) -> CoefficientField:
         return CoefficientField(self.omega, self.ell, self.snapshots, None)
 
-    def min(self):
-        return float(self.snapshots.min())
-
     def max(self):
         return float(self.snapshots.max())
 
@@ -157,12 +154,6 @@ def orbit_residual(orbit: PeriodicOrbit, d, g, c, e) -> float:
         res = (u_new - u_old) / dt - tu - h * u_new
         worst = max(worst, float(np.max(np.abs(res))))
     return worst + orbit.closure_gap
-
-
-def growth_potential(orbit: PeriodicOrbit, c, e) -> CoefficientField:
-    """The linearization potential c - e*u* as a field on the orbit grid."""
-    return CoefficientField(orbit.omega, orbit.ell,
-                            c.values - e.values * orbit.snapshots, None)
 
 
 def dump_orbit_csv(path, orbit: PeriodicOrbit):

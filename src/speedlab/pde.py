@@ -453,10 +453,12 @@ class LineSystemEvolver:
     tables built once on the cell grid, (nt, 2*nx) with both species side by
     side, and are gathered onto the line through the line-to-cell map, so
     memory stays independent of the line length.  When d1, g1, d2 and g2 do
-    not vary in t, the stacked matrix is gathered and LU-factored (dgttrf)
-    once here and each step is one dgttrs solve; otherwise each step gathers
-    its own three diagonals and makes one dgtsv call.  The two routines
-    carry out the same elimination, so the two paths agree bit for bit.
+    not vary in t, one row of tables serves every step: the stacked matrix
+    is gathered from it and LU-factored (dgttrf) once here, only the factors
+    are kept, and each step is one dgttrs solve; otherwise the nt rows of
+    tables are kept and each step gathers its own three diagonals and makes
+    one dgtsv call.  The two routines carry out the same elimination, so the
+    two paths agree bit for bit.
 
     The reaction advances explicitly through the nodewise factor
     (1 + dt * rate) with rates sampled at the old time level (plus an
@@ -487,12 +489,14 @@ class LineSystemEvolver:
         self._offsets = cell_offsets(self.x, sys.ell, sys.nx)
         # stacked node k of the two-species system -> its column in the tables
         self._cells = np.concatenate([self._offsets, self._offsets + sys.nx])
-        self._lower, self._diag, self._upper, self._ghost = self._stencil_tables()
-        self._factors = None
+        self._stencil = self._factors = None
         if constant_in_t(sys.d1.values, sys.g1.values, sys.d2.values, sys.g2.values):
-            *self._factors, info = dgttrf(*self._line_diagonals(0), 1, 1, 1)
+            diagonals = self._line_diagonals(self._stencil_tables(1)[:, 0])
+            *self._factors, info = dgttrf(*diagonals, 1, 1, 1)
             if info != 0:
                 raise SingularSolve(f"line transport factorization failed (info={info})")
+        else:
+            self._stencil = self._stencil_tables(self.nt)
         self._reaction = self._reaction_tables()
         self._line_reaction = None
         if constant_in_t(*self._reaction):
@@ -536,17 +540,18 @@ class LineSystemEvolver:
         np.add(v2 * (1.0 + dt * (c2 + a22 * v2)), dt * (a21 * v1 * (u2s - v2)), out=out[1])
         return out
 
-    def _stencil_tables(self):
-        """Entries of I - dt*T on the cell grid, both species side by side.
+    def _stencil_tables(self, rows):
+        """Entries of I - dt*T on the first `rows` rows of the cell grid, both
+        species side by side.
 
-        Returns the (4, nt, 2*nx) array of lower, diag, upper and ghost
+        Returns the (4, rows, 2*nx) array of lower, diag, upper and ghost
         entries: lower and upper multiply the left and right neighbour, ghost
         is the doubled neighbour entry of a zero-flux end row.
         """
         s, dt, nx = self.sys, self.dt, self.sys.nx
-        tables = np.empty((4, self.nt, 2 * nx))
+        tables = np.empty((4, rows, 2 * nx))
         for k, (d, g) in enumerate(((s.d1, s.g1), (s.d2, s.g2))):
-            lower, diag, upper = _transport_entries(d.values, g.values, self.dx)
+            lower, diag, upper = _transport_entries(d.values[:rows], g.values[:rows], self.dx)
             cols = slice(k * nx, (k + 1) * nx)
             tables[0, :, cols] = -dt * lower
             tables[1, :, cols] = 1.0 - dt * diag
@@ -554,14 +559,15 @@ class LineSystemEvolver:
             tables[3, :, cols] = -dt * (lower + upper)
         return tables
 
-    def _line_diagonals(self, r):
-        """Sub-, main- and super-diagonal of the stacked line matrix of row r."""
+    def _line_diagonals(self, entries):
+        """Sub-, main- and super-diagonal of the stacked line matrix from one
+        row's (lower, diag, upper, ghost) cell entries."""
         n = self.n_nodes
         cells = self._cells
-        dl = self._lower[r][cells[1:]]
-        d = self._diag[r][cells]
-        du = self._upper[r][cells[:-1]]
-        ghost = self._ghost[r]
+        lower, diag, upper, ghost = entries
+        dl = lower[cells[1:]]
+        d = diag[cells]
+        du = upper[cells[:-1]]
         # zero-flux ends: the ghost node mirrors the first interior neighbour
         du[0], du[n] = ghost[cells[0]], ghost[cells[n]]
         dl[n - 2], dl[-1] = ghost[cells[n - 1]], ghost[cells[-1]]
@@ -575,7 +581,8 @@ class LineSystemEvolver:
         if self._factors is not None:
             w, info = dgttrs(*self._factors, v.ravel())
         else:
-            *_, w, info = dgtsv(*self._line_diagonals((j + 1) % self.nt), v.ravel(), 1, 1, 1)
+            diagonals = self._line_diagonals(self._stencil[:, (j + 1) % self.nt])
+            *_, w, info = dgtsv(*diagonals, v.ravel(), 1, 1, 1)
         if info != 0:  # pragma: no cover - defensive
             raise SingularSolve(f"line transport solve failed (info={info})")
         return w.reshape(v.shape)
@@ -632,7 +639,7 @@ def write_csv(path, header, rows):
             fh.write(",".join(map(_csv_cell, row)) + "\n")
 
 
-def dump_snapshot_csv(path, state: LineState, labels=("u1", "u2")):
-    """Write one line state as CSV rows t, x, <labels...>."""
-    write_csv(path, ("t", "x", *labels),
+def dump_snapshot_csv(path, state: LineState):
+    """Write one line state of the cooperative form as CSV rows t, x, v1, v2."""
+    write_csv(path, ("t", "x", "v1", "v2"),
               ((state.t, *row) for row in zip(state.x, *state.values)))

@@ -45,15 +45,8 @@ class Profile:
     def half_width(self):
         return float(self.x[-1])
 
-    @property
-    def n_nodes(self):
-        return self.x.size
-
     def value_at(self, xq):
         return np.array([np.interp(xq, self.x, self.values[i]) for i in range(2)])
-
-    def copy(self):
-        return Profile(self.x, self.values.copy(), self.beta_est)
 
 
 @dataclass
@@ -257,12 +250,17 @@ def recursion_limit(c, sys, cap=DEFAULT_CAP, A=None, stop_probe=None) -> Recursi
         return float(prof.x[0]) if pos is None else pos
 
     def apply_ceiling(prof):
-        if envelope_mu is None:
-            return
-        anchor = front_position(prof) + 4.0 * sys.ell
-        decay = np.exp(-envelope_mu * np.maximum(prof.x - anchor, 0.0))
-        np.minimum(prof.values, prof.beta_est[:, None] * decay[None, :],
-                   out=prof.values)
+        """Clip prof under the radiation ceiling and return its front.
+
+        The ceiling lowers only nodes past front + 4L, which already lie
+        below front_level, so the front is the same before and after.
+        """
+        front = front_position(prof)
+        if envelope_mu is not None:
+            decay = np.exp(-envelope_mu * np.maximum(prof.x - (front + 4.0 * sys.ell), 0.0))
+            np.minimum(prof.values, prof.beta_est[:, None] * decay[None, :],
+                       out=prof.values)
+        return front
 
     current = profile
     apply_ceiling(current)
@@ -273,7 +271,7 @@ def recursion_limit(c, sys, cap=DEFAULT_CAP, A=None, stop_probe=None) -> Recursi
     fronts = []
     for m in range(1, cap + 1):
         new = apply_R(current, c, sys, evolver=evolver, floor=floor)
-        apply_ceiling(new)
+        front = apply_ceiling(new)
         # nondecreasing in m up to the truncated-tail tolerance; the iterate
         # is NOT clipped against its predecessor, a ratchet would keep every
         # boundary-inflated tail value alive and ignite the right end
@@ -283,7 +281,6 @@ def recursion_limit(c, sys, cap=DEFAULT_CAP, A=None, stop_probe=None) -> Recursi
         sup_change = float(np.max(np.abs(new.values - current.values)))
         current = new
         iterations = m
-        front = front_position(current)
         fronts.append(front)
         if current.values[0, -1] > 0.05 * beta1 and front < A - 6.0 * sys.ell:
             ignited = True

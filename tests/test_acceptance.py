@@ -13,7 +13,6 @@ import pytest
 from speedlab import (CellState, LineState, bracket_speeds, evolve_system,
                       linear_speed_c0, period_map, principal_eigen, run_front,
                       scalar_kpp_speeds, spreading_verdict)
-from speedlab.orbits import growth_potential
 from speedlab.speeds import compute_speed_report
 
 from conftest import field, make_system
@@ -84,7 +83,7 @@ def test_c3_orbit_eigenvalue_identity_on_demos():
     values = {}
     for name, sysd in instances.items():
         orbit = sysd.u2_star()
-        pot = growth_potential(orbit, sysd.b2, sysd.a22)
+        pot = sysd.b2 - sysd.a22 * orbit.as_field()
         values[name] = principal_eigen(sysd.d2, sysd.g2, pot).lam
     worst = max(abs(v) for v in values.values())
     report("C3", worst <= 1e-6,

@@ -2,6 +2,8 @@ import csv
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -381,6 +383,16 @@ def test_eigen_task_writes_lambda_curve(tmp_path):
     with open(path) as fh:
         header = fh.readline().strip()
     assert header == "mu,lambda,residual,iterations"
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # fit_speed takes its t quantile from scipy.special; scipy.stats costs
+    # about half a second and 20 MB at import
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    code = "import sys, speedlab; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps():

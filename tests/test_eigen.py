@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from speedlab import CoefficientField, lambda_diagnostics, lambda_of_mu, principal_eigen
+from speedlab import CoefficientField, lambda_of_mu, principal_eigen
 from speedlab.errors import NonEllipticError
 from speedlab.pde import CellPeriodMap
 from speedlab.speeds import richardson
@@ -141,29 +141,33 @@ def test_evenness_for_symmetric_media(mu):
     assert abs(plus - minus) <= 1e-8
 
 
+def _lambdas(d, g, m, mus):
+    return np.array([lambda_of_mu(d, g, m, mu).lam for mu in mus])
+
+
 def test_diagnostics_constant_parabola():
     grid = np.array([-1.0, 0.0, 1.0])
-    rep = lambda_diagnostics(field("1", nx=8), field("0", nx=8), field("1", nx=8), grid)
-    assert rep.convexity_ok
-    np.testing.assert_allclose(rep.lambdas, grid**2 + 1.0, atol=1e-9)
-    assert rep.evenness_checked and rep.evenness_ok
+    d, g, m = field("1", nx=8), field("0", nx=8), field("1", nx=8)
+    lams = _lambdas(d, g, m, grid)
+    np.testing.assert_allclose(lams, grid**2 + 1.0, atol=1e-9)
+    assert lams[0] - 2.0 * lams[1] + lams[2] >= -1e-8  # convex
+    for mu in (0.3, 1.0):
+        assert abs(lambda_of_mu(d, g, m, mu).lam - lambda_of_mu(d, g, m, -mu).lam) <= 1e-8
 
 
 def test_diagnostics_potential_bump_is_exact_shift():
     grid = np.linspace(-2.0, 2.0, 9)
     m2 = field("cos(2*pi*x)")
     m1 = m2 + 1.0
-    rep = lambda_diagnostics(field("1"), field("0"), m1, grid, m2=m2)
-    assert rep.monotone_ok
-    assert rep.monotone_margin == pytest.approx(1.0, abs=1e-10)
+    shift = _lambdas(field("1"), field("0"), m1, grid) - _lambdas(field("1"), field("0"), m2, grid)
+    np.testing.assert_allclose(shift, 1.0, rtol=0, atol=1e-10)
 
 
-def test_diagnostics_asymmetric_drift_skips_evenness():
+def test_diagnostics_asymmetric_drift_parabola():
     grid = np.linspace(-2.0, 2.0, 9)
-    rep = lambda_diagnostics(field("1", nx=8), field("1", nx=8), field("0", nx=8), grid)
-    assert not rep.evenness_checked and rep.evenness_ok is None
-    assert rep.convexity_ok
-    np.testing.assert_allclose(rep.lambdas, grid**2 + grid, atol=1e-9)
+    lams = _lambdas(field("1", nx=8), field("1", nx=8), field("0", nx=8), grid)
+    np.testing.assert_allclose(lams, grid**2 + grid, atol=1e-9)
+    assert np.min(lams[:-2] - 2.0 * lams[1:-1] + lams[2:]) >= -1e-8  # convex
 
 
 def test_grid_mismatch_and_ellipticity_guards():

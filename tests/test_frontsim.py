@@ -19,7 +19,7 @@ def fisher_run(fisher_coarse):
     # long enough for the logarithmic front-formation transient to decay
     # below the 5% verdict band
     sys = fisher_coarse
-    return sys, run_front(sys, 40, keep_every=10)
+    return sys, run_front(sys, 40)
 
 
 def _unit_orbit(sys):
@@ -87,6 +87,18 @@ def test_fit_speed_with_periodic_wobble():
     assert fit.r2 > 0.999
 
 
+def test_fit_speed_confidence_halfwidth_by_hand():
+    # 20 points keep the last 14 (dof 12); t_{0.975, 12} = 2.1788128296672284
+    t = np.arange(1.0, 21.0)
+    x = 2.0 * t + 0.05 * np.cos(1.7 * t)
+    fit = fit_speed(FrontTrace(times=list(t), positions=list(x)))
+    kept_t, kept_x = t[6:], x[6:]
+    _, (ss_res,), *_ = np.polyfit(kept_t, kept_x, 1, full=True)
+    stt = 14 * (14**2 - 1) / 12.0  # sum of squared deviations of 14 consecutive integers
+    assert fit.ci_halfwidth == pytest.approx(
+        2.1788128296672284 * np.sqrt(ss_res / 12 / stt), rel=1e-9, abs=0)
+
+
 def test_fit_speed_too_few_points():
     trace = FrontTrace(times=[1.0, 2.0, 3.0, 4.0, 5.0],
                        positions=[2.0, 4.0, 6.0, 8.0, 10.0])
@@ -114,24 +126,20 @@ def test_fisher_front_speed_and_verdict(fisher_run):
     assert verdict.tail_front < 0.01
     assert verdict.tail_back < 0.05
     assert verdict.relative_gap < 0.05
-    assert len(trace.snapshots) == 4  # kept every 10 periods
 
 
 def test_threshold_invariance_of_measured_speed(fisher_run):
     sys, trace = fisher_run
     u1 = sys.u1_star()
-    fits = {}
-    for thr in (0.2, 0.5, 0.8):
-        positions = []
-        for state in trace.snapshots + [trace.final_state]:
-            positions.append(front_position(state, u1, threshold=thr))
-        fits[thr] = positions
+    # the front after 10, 20, 30 and 40 periods, each the final state of its own run
+    states = [run_front(sys, periods).final_state for periods in (10, 20, 30)]
+    states.append(trace.final_state)
     base = fit_speed(trace)
     allowance = base.ci_halfwidth + 0.3 * sys.ell / sys.omega
+    at_half = np.array([front_position(s, u1, threshold=0.5) for s in states])
     # front offsets at different thresholds stay parallel: translate at one speed
-    for thr, positions in fits.items():
-        offsets = np.array(positions) - np.array(
-            [front_position(s, u1, threshold=0.5) for s in trace.snapshots + [trace.final_state]])
+    for thr in (0.2, 0.5, 0.8):
+        offsets = np.array([front_position(s, u1, threshold=thr) for s in states]) - at_half
         assert np.ptp(offsets) <= allowance + 0.1
 
 

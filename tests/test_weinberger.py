@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from speedlab import apply_R, bracket_speeds, init_profile, recursion_limit
+from speedlab import Profile, apply_R, bracket_speeds, init_profile, recursion_limit
 from speedlab.errors import ShiftOutOfRange, TooFewNodes
 from speedlab.pde import LineSystemEvolver
 from speedlab.weinberger import classify_profile, pava_nonincreasing
@@ -49,8 +49,7 @@ def test_pava_projection_properties():
 def test_apply_r_zero_profile_returns_floor(fisher_small):
     sys = fisher_small
     p = init_profile((1.0, 1.0), 12.0, 12 * 2 * sys.nx)
-    zero = p.copy()
-    zero.values[:] = 0.0
+    zero = Profile(p.x, np.zeros_like(p.values), p.beta_est)
     out = apply_R(zero, 0.0, sys)
     np.testing.assert_allclose(out.values, p.values, atol=1e-12)
 
@@ -155,7 +154,7 @@ def test_profile_and_trace_dumps(tmp_path, fisher_small):
     dump_profile_csv(prof_path, prof, iters)
     prof_lines = prof_path.read_text().splitlines()
     assert prof_lines[0] == "x,v1,v2,iteration"
-    assert len(prof_lines) == prof.n_nodes + 1
+    assert len(prof_lines) == prof.x.size + 1
     for line in prof_lines[1:]:
         cells = line.split(",")
         assert len(cells) == 4
