@@ -14,12 +14,17 @@ The iteration needs only K's action.  For time-dependent media each product
 marches one column over the nt steps of the period, and K is never
 assembled; time-independent media share one step matrix, whose nt-th power
 costs a few dense products, so there K is formed and applied as a matrix.
+The eigenfunction's rows along the period are built when a caller first
+reads them: a time-independent solve marches psi(0) over the period only
+then, so a solve whose eigenvalue alone is used costs no march.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,24 +41,21 @@ POWER_CAP = 10_000
 class EigenResult:
     """Principal eigenpair of one periodic parabolic problem.
 
-    eigenfunction[j] is the positive periodic eigenfunction at t_j (nt rows,
-    global max normalized to 1); lam = ln(rho(K))/omega for the period map K.
+    lam = ln(rho(K))/omega for the period map K.  eigenfunction[j] is the
+    positive periodic eigenfunction at t_j (nt rows, global max normalized
+    to 1); its rows are built on first access and then kept.
     """
 
     lam: float
-    eigenfunction: np.ndarray
     iterations: int
     residual: float
     omega: float
     ell: float
+    _build_eigenfunction: Callable[[], np.ndarray] = field(repr=False, compare=False)
 
-    @property
-    def nt(self):
-        return self.eigenfunction.shape[0]
-
-    @property
-    def nx(self):
-        return self.eigenfunction.shape[1]
+    @cached_property
+    def eigenfunction(self) -> np.ndarray:
+        return self._build_eigenfunction()
 
 
 def _power_iteration(apply, n):
@@ -107,7 +109,10 @@ def principal_of_map(pmap: CellPeriodMap) -> EigenResult:
     that normalized map.  A time-dependent map is applied by one-column
     marches that keep their states, the last of which give the
     eigenfunction; a time-independent one by its dense matrix, which binary
-    powering of the one step matrix makes cheaper than a march.
+    powering of the one step matrix makes cheaper than a march, and its
+    eigenfunction is marched from psi(0) only when a caller reads it.  The
+    Perron vector psi(0) must be positive at return; every other row is
+    checked when the eigenfunction is built.
     """
     last = {}
 
@@ -117,16 +122,26 @@ def principal_of_map(pmap: CellPeriodMap) -> EigenResult:
 
     rho_s, psi0, iterations, residual = _power_iteration(
         pmap.matrix().dot if pmap.time_independent else march, pmap.nx)
-    lam = math.log(rho_s) / pmap.omega + pmap.shift
-    # a marched psi0 is the iterate just mapped, so the last march holds its states
-    raw = (last["states"] if last else pmap.snapshots(psi0))[:-1]  # rows at t_0 .. t_{nt-1}
-    scale = rho_s ** (-np.arange(pmap.nt) / pmap.nt)
-    ef = raw * scale[:, None]
-    ef /= ef.max()
-    if ef.min() <= 0.0:
+    if psi0.min() <= 0.0:
         raise NoConvergence("eigenfunction lost positivity")
-    return EigenResult(lam=lam, eigenfunction=ef, iterations=iterations,
-                       residual=float(residual), omega=pmap.omega, ell=pmap.ell)
+    # a marched psi0 is the iterate just mapped, so the last march holds its
+    # states; an unmarched one is marched when the eigenfunction is first read
+    states = last.get("states")
+    snapshots = pmap.snapshots if states is None else None
+    nt = pmap.nt
+
+    def eigenfunction():
+        raw = (snapshots(psi0) if states is None else states)[:-1]  # rows at t_0 .. t_{nt-1}
+        scale = rho_s ** (-np.arange(nt) / nt)
+        ef = raw * scale[:, None]
+        ef /= ef.max()
+        if ef.min() <= 0.0:
+            raise NoConvergence("eigenfunction lost positivity")
+        return ef
+
+    return EigenResult(lam=math.log(rho_s) / pmap.omega + pmap.shift, iterations=iterations,
+                       residual=float(residual), omega=pmap.omega, ell=pmap.ell,
+                       _build_eigenfunction=eigenfunction)
 
 
 def tilted_coefficients(d: CoefficientField, g: CoefficientField,
@@ -147,4 +162,5 @@ def lambda_of_mu(d: CoefficientField, g: CoefficientField,
 def write_lambda_curve(path, mus, results):
     """CSV dump: mu, lambda, residual, iterations."""
     write_csv(path, ("mu", "lambda", "residual", "iterations"),
-              ((float(mu), r.lam, r.residual, r.iterations) for mu, r in zip(mus, results)))
+              [[float(mu) for mu in mus], [r.lam for r in results],
+               [r.residual for r in results], [r.iterations for r in results]])

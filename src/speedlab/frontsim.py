@@ -271,4 +271,4 @@ def spreading_verdict(sys, trace: FrontTrace, c_report) -> SpreadingVerdict:
 
 def dump_trace_csv(path, trace: FrontTrace):
     """CSV dump: t, x_front."""
-    write_csv(path, ("t", "x_front"), zip(trace.times, trace.positions))
+    write_csv(path, ("t", "x_front"), [trace.times, trace.positions])

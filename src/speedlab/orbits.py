@@ -158,8 +158,7 @@ def orbit_residual(orbit: PeriodicOrbit, d, g, c, e) -> float:
 
 def dump_orbit_csv(path, orbit: PeriodicOrbit):
     """CSV dump: t, x, u_star."""
-    dt = orbit.omega / orbit.nt
-    dx = orbit.ell / orbit.nx
+    nt, nx = orbit.nt, orbit.nx
     write_csv(path, ("t", "x", "u_star"),
-              ((j * dt, k * dx, u) for j, row in enumerate(orbit.snapshots)
-               for k, u in enumerate(row)))
+              [np.repeat(np.arange(nt) * (orbit.omega / nt), nx),
+               np.tile(np.arange(nx) * (orbit.ell / nx), nt), orbit.snapshots.ravel()])

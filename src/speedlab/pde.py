@@ -11,9 +11,10 @@ Scheme, used uniformly by every consumer in the package:
 
 The periodic cell has one cyclic kernel, CellTransport, shared by the
 linear period map and the logistic orbit solver: its tables are built once
-per coefficient field on the (nt, nx) grid, and each step is one direct
-LAPACK dgtsv call plus a Sherman-Morrison corner correction, for one
-right-hand side or for all nx columns of the monodromy.  The scalar
+per coefficient field, one row for each of the nt time rows, or a single
+row that serves every step when d and g do not vary in t, and each step is
+one direct LAPACK dgtsv call plus a Sherman-Morrison corner correction, for
+one right-hand side or for all nx columns of the monodromy.  The scalar
 solve_cell_transport / step_scalar_linear / period_map path assembles each
 row on its own and stays independent of those tables.
 
@@ -300,18 +301,20 @@ class CellTransport:
 
     The cyclic matrix of row r is tridiagonal plus two corners, and the
     corners are removed by a Sherman-Morrison rank-one correction.  Tables
-    built once for all nt coefficient rows hold the tridiagonal part with the
-    Sherman-Morrison diagonal fix applied, the correction vectors q and the
-    scalars w and denom, so a solve is one LAPACK dgtsv call on the row's
-    diagonals (one or many right-hand sides) plus the rank-one update.  It is
-    bit for bit the solve of cell_transport_solver, which calls the same gtsv
-    through solve_banded.
+    built once hold the tridiagonal part with the Sherman-Morrison diagonal
+    fix applied, the correction vectors q and the scalars w and denom, so a
+    solve is one LAPACK dgtsv call on the row's diagonals (one or many
+    right-hand sides) plus the rank-one update.  When d and g do not vary in
+    t, one row of tables serves every r; otherwise there is one row per
+    coefficient row.  It is bit for bit the solve of cell_transport_solver,
+    which calls the same gtsv through solve_banded.
     """
 
     def __init__(self, d: CoefficientField, g: CoefficientField):
         dt = d.dt
-        lower, diag, upper = _transport_entries(d.values, g.values, d.dx)
-        nt, nx = diag.shape
+        rows = self._rows = 1 if constant_in_t(d.values, g.values) else d.nt
+        lower, diag, upper = _transport_entries(d.values[:rows], g.values[:rows], d.dx)
+        nx = d.nx
         self._sub = -dt * lower[:, 1:]
         self._main = 1.0 - dt * diag
         self._sup = -dt * upper[:, :-1]
@@ -319,15 +322,15 @@ class CellTransport:
         gamma = -self._main[:, 0]
         self._main[:, 0] -= gamma
         self._main[:, -1] -= corner_tr * corner_bl / gamma
-        u = np.zeros((nt, nx))
+        u = np.zeros((rows, nx))
         u[:, 0] = gamma
         u[:, -1] = corner_bl
         # every row's correction vector in one stacked solve; the zero seams
         # between rows leave each block's elimination exactly as if alone
-        seam = np.zeros((nt, 1))
+        seam = np.zeros((rows, 1))
         dl = np.hstack([self._sub, seam]).ravel()[:-1]
         du = np.hstack([self._sup, seam]).ravel()[:-1]
-        self._q = _gtsv(dl, self._main.ravel(), du, u.ravel()).reshape(nt, nx)
+        self._q = _gtsv(dl, self._main.ravel(), du, u.ravel()).reshape(rows, nx)
         self._w = corner_tr / gamma
         self._denom = 1.0 + (self._q[:, 0] + self._w * self._q[:, -1])
         if np.any(np.abs(self._denom) < 1e-300):
@@ -335,6 +338,7 @@ class CellTransport:
 
     def solve(self, r, rhs):
         """u with (I - dt*T_r) u = rhs; rhs is one vector or stacked columns."""
+        r %= self._rows
         y = _gtsv(self._sub[r], self._main[r], self._sup[r], rhs)
         return y - np.multiply.outer(self._q[r], (y[0] + self._w[r] * y[-1]) / self._denom[r])
 
@@ -627,19 +631,32 @@ def evolve_system(state: LineState, sys, t0, t1) -> LineState:
     return LineState(vals, t1, state.x_lo, state.x_hi)
 
 
+CSV_CHUNK_ROWS = 1024  # rows formatted at a time, so few float objects are alive at once
+
+
 def _csv_cell(v):
     return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
 
 
-def write_csv(path, header, rows):
-    """Write a CSV file; floats, numpy scalars included, as repr(float(v))."""
+def write_csv(path, header, columns):
+    """Write a CSV file from 1-d columns (arrays or lists) of equal length.
+
+    Floats, numpy ones included, are written as repr(float(v)) and anything
+    else as str(v); the rows are formatted CSV_CHUNK_ROWS at a time.
+    """
+    n_rows = len(columns[0]) if columns else 0
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(_csv_cell, row)) + "\n")
+        for start in range(0, n_rows, CSV_CHUNK_ROWS):
+            cells = []
+            for column in columns:
+                part = column[start:start + CSV_CHUNK_ROWS]
+                if isinstance(part, np.ndarray):
+                    part = part.tolist()
+                cells.append([repr(v) if type(v) is float else _csv_cell(v) for v in part])
+            fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
 
 
 def dump_snapshot_csv(path, state: LineState):
     """Write one line state of the cooperative form as CSV rows t, x, v1, v2."""
-    write_csv(path, ("t", "x", "v1", "v2"),
-              ((state.t, *row) for row in zip(state.x, *state.values)))
+    write_csv(path, ("t", "x", "v1", "v2"), [[state.t] * state.n_nodes, state.x, *state.values])

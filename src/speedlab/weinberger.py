@@ -168,7 +168,7 @@ def apply_R(p: Profile, c, sys, evolver=None, floor=None) -> Profile:
     if floor is None:
         floor = _ramp(p.beta_est, p.x, A)
 
-    evolved = evolver.period(p.values.copy())
+    evolved = evolver.period(p.values)
     shifted = _shift_left(p.x, evolved, shift, sys.ell)
     clamped = np.stack([pava_nonincreasing(shifted[i]) for i in range(2)])
     np.clip(clamped, 0.0, p.beta_est[:, None], out=clamped)
@@ -412,9 +412,9 @@ def _check_monostable(sys):
 def dump_profile_csv(path, profile: Profile, iteration):
     """CSV dump: x, v1, v2, iteration."""
     write_csv(path, ("x", "v1", "v2", "iteration"),
-              ((x, v1, v2, iteration) for x, v1, v2 in zip(profile.x, *profile.values)))
+              [profile.x, *profile.values, [iteration] * profile.x.size])
 
 
 def dump_bracket_trace_csv(path, trace):
     """CSV dump: c, classification, right_end_value, left_plateau."""
-    write_csv(path, ("c", "classification", "right_end_value", "left_plateau"), trace)
+    write_csv(path, ("c", "classification", "right_end_value", "left_plateau"), list(zip(*trace)))

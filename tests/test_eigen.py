@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from speedlab import CoefficientField, lambda_of_mu, principal_eigen
-from speedlab.errors import NonEllipticError
+from speedlab import CoefficientField, eigen, lambda_of_mu, principal_eigen
+from speedlab.errors import NoConvergence, NonEllipticError
 from speedlab.pde import CellPeriodMap
 from speedlab.speeds import richardson
 
@@ -99,6 +99,65 @@ def test_time_independent_solve_powers_the_dense_matrix_once(monkeypatch):
     r = principal_eigen(field("0.7"), field("0.4*sin(2*pi*x)"), field("cos(2*pi*x)"))
     assert len(calls) == 1
     assert r.residual <= 1e-8
+
+
+def _count_snapshots(monkeypatch, alter=None):
+    calls = []
+    snapshots = CellPeriodMap.snapshots
+
+    def counted(pmap, v0):
+        calls.append(v0)
+        states = snapshots(pmap, v0)
+        return states if alter is None else alter(states)
+
+    monkeypatch.setattr(CellPeriodMap, "snapshots", counted)
+    return calls
+
+
+def test_time_independent_eigenfunction_is_marched_when_read(monkeypatch):
+    d, g, m, mu = field("0.7"), field("0.4*sin(2*pi*x)"), field("cos(2*pi*x)"), 0.8
+    calls = _count_snapshots(monkeypatch)
+    r = lambda_of_mu(d, g, m, mu)
+    assert calls == []
+    ef = r.eigenfunction
+    assert len(calls) == 1
+    assert r.eigenfunction is ef and len(calls) == 1
+
+    # the same formula on an explicit march of the Perron vector
+    pmap = CellPeriodMap(d, *eigen.tilted_coefficients(d, g, m, mu))
+    rho_s, psi0, _, _ = eigen._power_iteration(pmap.matrix().dot, pmap.nx)
+    np.testing.assert_array_equal(calls[0], psi0)
+    expected = pmap.snapshots(psi0)[:-1] * (rho_s ** (-np.arange(pmap.nt) / pmap.nt))[:, None]
+    expected /= expected.max()
+    np.testing.assert_array_equal(ef, expected)
+
+
+@pytest.mark.parametrize("h", ["cos(2*pi*x)", "cos(2*pi*x) + 0.3*sin(2*pi*t)"])
+def test_non_positive_perron_vector_fails_at_solve_time(monkeypatch, h):
+    power_iteration = eigen._power_iteration
+
+    def flipped(apply, n):
+        rho, psi, iterations, residual = power_iteration(apply, n)
+        psi = psi.copy()
+        psi[n // 2] = 0.0
+        return rho, psi, iterations, residual
+
+    monkeypatch.setattr(eigen, "_power_iteration", flipped)
+    with pytest.raises(NoConvergence, match="positivity"):
+        principal_eigen(field("0.7"), field("0.4*sin(2*pi*x)"), field(h))
+
+
+def test_non_positive_eigenfunction_row_fails_when_built(monkeypatch):
+    def negate_one_row(states):
+        states = states.copy()
+        states[5] *= -1.0
+        return states
+
+    _count_snapshots(monkeypatch, alter=negate_one_row)
+    r = principal_eigen(field("0.7"), field("0.4*sin(2*pi*x)"), field("cos(2*pi*x)"))
+    assert r.residual <= 1e-8
+    with pytest.raises(NoConvergence, match="positivity"):
+        r.eigenfunction
 
 
 def test_potential_shift_identity_exact():

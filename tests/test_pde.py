@@ -7,9 +7,10 @@ from hypothesis.extra.numpy import arrays
 from speedlab import (CellState, LineState, evolve_system, logistic_orbit, orbits, pde,
                       period_map, step_scalar_linear)
 from speedlab.errors import BlowupError, NonEllipticError, StiffReaction
-from speedlab.pde import (CellPeriodMap, LineSystemEvolver, cell_offsets, constant_in_t,
-                          implicit_transport_banded, solve_cell_transport, solve_line_transport,
-                          transport_step_matrix_dense)
+from speedlab.pde import (CellPeriodMap, CellTransport, LineSystemEvolver, cell_offsets,
+                          cell_transport_solver, constant_in_t, implicit_transport_banded,
+                          solve_cell_transport, solve_line_transport, transport_step_matrix_dense,
+                          write_csv)
 
 from conftest import field, make_system, rng
 
@@ -236,6 +237,21 @@ def test_line_evolver_matches_per_species_reference(monkeypatch, media):
     assert len(calls) == (2 * sys.nt if media == "t-and-x" else 0)
 
 
+@pytest.mark.parametrize("media", ["constants", "t-and-x"])
+def test_line_period_leaves_its_input_unchanged(media):
+    # the recursion passes its profile's own array; the factored (dgttrs) and
+    # the per-step (dgtsv) transport must both leave it as it was
+    sys = make_system(nt=50, nx=16, **LINE_MEDIA[media])
+    ev = LineSystemEvolver(sys, -2.0, 2.0)
+    assert (ev._factors is not None) == (media == "constants")
+    r = rng(6)
+    v0 = np.vstack([r.uniform(0.0, 2.0, ev.n_nodes), r.uniform(0.0, 0.8, ev.n_nodes)])
+    kept = v0.copy()
+    out = ev.period(v0)
+    np.testing.assert_array_equal(v0, kept)
+    assert not np.shares_memory(out, v0)
+
+
 def test_line_evolver_nonelliptic_guard():
     bad = make_system(nt=50, nx=16)
     bad.d2 = field("0.5*sin(2*pi*x)", nt=50, nx=16)  # bypasses SystemSpec validation
@@ -283,6 +299,45 @@ def test_cooperative_period_preserves_order(order_evolver, lo, gap):
 @given(lo=_fractions, gap=_fractions)
 def test_cooperative_period_preserves_order_on_factored_transport(factored_order_evolver, lo, gap):
     _assert_period_preserves_order(factored_order_evolver, lo, gap)
+
+
+def test_one_row_cell_transport_matches_the_row_solver():
+    # d and g frozen in t: one row of tables serves every r, bit for bit the
+    # solve that cell_transport_solver builds from that row's coefficients
+    nt, nx = 12, 16
+    d = field("1 + 0.3*cos(2*pi*x)", nt=nt, nx=nx)
+    g = field("0.8*sin(2*pi*x)", nt=nt, nx=nx)
+    transport = CellTransport(d, g)
+    assert transport._main.shape == (1, nx)
+    r = rng(4)
+    one, columns = r.standard_normal(nx), r.standard_normal((nx, nx))
+    for row in range(nt):
+        solver = cell_transport_solver(d.values[row], g.values[row], d.dx, d.dt)
+        np.testing.assert_array_equal(transport.solve(row, one), solver(one))
+        np.testing.assert_array_equal(transport.solve(row, columns), solver(columns))
+
+
+def _csv_reference_line(row):
+    return ",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+                    for v in row)
+
+
+def test_write_csv_matches_per_cell_formatting(tmp_path):
+    values = [np.float64(0.1), 0.1, 7, "beta", -0.0, 1e16, 1e-5, 5e-324, np.inf, np.nan]
+    n = len(values)
+    columns = [values, np.array(values[::-1], dtype=object), np.arange(n),
+               np.linspace(-1.0, 1.0, n), [str(v) for v in values]]
+    path = tmp_path / "values.csv"
+    write_csv(path, ("a", "b", "c", "d", "e"), columns)
+    expected = ["a,b,c,d,e"] + [_csv_reference_line(row) for row in zip(*columns)]
+    assert path.read_text() == "\n".join(expected) + "\n"
+
+    # more rows than one chunk, in float, int and list columns
+    n = 2 * pde.CSV_CHUNK_ROWS + 3
+    columns = [rng(2).standard_normal(n), np.arange(n) * 3, [0.5 * k for k in range(n)]]
+    write_csv(path, ("x", "k", "y"), columns)
+    expected = ["x,k,y"] + [_csv_reference_line(row) for row in zip(*columns)]
+    assert path.read_text() == "\n".join(expected) + "\n"
 
 
 class _RowByRowTransport:
