@@ -7,12 +7,11 @@ from .eigen import EigenResult, lambda_of_mu, principal_eigen
 from .frontsim import (FrontTrace, fit_speed, front_position, run_front,
                        spreading_verdict)
 from .orbits import PeriodicOrbit, logistic_orbit, orbit_residual
-from .pde import (CellPeriodMap, CellState, LineState, LineSystemEvolver,
-                  evolve_system, period_map, step_scalar_linear)
+from .pde import (CellPeriodMap, CellState, LineState, LineSystemEvolver, period_map,
+                  step_scalar_linear)
 from .speeds import (Certificate, CoupledEigenfunction, SpeedReport, SystemSpec,
                      check_hypotheses, check_linear_determinacy, compute_speed_report,
-                     coupled_eigenfunction, linear_speed_c0, minimize_speed,
-                     scalar_kpp_speeds)
+                     coupled_eigenfunction, linear_speed_c0, minimize_speed)
 from .weinberger import (Profile, SpeedBracket, apply_R, bracket_speeds, init_profile,
                          recursion_limit)
 
@@ -24,11 +23,11 @@ __all__ = [
     "EigenResult", "principal_eigen", "lambda_of_mu",
     "PeriodicOrbit", "logistic_orbit", "orbit_residual",
     "CellState", "LineState", "CellPeriodMap", "LineSystemEvolver",
-    "step_scalar_linear", "period_map", "evolve_system",
+    "step_scalar_linear", "period_map",
     "SystemSpec", "SpeedReport", "Certificate",
-    "CoupledEigenfunction", "minimize_speed", "scalar_kpp_speeds",
-    "linear_speed_c0", "coupled_eigenfunction", "check_hypotheses",
-    "check_linear_determinacy", "compute_speed_report",
+    "CoupledEigenfunction", "minimize_speed", "linear_speed_c0",
+    "coupled_eigenfunction", "check_hypotheses", "check_linear_determinacy",
+    "compute_speed_report",
     "Profile", "SpeedBracket", "init_profile", "apply_R", "recursion_limit",
     "bracket_speeds",
     "FrontTrace", "run_front", "front_position", "fit_speed", "spreading_verdict",

@@ -370,15 +370,15 @@ class CellPeriodMap:
         self.omega, self.ell = d.omega, d.ell
         self.dt = d.dt
         self.dx = d.dx
-        self._d = d.values
-        self._g = g.values
-        self._h = h.values
         # factoring out the mean potential keeps the map at unit scale; the
         # potential-shift identity is exact for this scheme, so no accuracy
         # is lost and huge tilts cannot overflow
         self.shift = float(h.values.mean()) if shift_mean else 0.0
         self._growth = np.exp(self.dt * (h.values - self.shift))
         self._transport = CellTransport(d, g)
+        # True when no coefficient varies along the period (every step is one
+        # matrix); CellTransport has already scanned d and g
+        self.time_independent = self._transport._rows == 1 and constant_in_t(h.values)
         self._matrix = None
 
     def _step(self, r, v):
@@ -424,11 +424,6 @@ class CellPeriodMap:
     def snapshots_with_source(self, v0, source_steps):
         """Forced marching with all intermediate states retained."""
         return self._march(v0, source_steps, keep=True)
-
-    @property
-    def time_independent(self):
-        """True when no coefficient varies along the period (every step is one matrix)."""
-        return constant_in_t(self._d, self._g, self._h)
 
     def matrix(self):
         """Dense monodromy matrix (the map applied to identity columns)."""
@@ -600,35 +595,12 @@ class LineSystemEvolver:
             raise BlowupError(f"state exceeded guard {self.guard:.3g} at step {j}")
         return v
 
-    def run(self, v, j0, n_steps):
-        for j in range(j0, j0 + n_steps):
-            v = self.step(v, j)
-        return v
-
     def period(self, v, period_index=0):
         """Advance one full period starting at t = period_index*omega."""
-        return self.run(v, period_index * self.nt, self.nt)
-
-
-def evolve_system(state: LineState, sys, t0, t1) -> LineState:
-    """Evolve the cooperative system (v1, v2) = (u1, u2* - u2) on the line from t0 to t1.
-
-    t0 and t1 must sit on the time grid omega/nt.
-    """
-    if t1 <= t0:
-        raise ValueError("need t1 > t0")
-    dt = sys.omega / sys.nt
-    j0 = t0 / dt
-    steps = (t1 - t0) / dt
-    if abs(j0 - round(j0)) > 1e-9 or abs(steps - round(steps)) > 1e-9:
-        raise ValueError("t0 and t1 must be multiples of omega/nt")
-    ev = LineSystemEvolver(sys, state.x_lo, state.x_hi)
-    if state.values.shape[0] != 2:
-        raise ValueError("system state needs two components")
-    if state.n_nodes != ev.n_nodes:
-        raise ValueError("state grid does not match the coefficient grid")
-    vals = ev.run(state.values.copy(), int(round(j0)), int(round(steps)))
-    return LineState(vals, t1, state.x_lo, state.x_hi)
+        j0 = period_index * self.nt
+        for j in range(j0, j0 + self.nt):
+            v = self.step(v, j)
+        return v
 
 
 CSV_CHUNK_ROWS = 1024  # rows formatted at a time, so few float objects are alive at once

@@ -235,37 +235,6 @@ def _leftward_curve(d, g, m):
 
 
 @dataclass
-class KppSpeeds:
-    c_right: float
-    c_left: float
-
-
-def scalar_kpp_speeds(d, g, b, refine=False) -> KppSpeeds:
-    """Rightward and leftward KPP spreading speeds of one scalar equation.
-
-    c_right = inf_{mu>0} lambda_b(mu)/mu from the tilted eigenvalue family;
-    c_left uses the reflected coefficients.  With refine=True the speeds are
-    Richardson-extrapolated across one grid doubling (expression-backed
-    fields only).
-    """
-    lam0 = eigen.principal_eigen(d, g, b).lam
-    if lam0 <= 0.0:
-        raise NotMonostable(f"lambda(d,g,b) = {lam0:.6g} <= 0")
-
-    def both(df, gf, bf):
-        return (minimize_speed(_lambda_curve(df, gf, bf)),
-                minimize_speed(_leftward_curve(df, gf, bf)))
-
-    right, left = both(d, g, b)
-    if not refine:
-        return KppSpeeds(right.c_star, left.c_star)
-    d2f, g2f, b2f = refine_field(d), refine_field(g), refine_field(b)
-    right_f, left_f = both(d2f, g2f, b2f)
-    return KppSpeeds(richardson(right.c_star, right_f.c_star)[0],
-                     richardson(left.c_star, left_f.c_star)[0])
-
-
-@dataclass
 class C0Result:
     c0: float
     mu0: float

@@ -10,9 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from speedlab import (CellState, LineState, bracket_speeds, evolve_system,
-                      linear_speed_c0, period_map, principal_eigen, run_front,
-                      scalar_kpp_speeds, spreading_verdict)
+from speedlab import (CellState, LineSystemEvolver, bracket_speeds, linear_speed_c0,
+                      period_map, principal_eigen, run_front, spreading_verdict)
 from speedlab.speeds import compute_speed_report
 
 from conftest import field, make_system
@@ -55,12 +54,15 @@ def const_front(const_sys, const_report):
 # ---------------------------------------------------------------------------
 
 def test_c1_constant_kpp_speed_with_refinement():
+    # decoupled Fisher system: with a12 = 0 the invaded potential is b1 = 1,
+    # so c0 is species 1's scalar KPP speed 2*sqrt(d1*b1) = 2
+    fisher = make_system(b1="1", d2="1", a12="0", a21="0")
     t0 = time.perf_counter()
-    sp = scalar_kpp_speeds(field("1"), field("0"), field("1"), refine=True)
+    c = linear_speed_c0(fisher, refine=True).c0
     seconds = time.perf_counter() - t0
-    rel = abs(sp.c_right - 2.0) / 2.0
+    rel = abs(c - 2.0) / 2.0
     report("C1", rel <= 1e-3 and seconds < 10.0,
-           f"c_right={sp.c_right:.8f} rel_err={rel:.2e} runtime={seconds:.1f}s")
+           f"c0={c:.8f} rel_err={rel:.2e} runtime={seconds:.1f}s")
 
 
 def test_c2_time_periodic_closed_form_c0():
@@ -156,13 +158,12 @@ def test_c6_recursion_brackets(bracket_runs):
 def test_c7_comparison_principle_suite(const_sys):
     rng = np.random.default_rng(2024)
     n = 129
+    ev = LineSystemEvolver(const_sys, -1.0, 1.0)
     worst = -np.inf
     for _ in range(20):
         lo = rng.uniform(0.0, 1.4, (2, n))
         hi = np.minimum(lo + rng.uniform(0.0, 0.6, (2, n)), 2.0)
-        a = evolve_system(LineState(lo, 0.0, -1.0, 1.0), const_sys, 0.0, 1.0)
-        b = evolve_system(LineState(hi, 0.0, -1.0, 1.0), const_sys, 0.0, 1.0)
-        worst = max(worst, float(np.max(a.values - b.values)))
+        worst = max(worst, float(np.max(ev.period(lo) - ev.period(hi))))
     report("C7", worst <= 1e-9, f"worst ordering violation = {worst:.2e} over 20 pairs")
 
 

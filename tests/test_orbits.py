@@ -3,8 +3,9 @@ import pytest
 
 from speedlab import logistic_orbit, orbit_residual, principal_eigen
 from speedlab.errors import SparseSupport
+from speedlab.pde import _transport_entries
 
-from conftest import field
+from conftest import field, make_system
 
 # u*(0) of u' = u(1 + 0.5 sin(2 pi t) - u), frozen from a solve_ivp march to
 # the attractor at rtol 1e-12 (the time-periodic logistic oracle)
@@ -85,3 +86,32 @@ def test_orbit_is_exact_discrete_eigenfunction():
     orb = logistic_orbit(d, g, c, e)
     lam = principal_eigen(d, g, c - e * orb.as_field()).lam
     assert abs(lam) <= 1e-6
+
+
+def row_by_row_residual(orbit, d, g, c, e):
+    """orbit_residual one step at a time: the reference for the vectorised pass."""
+    nt, dt, dx = orbit.nt, d.dt, d.dx
+    snaps = orbit.snapshots
+    worst = 0.0
+    for j in range(nt):
+        r = (j + 1) % nt
+        u_new, u_old = snaps[r], snaps[j]
+        lower, diag, upper = _transport_entries(d.values[r], g.values[r], dx)
+        tu = lower * np.roll(u_new, 1) + diag * u_new + upper * np.roll(u_new, -1)
+        h = c.values[r] - e.values[r] * u_new
+        worst = max(worst, float(np.max(np.abs((u_new - u_old) / dt - tu - h * u_new))))
+    return worst + orbit.closure_gap
+
+
+@pytest.mark.parametrize("media", [
+    {},  # the competition constants
+    {"d1": "1 + 0.25*cos(2*pi*x)", "g1": "0.2*sin(2*pi*(x - t))",
+     "b1": "2 + 0.5*cos(2*pi*x)", "b2": "1 + 0.5*sin(2*pi*t)"},
+    {"d1": "0.25", "d2": "2.5", "b1": "1 + 0.5*cos(2*pi*x) + 0.25*sin(2*pi*t)",
+     "b2": "1 + 0.5*cos(2*pi*x) + 0.25*sin(2*pi*t)", "a12": "1", "a21": "1"},
+], ids=["constants", "report-tx", "shared-growth"])
+def test_residual_matches_the_row_by_row_loop(media):
+    sys = make_system(**media)
+    for orbit, fields in ((sys.u1_star(), (sys.d1, sys.g1, sys.b1, sys.a11)),
+                          (sys.u2_star(), (sys.d2, sys.g2, sys.b2, sys.a22))):
+        assert orbit.residual == row_by_row_residual(orbit, *fields)

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from speedlab import (CellState, LineState, evolve_system, logistic_orbit, orbits, pde,
-                      period_map, step_scalar_linear)
+from speedlab import CellState, logistic_orbit, orbits, pde, period_map, step_scalar_linear
 from speedlab.errors import BlowupError, NonEllipticError, StiffReaction
 from speedlab.pde import (CellPeriodMap, CellTransport, LineSystemEvolver, cell_offsets,
                           cell_transport_solver, constant_in_t, implicit_transport_banded,
@@ -90,18 +89,17 @@ def test_period_map_linearity():
 
 
 def test_evolve_zero_stays_zero(constants_system):
-    st = LineState(np.zeros((2, 129)), 0.0, -1.0, 1.0)
-    out = evolve_system(st, constants_system, 0.0, 1.0)
-    assert np.all(out.values == 0.0)
+    out = LineSystemEvolver(constants_system, -1.0, 1.0).period(np.zeros((2, 129)))
+    assert np.all(out == 0.0)
 
 
 def test_semitrivial_equilibrium_is_stationary(constants_system):
     # (u1, u2) = (u1*, 0) = (2, 0) for the constants instance, which is
     # (v1, v2) = (u1*, u2*) = (2, 1) in cooperative variables
-    st = LineState(np.vstack([np.full(129, 2.0), np.ones(129)]), 0.0, -1.0, 1.0)
-    out = evolve_system(st, constants_system, 0.0, 1.0)
-    np.testing.assert_allclose(out.values[0], 2.0, atol=1e-11)
-    np.testing.assert_allclose(out.values[1], 1.0, atol=1e-11)
+    v0 = np.vstack([np.full(129, 2.0), np.ones(129)])
+    out = LineSystemEvolver(constants_system, -1.0, 1.0).period(v0)
+    np.testing.assert_allclose(out[0], 2.0, atol=1e-11)
+    np.testing.assert_allclose(out[1], 1.0, atol=1e-11)
 
 
 def test_cooperative_comparison_stable_under_dt_refinement(constants_system):
@@ -112,9 +110,8 @@ def test_cooperative_comparison_stable_under_dt_refinement(constants_system):
         n = 65
         lo = r.uniform(0, 1.2, (2, n))
         hi = lo + r.uniform(0, 0.5, (2, n))
-        a = evolve_system(LineState(lo, 0.0, -2.0, 2.0), sys_ref, 0.0, 1.0)
-        b = evolve_system(LineState(hi, 0.0, -2.0, 2.0), sys_ref, 0.0, 1.0)
-        assert float(np.max(a.values - b.values)) <= 1e-9
+        ev = LineSystemEvolver(sys_ref, -2.0, 2.0)
+        assert float(np.max(ev.period(lo) - ev.period(hi))) <= 1e-9
 
 
 def test_translation_equivariance(periodic_b2_system=None):
@@ -124,13 +121,13 @@ def test_translation_equivariance(periodic_b2_system=None):
     x = np.linspace(-8.0, 8.0, 16 * 64 + 1)
     bump = np.exp(-(x**2))
     v0 = np.vstack([bump, 0.3 * bump])
-    plain = evolve_system(LineState(v0, 0.0, -8.0, 8.0), sysp, 0.0, 1.0)
+    ev = LineSystemEvolver(sysp, -8.0, 8.0)
+    plain = ev.period(v0)
     shifted0 = np.vstack([np.interp(x - 1.0, x, v0[0]), np.interp(x - 1.0, x, v0[1])])
-    moved = evolve_system(LineState(shifted0, 0.0, -8.0, 8.0), sysp, 0.0, 1.0)
-    back = np.vstack([np.interp(x + 1.0, x, moved.values[0]),
-                      np.interp(x + 1.0, x, moved.values[1])])
+    moved = ev.period(shifted0)
+    back = np.vstack([np.interp(x + 1.0, x, moved[0]), np.interp(x + 1.0, x, moved[1])])
     interior = (x > -5.0) & (x < 5.0)
-    assert np.max(np.abs(plain.values - back)[:, interior]) < 1e-6
+    assert np.max(np.abs(plain - back)[:, interior]) < 1e-6
 
 
 def test_first_order_convergence_under_joint_refinement():
@@ -150,20 +147,13 @@ def test_first_order_convergence_under_joint_refinement():
 def test_blowup_guard(constants_system):
     # cooperative second component above the carrying level grows superlinearly;
     # starting past the a-priori guard trips the abort on the first step
-    st = LineState(np.vstack([np.zeros(129), np.full(129, 30.0)]), 0.0, -1.0, 1.0)
+    ev = LineSystemEvolver(constants_system, -1.0, 1.0)
     with pytest.raises(BlowupError):
-        evolve_system(st, constants_system, 0.0, 1.0)
+        ev.period(np.vstack([np.zeros(129), np.full(129, 30.0)]))
     # a reaction too stiff for the time grid is rejected outright
     sys_stiff = make_system(nt=100, nx=16, b1="30")
-    st2 = LineState(np.zeros((2, 33)), 0.0, -1.0, 1.0)
     with pytest.raises(StiffReaction):
-        evolve_system(st2, sys_stiff, 0.0, 1.0)
-
-
-def test_time_grid_validation(constants_system):
-    st = LineState(np.zeros((2, 129)), 0.0, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        evolve_system(st, constants_system, 0.0, 0.0012345)
+        LineSystemEvolver(sys_stiff, -1.0, 1.0)
 
 
 def test_banded_assembly_row_sums():

@@ -4,10 +4,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from speedlab import (check_hypotheses, check_linear_determinacy, coupled_eigenfunction,
-                      linear_speed_c0, minimize_speed, scalar_kpp_speeds)
-from speedlab.errors import NoInteriorMinimum, NotMonostable
-from speedlab import eigen, speeds
+from speedlab import (SystemSpec, check_hypotheses, check_linear_determinacy,
+                      coupled_eigenfunction, linear_speed_c0, minimize_speed)
+from speedlab.errors import NoInteriorMinimum
+from speedlab import eigen, pde, speeds
 from speedlab.speeds import compute_speed_report, reflected_scalar_coefficients
 
 from conftest import field, make_system
@@ -40,33 +40,46 @@ def test_minimize_speed_monotone_raises():
         minimize_speed(lambda mu: mu * mu)      # lambda/mu increasing everywhere
 
 
-def test_scalar_kpp_constants():
-    sp = scalar_kpp_speeds(field("1"), field("0"), field("1"))
-    assert sp.c_right == pytest.approx(2.0, abs=1e-6)
-    assert sp.c_left == pytest.approx(2.0, abs=1e-6)
+def h4_speeds(sys):
+    """H4's single-species speeds (c1+, c2-) of the system."""
+    details = check_hypotheses(sys)["H4"].details
+    return details["c1_plus"], details["c2_minus"]
 
-    sp = scalar_kpp_speeds(field("2"), field("0"), field("3"))
-    assert sp.c_right == pytest.approx(2.0 * math.sqrt(6.0), abs=1e-6)
+
+def both_species(d, g, b):
+    """A decoupled system whose two species carry the same (d, g, b)."""
+    one, zero = field("1"), field("0")
+    return SystemSpec(d1=d, d2=d, g1=g, g2=g, b1=b, b2=b,
+                      a11=one, a12=zero, a21=zero, a22=one)
+
+
+def test_scalar_kpp_constants(fisher_system):
+    c1p, c2m = h4_speeds(fisher_system)
+    assert c1p == pytest.approx(2.0, abs=1e-6)
+    assert c2m == pytest.approx(2.0, abs=1e-6)
+
+    c1p, _ = h4_speeds(make_system(d1="2", b1="3"))
+    assert c1p == pytest.approx(2.0 * math.sqrt(6.0), abs=1e-6)
 
 
 def test_scalar_kpp_drift_shifts_speeds():
-    sp = scalar_kpp_speeds(field("1"), field("1"), field("1"))
-    assert sp.c_right == pytest.approx(3.0, abs=1e-6)
-    assert sp.c_left == pytest.approx(1.0, abs=1e-6)
+    c1p, c2m = h4_speeds(both_species(field("1"), field("1"), field("1")))
+    assert c1p == pytest.approx(3.0, abs=1e-6)
+    assert c2m == pytest.approx(1.0, abs=1e-6)
 
 
 def test_scalar_kpp_not_monostable():
-    with pytest.raises(NotMonostable):
-        scalar_kpp_speeds(field("1"), field("0"), field("-1"))
+    certs = check_hypotheses(make_system(b1="-1"))
+    assert certs["H1"].verdict == "fail"
+    assert certs["H4"].verdict == "not-applicable"
 
 
 def test_reflection_duality():
     d, g, b = field("1"), field("0.6"), field("1 + 0.3*cos(2*pi*x)")
-    direct = scalar_kpp_speeds(d, g, b)
-    rd, rg, rb = reflected_scalar_coefficients(d, g, b)
-    swapped = scalar_kpp_speeds(rd, rg, rb)
-    assert direct.c_left == swapped.c_right
-    assert direct.c_right == swapped.c_left
+    direct = h4_speeds(both_species(d, g, b))
+    swapped = h4_speeds(both_species(*reflected_scalar_coefficients(d, g, b)))
+    assert direct[1] == swapped[0]
+    assert direct[0] == swapped[1]
 
 
 def test_twice_reflected_coefficients_give_bit_identical_lambda():
@@ -86,8 +99,8 @@ def test_linear_speed_c0_constants(constants_system):
 
 def test_linear_speed_c0_decoupled_reduces_to_scalar(fisher_system):
     res = linear_speed_c0(fisher_system)
-    sp = scalar_kpp_speeds(fisher_system.d1, fisher_system.g1, fisher_system.b1)
-    assert res.c0 == pytest.approx(sp.c_right, abs=1e-12)
+    c1p, _ = h4_speeds(fisher_system)
+    assert res.c0 == pytest.approx(c1p, abs=1e-12)
 
 
 def test_linear_speed_c0_time_periodic_mean_formula():
@@ -223,6 +236,18 @@ def test_prop_lb_consistency(constants_system):
     assert rep.c1_plus > rep.c0_plus
 
 
+def key_maps_by_fields(monkeypatch):
+    """Key each CellPeriodMap built from now on by the (d, g, h) it was built from."""
+    keys, init = {}, pde.CellPeriodMap.__init__
+
+    def keyed_init(pmap, d, g, h, shift_mean=True):
+        init(pmap, d, g, h, shift_mean)
+        keys[pmap] = tuple(f.values.tobytes() for f in (d, g, h))
+
+    monkeypatch.setattr(pde.CellPeriodMap, "__init__", keyed_init)
+    return keys
+
+
 def test_speed_report_solves_each_eigenproblem_once(monkeypatch):
     # H4 minimizes only species 1 rightward and species 2 leftward, c0 the
     # third; H2 and the c0 margin share one invaded solve, and the coupled
@@ -230,13 +255,14 @@ def test_speed_report_solves_each_eigenproblem_once(monkeypatch):
     sysp = make_system(nt=50, nx=8)
     minimizations, solves = [], Counter()
     minimize, solve = speeds.minimize_speed, eigen.principal_of_map
+    keys = key_maps_by_fields(monkeypatch)
 
     def counting_minimize(*args, **kwargs):
         minimizations.append(args)
         return minimize(*args, **kwargs)
 
     def counting_solve(pmap):
-        solves[tuple(a.tobytes() for a in (pmap._d, pmap._g, pmap._h)) + (pmap.shift,)] += 1
+        solves[keys[pmap] + (pmap.shift,)] += 1
         return solve(pmap)
 
     monkeypatch.setattr(speeds, "minimize_speed", counting_minimize)
@@ -255,13 +281,14 @@ def test_d1_violated_report_reuses_the_series_lambdabar(monkeypatch):
     sysp = make_system(nt=50, nx=8, d2="3")
     pairs, solves = [], Counter()
     coupled, solve = speeds.coupled_eigenfunction, eigen.principal_of_map
+    keys = key_maps_by_fields(monkeypatch)
 
     def recording_coupled(*args, **kwargs):
         pairs.append(coupled(*args, **kwargs))
         return pairs[-1]
 
     def counting_solve(pmap):
-        solves[tuple(a.tobytes() for a in (pmap._d, pmap._g, pmap._h))] += 1
+        solves[keys[pmap]] += 1
         return solve(pmap)
 
     monkeypatch.setattr(speeds, "coupled_eigenfunction", recording_coupled)
