@@ -12,8 +12,7 @@ from .pde import (CellPeriodMap, CellState, LineState, LineSystemEvolver, period
 from .speeds import (Certificate, CoupledEigenfunction, SpeedReport, SystemSpec,
                      check_hypotheses, check_linear_determinacy, compute_speed_report,
                      coupled_eigenfunction, linear_speed_c0, minimize_speed)
-from .weinberger import (Profile, SpeedBracket, apply_R, bracket_speeds, init_profile,
-                         recursion_limit)
+from .weinberger import RecursionLine, SpeedBracket, bracket_speeds, recursion_limit
 
 __version__ = "0.1.0"
 
@@ -28,8 +27,7 @@ __all__ = [
     "CoupledEigenfunction", "minimize_speed", "linear_speed_c0",
     "coupled_eigenfunction", "check_hypotheses", "check_linear_determinacy",
     "compute_speed_report",
-    "Profile", "SpeedBracket", "init_profile", "apply_R", "recursion_limit",
-    "bracket_speeds",
+    "RecursionLine", "SpeedBracket", "recursion_limit", "bracket_speeds",
     "FrontTrace", "run_front", "front_position", "fit_speed", "spreading_verdict",
     "__version__",
 ]

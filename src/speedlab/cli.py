@@ -263,9 +263,8 @@ def _task_weinberger(cfg, sys_spec, speed_report):
                                       cstar.trace)
     for label, c_edge in (("lo", cstar.c_lo), ("hi", cstar.c_hi)):
         if c_edge in cstar.profiles:
-            prof, iters = cstar.profiles[c_edge]
-            weinberger.dump_profile_csv(
-                os.path.join(cfg.output, f"profile_cstar_{label}.csv"), prof, iters)
+            weinberger.dump_profile_csv(os.path.join(cfg.output, f"profile_cstar_{label}.csv"),
+                                        cstar.profiles[c_edge])
     return {
         "cstar": {"lo": cstar.c_lo, "hi": cstar.c_hi,
                   "open_below": cstar.open_below, "open_above": cstar.open_above},

@@ -374,16 +374,18 @@ class CellPeriodMap:
         # potential-shift identity is exact for this scheme, so no accuracy
         # is lost and huge tilts cannot overflow
         self.shift = float(h.values.mean()) if shift_mean else 0.0
-        self._growth = np.exp(self.dt * (h.values - self.shift))
         self._transport = CellTransport(d, g)
         # True when no coefficient varies along the period (every step is one
         # matrix); CellTransport has already scanned d and g
         self.time_independent = self._transport._rows == 1 and constant_in_t(h.values)
+        # one row of growth factors serves every step of a t-independent map
+        rows = 1 if self.time_independent else self.nt
+        self._growth = np.exp(self.dt * (h.values[:rows] - self.shift))
         self._matrix = None
 
     def _step(self, r, v):
         """One step into row r: the transport solve, then the growth factor."""
-        growth = self._growth[r]
+        growth = self._growth[r % len(self._growth)]
         return (growth if v.ndim == 1 else growth[:, None]) * self._transport.solve(r, v)
 
     def _march(self, v, source=None, keep=False):

@@ -34,24 +34,9 @@ _RANK = {"beta": 2, "intermediate": 1, "zero": 0}
 
 
 @dataclass
-class Profile:
-    """Two-component non-increasing profile on [-A, A]."""
-
-    x: np.ndarray
-    values: np.ndarray  # shape (2, N+1)
-    beta_est: np.ndarray
-
-    @property
-    def half_width(self):
-        return float(self.x[-1])
-
-    def value_at(self, xq):
-        return np.array([np.interp(xq, self.x, self.values[i]) for i in range(2)])
-
-
-@dataclass
 class RecursionResult:
-    profile: Profile
+    x: np.ndarray
+    values: np.ndarray  # shape (2, N+1), the last iterate
     iterations: int
     cap_reached: bool
     early_beta_exit: bool = False
@@ -100,27 +85,6 @@ def pava_nonincreasing(y):
     return np.repeat(means[:m], counts[:m])
 
 
-def _ramp(beta_est, x, half_width):
-    """Smooth non-increasing ramp: 0.5*beta for x <= -A/2, zero for x >= 0."""
-    shape = np.zeros_like(x)
-    shape[x <= -half_width / 2] = 1.0
-    mid = (x > -half_width / 2) & (x < 0)
-    # cosine ramp: 1 at -A/2, 0 at 0
-    shape[mid] = 0.5 * (1.0 + np.cos(np.pi * (x[mid] + half_width / 2) / (half_width / 2)))
-    return 0.5 * np.outer(np.asarray(beta_est, dtype=float), shape)
-
-
-def init_profile(beta_est, A, N) -> Profile:
-    """Initial profile: plateau 0.5*beta left of -A/2, exactly zero for x >= 0."""
-    beta_est = np.asarray(beta_est, dtype=float)
-    if np.any(beta_est <= 0):
-        raise ValueError("plateau estimates must be positive")
-    if N < 200:
-        raise TooFewNodes(f"need N >= 200 profile nodes, got {N}")
-    x = np.linspace(-A, A, N + 1)
-    return Profile(x=x, values=_ramp(beta_est, x, A), beta_est=beta_est)
-
-
 def _shift_left(x, values, shift, ell):
     """Sample values at x + shift by linear interpolation.
 
@@ -151,77 +115,80 @@ def _shift_left(x, values, shift, ell):
     return out
 
 
-def apply_R(p: Profile, c, sys, evolver=None, floor=None) -> Profile:
-    """One recursion step: evolve one period, shift by c*omega, clamp, floor.
+class RecursionLine:
+    """The truncated line [-A, A] every candidate speed of a bracket runs on.
 
-    The profile is evolved under the cooperative nonlinear period map on the
-    truncated line, translated so the frame moves with speed c, projected
-    back onto non-increasing profiles, clipped into [0, beta], and finally
-    maxed with the initial ramp.
+    Built once per bracket: it checks the monostable precondition, builds
+    the line evolver (whose nodes are the profile grid, N = 2A*nx/ell
+    intervals, at least 200), and holds the plateau beta of the system's own
+    orbits, the floor ramp, the radiation ceiling's tail rate and the
+    classification station x = A - 2L.
     """
-    A = p.half_width
-    shift = c * sys.omega
-    if abs(shift) > A / 4.0:
-        raise ShiftOutOfRange(f"|c*omega| = {abs(shift):.3g} exceeds A/4 = {A / 4:.3g}")
-    if evolver is None:
-        evolver = LineSystemEvolver(sys, -A, A)
-    if floor is None:
-        floor = _ramp(p.beta_est, p.x, A)
 
-    evolved = evolver.period(p.values)
-    shifted = _shift_left(p.x, evolved, shift, sys.ell)
-    clamped = np.stack([pava_nonincreasing(shifted[i]) for i in range(2)])
-    np.clip(clamped, 0.0, p.beta_est[:, None], out=clamped)
-    new_values = np.maximum(clamped, floor)
-    return Profile(x=p.x, values=new_values, beta_est=p.beta_est)
+    def __init__(self, sys, A):
+        _check_monostable(sys)
+        self.sys, self.A = sys, A
+        self.evolver = LineSystemEvolver(sys, -A, A)
+        self.x = self.evolver.x
+        if self.x.size < 201:
+            raise TooFewNodes(f"need N >= 200 profile nodes, got {self.x.size - 1}")
+        # plateau beta of both species: the maxima of their orbits at t = 0
+        self.beta = np.array([sys.u1_star().snapshots[0].max(), sys.u2_star().snapshots[0].max()])
+        # floor and start of every run: a cosine ramp from 0.5*beta for
+        # x <= -A/2 down to exactly zero for x >= 0
+        shape = np.zeros_like(self.x)
+        shape[self.x <= -A / 2] = 1.0
+        mid = (self.x > -A / 2) & (self.x < 0)
+        shape[mid] = 0.5 * (1.0 + np.cos(np.pi * (self.x[mid] + A / 2) / (A / 2)))
+        self.floor = 0.5 * np.outer(self.beta, shape)
+        # Decay rate of the radiation ceiling, the linearized invasion tail
+        # rate sqrt(growth/diffusion).  This is the neutral choice: an
+        # exponential envelope spreads at lambda(mu)/mu, which is minimal
+        # (equal to the linear front speed) exactly at the true tail rate, so
+        # the ceiling neither outruns nor holds back the genuine front.  A
+        # shallower ceiling would itself invade faster than the front; a much
+        # steeper one would clip legitimate tail mass.
+        self.tail_rate = float(np.sqrt(sys.invaded_eigen().lam / sys.d1.values.mean()))
+        self.station = A - 2.0 * sys.ell
 
+    def apply_R(self, values, c):
+        """One recursion step: evolve one period, shift by c*omega, clamp, floor.
 
-def _tail_rate_estimate(sys):
-    """Linearized invasion tail rate sqrt(growth/diffusion).
-
-    Decay rate of the radiation ceiling.  This is the neutral choice: an
-    exponential envelope spreads at lambda(mu)/mu, which is minimal (equal
-    to the linear front speed) exactly at the true tail rate, so the
-    ceiling neither outruns nor holds back the genuine front.  A shallower
-    ceiling would itself invade faster than the front; a much steeper one
-    would clip legitimate tail mass.
-    """
-    growth = sys.invaded_eigen().lam
-    if growth <= 0:
-        return None
-    return float(np.sqrt(growth / sys.d1.values.mean()))
-
-
-def _plateau_estimate(sys):
-    """Plateau beta of both species: the maxima of their orbits at t = 0."""
-    return np.array([sys.u1_star().snapshots[0].max(), sys.u2_star().snapshots[0].max()])
+        The (2, N+1) values are evolved under the cooperative nonlinear
+        period map, translated so the frame moves with speed c, projected
+        back onto non-increasing profiles, clipped into [0, beta], and
+        finally maxed with the floor ramp; the result is a new array.
+        """
+        shift = c * self.sys.omega
+        if abs(shift) > self.A / 4.0:
+            raise ShiftOutOfRange(f"|c*omega| = {abs(shift):.3g} exceeds A/4 = {self.A / 4:.3g}")
+        shifted = _shift_left(self.x, self.evolver.period(values), shift, self.sys.ell)
+        clamped = np.stack([pava_nonincreasing(shifted[i]) for i in range(2)])
+        np.clip(clamped, 0.0, self.beta[:, None], out=clamped)
+        return np.maximum(clamped, self.floor)
 
 
 def _half_width(sys, c):
     """Default half width A for speeds up to |c|, rounded up to whole cells.
 
     At least 12 periods; at least 4|c|*omega + 2 periods, so the shift
-    c*omega stays within A/4; and at least 100 cells, so the profile holds
-    the 200 nodes init_profile needs on the solver grid.
+    c*omega stays within A/4; and at least 100 cells, so the line holds the
+    200 nodes RecursionLine needs on the solver grid.
     """
     A = max(12.0 * sys.ell, 4.0 * abs(c) * sys.omega + 2.0 * sys.ell,
             100.0 * sys.ell / sys.nx)
     return ceil_to_multiple(A, sys.ell)
 
 
-def recursion_limit(c, sys, cap=DEFAULT_CAP, A=None, stop_probe=None) -> RecursionResult:
-    """Iterate the recursion until the sup change drops below 1e-6 or cap.
+def recursion_limit(c, line, cap=DEFAULT_CAP) -> RecursionResult:
+    """Iterate the recursion on `line` until the sup change drops below 1e-6 or cap.
 
-    The run starts from init_profile on [-A, A] with the plateau of the
-    system's own orbits and N = 2A*nx/ell nodes, the line grid of the
-    solver.  A defaults to the rule of _half_width for the speed c.
-
-    The iteration is nondecreasing in the step count (asserted nodewise each
-    step; a drop beyond roundoff raises MonotonicityLost), so the limit
-    exists; hitting the cap returns the last profile with a warning flag
-    instead of raising.  stop_probe, when given as
-    (x_station, level), ends the run early once component 1 exceeds `level`
-    at the station, which is sound for lower-bound classification because
+    The run starts from the line's floor ramp.  The iteration is
+    nondecreasing in the step count (asserted nodewise each step; a drop
+    beyond roundoff raises MonotonicityLost), so the limit exists; hitting
+    the cap returns the last iterate with a warning flag instead of raising.
+    The run ends early once component 1 reaches the beta band at the
+    line's station, which is sound for lower-bound classification because
     the iterates only grow.
 
     Truncation guard: on a finite domain the zero-flux wall accumulates the
@@ -235,34 +202,26 @@ def recursion_limit(c, sys, cap=DEFAULT_CAP, A=None, stop_probe=None) -> Recursi
     stops flagged `ignited` and classification falls back on the recorded
     front drift instead of the contaminated station value.
     """
-    if A is None:
-        A = _half_width(sys, c)
-    profile = init_profile(_plateau_estimate(sys), A, int(round(2 * A * sys.nx / sys.ell)))
-    envelope_mu = _tail_rate_estimate(sys)
-    evolver = LineSystemEvolver(sys, -A, A)
-    floor = _ramp(profile.beta_est, profile.x, A)
-    beta1 = float(profile.beta_est[0])
+    x, beta, ell = line.x, line.beta, line.sys.ell
+    beta1 = float(beta[0])
     front_level = 0.4 * beta1
+    stop_level = (1.0 - BETA_BAND) * beta1
 
-    def front_position(prof):
-        """Rightmost crossing of component 1 below front_level; -A if none."""
-        pos = rightmost_crossing(prof.x, prof.values[0], front_level)
-        return float(prof.x[0]) if pos is None else pos
+    def apply_ceiling(values):
+        """Clip values under the radiation ceiling and return the front.
 
-    def apply_ceiling(prof):
-        """Clip prof under the radiation ceiling and return its front.
-
-        The ceiling lowers only nodes past front + 4L, which already lie
-        below front_level, so the front is the same before and after.
+        The front is the rightmost crossing of component 1 below front_level
+        (-A if none).  The ceiling lowers only nodes past front + 4L, which
+        already lie below front_level, so the front is the same before and
+        after.
         """
-        front = front_position(prof)
-        if envelope_mu is not None:
-            decay = np.exp(-envelope_mu * np.maximum(prof.x - (front + 4.0 * sys.ell), 0.0))
-            np.minimum(prof.values, prof.beta_est[:, None] * decay[None, :],
-                       out=prof.values)
+        pos = rightmost_crossing(x, values[0], front_level)
+        front = float(x[0]) if pos is None else pos
+        decay = np.exp(-line.tail_rate * np.maximum(x - (front + 4.0 * ell), 0.0))
+        np.minimum(values, beta[:, None] * decay[None, :], out=values)
         return front
 
-    current = profile
+    current = line.floor.copy()
     apply_ceiling(current)
     sup_change = np.inf
     early = False
@@ -270,51 +229,45 @@ def recursion_limit(c, sys, cap=DEFAULT_CAP, A=None, stop_probe=None) -> Recursi
     iterations = 0
     fronts = []
     for m in range(1, cap + 1):
-        new = apply_R(current, c, sys, evolver=evolver, floor=floor)
+        new = line.apply_R(current, c)
         front = apply_ceiling(new)
         # nondecreasing in m up to the truncated-tail tolerance; the iterate
         # is NOT clipped against its predecessor, a ratchet would keep every
         # boundary-inflated tail value alive and ignite the right end
-        worst_drop = float(np.max(current.values - new.values))
-        if worst_drop > max(MONOTONE_TOL, 1e-7 * float(profile.beta_est.max())):
+        worst_drop = float(np.max(current - new))
+        if worst_drop > max(MONOTONE_TOL, 1e-7 * float(beta.max())):
             raise MonotonicityLost(f"recursion lost monotonicity by {worst_drop:.3g}")
-        sup_change = float(np.max(np.abs(new.values - current.values)))
+        sup_change = float(np.max(np.abs(new - current)))
         current = new
         iterations = m
         fronts.append(front)
-        if current.values[0, -1] > 0.05 * beta1 and front < A - 6.0 * sys.ell:
+        if current[0, -1] > 0.05 * beta1 and front < line.A - 6.0 * ell:
             ignited = True
             break
-        if stop_probe is not None:
-            x_station, level = stop_probe
-            if current.value_at(x_station)[0] >= level:
-                early = True
-                break
+        if np.interp(line.station, x, current[0]) >= stop_level:
+            early = True
+            break
         if sup_change < SUP_CHANGE_TOL:
             break
     converged = (sup_change < SUP_CHANGE_TOL or early) and not ignited
-    return RecursionResult(profile=current, iterations=iterations,
+    return RecursionResult(x=x, values=current, iterations=iterations,
                            cap_reached=not converged and not ignited and iterations >= cap,
                            early_beta_exit=early, ignited=ignited, front_history=fronts)
 
 
-def classify_profile(result: RecursionResult, sys, station=None, drift_tol=None):
-    """Classify a recursion run by species 1 at the station x = A - 2L.
+def classify_profile(result: RecursionResult, line, drift_tol):
+    """Classify a recursion run by species 1 at the line's station x = A - 2L.
 
     Clean runs use the station value: beta within 5% of the plateau, zero
     below 1%, intermediate otherwise.  Ignited runs cannot trust the station
     value; they are classified beta only when the recorded front drift
-    certifies a steady advance (sound, since the measured drift of the
-    monotone iteration underestimates the limiting speed), and never zero.
+    reaches drift_tol, which certifies a steady advance (sound, since the
+    measured drift of the monotone iteration underestimates the limiting
+    speed), and never zero.  Returns (class, station value, value at -A + 2L).
     """
-    p = result.profile
-    if station is None:
-        station = p.half_width - 2.0 * sys.ell
-    if drift_tol is None:
-        drift_tol = 0.01 * sys.ell
-    value = float(p.value_at(station)[0])
-    beta1 = float(p.beta_est[0])
-    left = float(p.value_at(-p.half_width + 2.0 * sys.ell)[0])
+    value = float(np.interp(line.station, result.x, result.values[0]))
+    beta1 = float(line.beta[0])
+    left = float(np.interp(-line.A + 2.0 * line.sys.ell, result.x, result.values[0]))
     if result.early_beta_exit:
         return "beta", value, left
     if result.ignited:
@@ -344,22 +297,17 @@ def bracket_speeds(sys, bisection, cap=DEFAULT_CAP, A=None):
     the beta/not-beta transition brackets the slow edge c*, the
     positive/zero transition the fast edge cbar.  A classification trace
     that is non-monotone along c raises InconsistentClassification.  Every
-    candidate runs recursion_limit on the same domain, by default the half
-    width of _half_width for c_hi; both brackets keep each candidate's
-    final profile and iteration count in `profiles`, keyed by c.
+    candidate runs recursion_limit on one RecursionLine, by default of the
+    half width of _half_width for c_hi; both brackets keep each candidate's
+    RecursionResult in `profiles`, keyed by c.
     """
-    _check_monostable(sys)
     steps = bisection[2] if isinstance(bisection, tuple) and len(bisection) == 3 else None
     if (not isinstance(steps, (int, np.integer)) or isinstance(steps, bool)
             or steps < 0 or not bisection[0] < bisection[1]):
         raise ValueError(f"bisection spec must be (c_lo, c_hi, steps) with c_lo < c_hi "
                          f"and an integer steps >= 0, got {bisection!r}")
     c_lo, c_hi, steps = bisection
-
-    if A is None:
-        A = _half_width(sys, c_hi)
-    station = A - 2.0 * sys.ell
-    probe = (station, (1.0 - BETA_BAND) * _plateau_estimate(sys)[0])
+    line = RecursionLine(sys, _half_width(sys, c_hi) if A is None else A)
     drift_tol = max(1e-4, 0.25 * (c_hi - c_lo) / 2 ** max(steps, 1) * sys.omega)
 
     cache = {}
@@ -367,9 +315,8 @@ def bracket_speeds(sys, bisection, cap=DEFAULT_CAP, A=None):
 
     def classify(c):
         if c not in cache:
-            res = recursion_limit(c, sys, cap=cap, A=A, stop_probe=probe)
-            cache[c] = classify_profile(res, sys, station, drift_tol=drift_tol)
-            profiles[c] = (res.profile, res.iterations)
+            profiles[c] = recursion_limit(c, line, cap=cap)
+            cache[c] = classify_profile(profiles[c], line, drift_tol)
         return cache[c][0]
 
     # "below the edge" for c* and for cbar
@@ -409,10 +356,10 @@ def _check_monostable(sys):
         raise NotMonostable("bracket precondition fails: H2 margin <= 0")
 
 
-def dump_profile_csv(path, profile: Profile, iteration):
-    """CSV dump: x, v1, v2, iteration."""
+def dump_profile_csv(path, result: RecursionResult):
+    """CSV dump of a run's last iterate: x, v1, v2, iteration."""
     write_csv(path, ("x", "v1", "v2", "iteration"),
-              [profile.x, *profile.values, [iteration] * profile.x.size])
+              [result.x, *result.values, [result.iterations] * result.x.size])
 
 
 def dump_bracket_trace_csv(path, trace):

@@ -1,9 +1,11 @@
-"""Golden numbers for the four shipped demos.
+"""Golden numbers for the four shipped demos and the recursion brackets.
 
-Each demo's `report.json` (less `generated_at`) and, for every CSV it writes,
-the header, the row count and each numeric column's min, max and sum are
-compared with `golden/demos.json` at rel 1e-9 / abs 1e-10.  The abs term
-covers roundoff-level residuals (about 1e-12) that differ across BLAS builds.
+Each case's `report.json` (less `generated_at`) and, for every CSV it writes,
+the header, the row count and each numeric column's min, max and sum (a label
+column: its values) are compared with `golden/demos.json` at rel 1e-9 /
+abs 1e-10.  The abs term covers roundoff-level residuals (about 1e-12) that
+differ across BLAS builds.  No demo runs the weinberger task, so the coarse
+Fisher model runs it as a fifth case.
 
 Regenerate the golden file (only when a change is meant to move the numbers):
 
@@ -21,6 +23,13 @@ from speedlab.cli import DEMOS, run_scenario
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "demos.json")
 REL, ABS = 1e-9, 1e-10
+WEINBERGER = {
+    "model": {"omega": 1.0, "ell": 1.0, "d1": "1", "d2": "1", "g1": "0", "g2": "0",
+              "b1": "1", "b2": "1", "a11": "1", "a12": "0", "a21": "0", "a22": "1"},
+    "discretization": {"nt": 100, "nx": 16},
+    "tasks": ["weinberger"],
+}
+CASES = {**DEMOS, "weinberger-fisher": WEINBERGER}
 
 
 def summarize(output):
@@ -35,16 +44,21 @@ def summarize(output):
         with open(os.path.join(output, name)) as fh:
             header = fh.readline().rstrip("\n").split(",")
             rows = [line.rstrip("\n").split(",") for line in fh]
-        columns = {}
-        for k, col in enumerate(header):  # every demo CSV column is numeric
-            xs = [float(r[k]) for r in rows]
-            columns[col] = {"min": min(xs), "max": max(xs), "sum": math.fsum(xs)}
+        columns = {col: _column([r[k] for r in rows]) for k, col in enumerate(header)}
         csvs[name] = {"header": header, "rows": len(rows), "columns": columns}
     return {"report": report, "csv": csvs}
 
 
-def run_demo(name, output):
-    cfg = json.loads(json.dumps(DEMOS[name]))
+def _column(cells):
+    try:
+        xs = [float(c) for c in cells]
+    except ValueError:  # a label column, such as bracket_trace.csv's classification
+        return {"values": cells}
+    return {"min": min(xs), "max": max(xs), "sum": math.fsum(xs)}
+
+
+def run_case(name, output):
+    cfg = json.loads(json.dumps(CASES[name]))
     cfg["output"] = str(output)
     status = run_scenario(cfg, quiet=True)
     return status, summarize(output)
@@ -72,11 +86,19 @@ def golden():
         return json.load(fh)
 
 
-@pytest.mark.parametrize("name", sorted(DEMOS))
-def test_demo_matches_golden(name, golden, tmp_path):
-    status, summary = run_demo(name, tmp_path / name)
+def check_case(name, golden, tmp_path):
+    status, summary = run_case(name, tmp_path / name)
     assert status == golden[name]["status"]
     assert_close(summary, golden[name]["summary"])
+
+
+@pytest.mark.parametrize("name", sorted(DEMOS))
+def test_demo_matches_golden(name, golden, tmp_path):
+    check_case(name, golden, tmp_path)
+
+
+def test_weinberger_task_matches_golden(golden, tmp_path):
+    check_case("weinberger-fisher", golden, tmp_path)
 
 
 if __name__ == "__main__":
@@ -84,9 +106,9 @@ if __name__ == "__main__":
 
     data = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for demo in sorted(DEMOS):
-            status, summary = run_demo(demo, os.path.join(tmp, demo))
-            data[demo] = {"status": status, "summary": summary}
+        for name in sorted(CASES):
+            status, summary = run_case(name, os.path.join(tmp, name))
+            data[name] = {"status": status, "summary": summary}
     with open(sys.argv[1], "w") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
         fh.write("\n")

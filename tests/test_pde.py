@@ -377,6 +377,25 @@ def test_cell_period_map_matches_row_by_row_reference(shift_mean, nx):
     np.testing.assert_array_equal(pmap.apply(v0), pmap.snapshots(v0)[-1])
 
 
+def test_time_independent_cell_map_keeps_one_growth_row():
+    # every step of a t-independent map reads the same growth row; the march
+    # must still match the per-row reference built from all nt rows of h
+    nt, nx = 40, 16
+    d = field("1 + 0.3*cos(2*pi*x)", nt=nt, nx=nx)
+    g = field("0.8*sin(2*pi*x)", nt=nt, nx=nx)
+    h = field("2 + 0.5*cos(2*pi*x)", nt=nt, nx=nx)
+    pmap = CellPeriodMap(d, g, h)
+    assert pmap.time_independent and pmap._growth.shape == (1, nx)
+    ref = _RowByRowTransport(d, g)
+    v = rng(4).uniform(0.5, 1.5, nx)
+    states = [v]
+    for j in range(nt):
+        r = (j + 1) % nt
+        v = np.exp(pmap.dt * (h.values[r] - pmap.shift)) * ref.solve(r, v)
+        states.append(v)
+    np.testing.assert_array_equal(pmap.snapshots(states[0]), np.array(states))
+
+
 @pytest.mark.parametrize("nx", [2, 3, 4, 5])
 def test_cell_period_map_tiny_cells_match_dense_solves(nx):
     # on cells this small the corners touch the band; the dense solve is the oracle

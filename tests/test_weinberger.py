@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from speedlab import Profile, apply_R, bracket_speeds, init_profile, recursion_limit
-from speedlab.errors import ShiftOutOfRange, TooFewNodes
-from speedlab.pde import LineSystemEvolver
-from speedlab.weinberger import classify_profile, pava_nonincreasing
+from speedlab import RecursionLine, bracket_speeds, pde, recursion_limit
+from speedlab.errors import NotMonostable, ShiftOutOfRange, TooFewNodes
+from speedlab.weinberger import _half_width, classify_profile, pava_nonincreasing
 
 from conftest import make_system, rng
 
@@ -15,20 +14,31 @@ def fisher_small():
     return make_system(nt=100, nx=16, b1="1", d2="1", a12="0", a21="0")
 
 
-def test_init_profile_shape():
-    p = init_profile((2.0, 1.0), 20.0, 400)
-    left = p.value_at(-20.0)
-    np.testing.assert_allclose(left, [1.0, 0.5], atol=1e-12)
-    np.testing.assert_allclose(p.value_at(0.0), [0.0, 0.0], atol=1e-12)
-    assert np.all(p.values[:, p.x >= 0.0] == 0.0)
-    assert np.all(np.diff(p.values, axis=1) <= 1e-12)
+@pytest.fixture(scope="module")
+def fisher_line(fisher_small):
+    return RecursionLine(fisher_small, 12.0)
 
 
-def test_init_profile_guards():
+def drift_tol(sys):
+    return 0.01 * sys.ell
+
+
+def test_recursion_line_start_ramp_shape():
+    # the competition constants have plateaus (2, 1): the start ramp is half of each
+    line = RecursionLine(make_system(nt=50, nx=10, a12="0", a21="0"), 20.0)
+    assert line.x.size == 401
+    np.testing.assert_array_equal(line.x, np.linspace(-20.0, 20.0, 401))
+    np.testing.assert_allclose(line.beta, [2.0, 1.0], atol=1e-12)
+    np.testing.assert_allclose(line.floor[:, 0], 0.5 * line.beta, atol=1e-12)
+    assert np.all(line.floor[:, line.x >= 0.0] == 0.0)
+    assert np.all(np.diff(line.floor, axis=1) <= 1e-12)
+
+
+def test_recursion_line_guards(fisher_small):
     with pytest.raises(TooFewNodes):
-        init_profile((1.0, 1.0), 20.0, 100)   # too few nodes
-    with pytest.raises(ValueError):
-        init_profile((0.0, 1.0), 20.0, 400)   # degenerate plateau
+        RecursionLine(fisher_small, 6.0)   # 192 intervals at nx = 16
+    with pytest.raises(NotMonostable):
+        RecursionLine(make_system(nt=50, nx=8, b2="-1"), 12.0)   # species 2 dies out
 
 
 def test_pava_projection_properties():
@@ -46,61 +56,51 @@ def test_pava_projection_properties():
     assert np.all(pava_nonincreasing(z) - p >= -1e-12)
 
 
-def test_apply_r_zero_profile_returns_floor(fisher_small):
-    sys = fisher_small
-    p = init_profile((1.0, 1.0), 12.0, 12 * 2 * sys.nx)
-    zero = Profile(p.x, np.zeros_like(p.values), p.beta_est)
-    out = apply_R(zero, 0.0, sys)
-    np.testing.assert_allclose(out.values, p.values, atol=1e-12)
+def test_apply_r_zero_profile_returns_floor(fisher_line):
+    out = fisher_line.apply_R(np.zeros_like(fisher_line.floor), 0.0)
+    np.testing.assert_allclose(out, fisher_line.floor, atol=1e-12)
 
 
-def test_apply_r_shift_guard(fisher_small):
-    p = init_profile((1.0, 1.0), 12.0, 12 * 2 * fisher_small.nx)
+def test_apply_r_shift_guard(fisher_line):
     with pytest.raises(ShiftOutOfRange):
-        apply_R(p, 4.0, fisher_small)
+        fisher_line.apply_R(fisher_line.floor, 4.0)
 
 
-def test_apply_r_keeps_profile_in_order_interval(fisher_small):
-    sys = fisher_small
+def test_apply_r_keeps_profile_in_order_interval(fisher_line):
     # comparison oracle: the plateau estimate is invariant under the map
-    p = init_profile((1.0, 1.0), 12.0, 12 * 2 * sys.nx)
-    out = apply_R(p, 1.0, sys)
-    assert out.values.max() <= 1.0 + 1e-9
-    assert out.values.min() >= 0.0
-    assert np.all(np.diff(out.values, axis=1) <= 1e-9)
+    np.testing.assert_allclose(fisher_line.beta, [1.0, 1.0], atol=1e-12)
+    out = fisher_line.apply_R(fisher_line.floor, 1.0)
+    assert out.max() <= 1.0 + 1e-9
+    assert out.min() >= 0.0
+    assert np.all(np.diff(out, axis=1) <= 1e-9)
 
 
-def test_recursion_monotone_in_m(fisher_small):
-    sys = fisher_small
-    res = recursion_limit(1.0, sys, cap=12, A=12.0)
-    p0 = init_profile((1.0, 1.0), 12.0, 12 * 2 * sys.nx)
+def test_recursion_monotone_in_m(fisher_line):
+    res = recursion_limit(1.0, fisher_line, cap=12)
     # rerun step by step and check nodewise growth
-    ev = LineSystemEvolver(sys, -12.0, 12.0)
-    cur = p0
+    cur = fisher_line.floor
     for _ in range(6):
-        nxt = apply_R(cur, 1.0, sys, evolver=ev)
-        assert float(np.max(cur.values - nxt.values)) <= 1e-9
+        nxt = fisher_line.apply_R(cur, 1.0)
+        assert float(np.max(cur - nxt)) <= 1e-9
         cur = nxt
     assert res.iterations >= 1
 
 
-def test_recursion_zero_speed_fills_to_carrying_level(fisher_small):
-    sys = fisher_small
-    res = recursion_limit(0.0, sys, cap=80, A=12.0)
-    left = res.profile.value_at(-12.0 + 2.0)
-    assert left[0] == pytest.approx(1.0, abs=0.05)
-    cls, value, _ = classify_profile(res, sys)
+def test_recursion_zero_speed_fills_to_carrying_level(fisher_small, fisher_line):
+    res = recursion_limit(0.0, fisher_line, cap=80)
+    left = np.interp(-12.0 + 2.0, res.x, res.values[0])
+    assert left == pytest.approx(1.0, abs=0.05)
+    cls, value, _ = classify_profile(res, fisher_line, drift_tol(fisher_small))
     assert cls == "beta"
 
 
 def test_recursion_supercritical_speed_dies_on_the_right(fisher_small):
-    sys = fisher_small
     # |c * omega| <= A/4 guard requires a wide domain for c = 10
-    res = recursion_limit(10.0, sys, cap=30, A=44.0)
-    right = res.profile.value_at(44.0 - 2.0)
-    assert right[0] < 1e-6
-    left = res.profile.value_at(-44.0 + 2.0)
-    assert left[0] < 1.0  # retreating wave never rebuilds the full plateau
+    res = recursion_limit(10.0, RecursionLine(fisher_small, 44.0), cap=30)
+    right = np.interp(44.0 - 2.0, res.x, res.values[0])
+    assert right < 1e-6
+    left = np.interp(-44.0 + 2.0, res.x, res.values[0])
+    assert left < 1.0  # retreating wave never rebuilds the full plateau
 
 
 def test_bracket_endpoint_classifications(fisher_small):
@@ -130,10 +130,11 @@ def test_bracket_open_ended_flag(fisher_small):
 
 def test_doubling_domain_never_flips_beta_to_zero(fisher_small):
     # decided classifications are stable under widening the truncation
-    for c, expected in ((0.5, "beta"), (2.9, "zero")):
-        for a_half in (12.0, 24.0):
-            res = recursion_limit(c, fisher_small, cap=60, A=a_half)
-            cls, _, _ = classify_profile(res, fisher_small)
+    for a_half in (12.0, 24.0):
+        line = RecursionLine(fisher_small, a_half)
+        for c, expected in ((0.5, "beta"), (2.9, "zero")):
+            res = recursion_limit(c, line, cap=60)
+            cls, _, _ = classify_profile(res, line, drift_tol(fisher_small))
             assert cls == expected
 
 
@@ -149,12 +150,12 @@ def test_profile_and_trace_dumps(tmp_path, fisher_small):
         assert cls in ("beta", "intermediate", "zero")
         for cell in (c, right, left):
             float(cell)
-    prof, iters = cstar.profiles[0.5]
+    result = cstar.profiles[0.5]
     prof_path = tmp_path / "profile.csv"
-    dump_profile_csv(prof_path, prof, iters)
+    dump_profile_csv(prof_path, result)
     prof_lines = prof_path.read_text().splitlines()
     assert prof_lines[0] == "x,v1,v2,iteration"
-    assert len(prof_lines) == prof.x.size + 1
+    assert len(prof_lines) == result.x.size + 1
     for line in prof_lines[1:]:
         cells = line.split(",")
         assert len(cells) == 4
@@ -168,18 +169,31 @@ def test_bracket_profile_sits_on_the_solver_grid_of_a_coarse_cell():
     # profile to 200 nodes off the evolver's grid
     sys = make_system(nt=100, nx=8, b1="0.3", d2="1", a12="0", a21="0")
     cstar, _ = bracket_speeds(sys, (0.25, 0.5, 0), cap=5)
-    prof, _ = cstar.profiles[0.5]
-    assert prof.x.size == 2 * 13 * 8 + 1
+    assert cstar.profiles[0.5].x.size == 2 * 13 * 8 + 1
 
 
 def test_recursion_default_half_width_fits_grid_and_shift(fisher_small):
-    # recursion_limit shares bracket_speeds' default half width: 13 cells
-    # give a coarse cell's profile its 200 nodes, and 16 cells keep the
-    # shift c*omega = 3.5 within A/4
+    # bracket_speeds' default half width: 13 cells give a coarse cell's line
+    # its 200 nodes, and 16 cells keep the shift c*omega = 3.5 within A/4
     coarse = make_system(nt=100, nx=8, b1="0.3", d2="1", a12="0", a21="0")
-    res = recursion_limit(0.5, coarse, cap=2)
-    assert res.profile.x.size == 2 * 13 * 8 + 1
+    res = recursion_limit(0.5, RecursionLine(coarse, _half_width(coarse, 0.5)), cap=2)
+    assert res.x.size == 2 * 13 * 8 + 1
     assert res.iterations == 2
-    fast = recursion_limit(3.5, fisher_small, cap=2)
-    assert fast.profile.half_width == 16.0
-    assert fast.iterations >= 1
+    fast_line = RecursionLine(fisher_small, _half_width(fisher_small, 3.5))
+    assert fast_line.A == 16.0
+    assert recursion_limit(3.5, fast_line, cap=2).iterations >= 1
+
+
+def test_bracket_builds_one_line_evolver(fisher_small, monkeypatch):
+    # every candidate of a bracket runs on the same RecursionLine
+    built = []
+    init = pde.LineSystemEvolver.__init__
+
+    def counting_init(self, *args):
+        built.append(args[1:])
+        init(self, *args)
+
+    monkeypatch.setattr(pde.LineSystemEvolver, "__init__", counting_init)
+    cstar, _ = bracket_speeds(fisher_small, (0.5, 2.9, 1), cap=60)
+    assert len(cstar.trace) == 3
+    assert built == [(-14.0, 14.0)]
