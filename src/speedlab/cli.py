@@ -122,7 +122,6 @@ class ScenarioConfig:
                     f"the front run is too long: T = {self.periods} periods of nt = {self.nt} "
                     f"steps on {(behind + ahead) * self.nx + 1:,} nodes make {node_steps:.3g} "
                     f"node-steps, need T*nt*nodes <= {MAX_FRONT_NODE_STEPS:.0e}")
-        self.raw = raw
 
 
 def _positive_number(obj, key):
@@ -141,17 +140,19 @@ def _integer(v, key, least):
 def _resolve_steps(disc, count_key, width_key, period, default):
     if count_key in disc and width_key in disc:
         raise ValidationError(f"give either {count_key} or {width_key}, not both")
-    if width_key in disc:
-        steps = period / _positive_number(disc, width_key)
-        if steps > MAX_GRID_NODES:
-            raise ValidationError(f"{width_key} is too small: {steps:.3g} steps per period")
-        n = int(round(steps))
-    else:
-        n = disc.get(count_key, default)
-    return _integer(n, count_key, least=2)
+    if width_key not in disc:
+        return _integer(disc.get(count_key, default), count_key, least=2)
+    width = _positive_number(disc, width_key)
+    steps = period / width
+    if steps > MAX_GRID_NODES:
+        raise ValidationError(f"{width_key} is too small: {steps:.3g} steps per period")
+    if round(steps) < 2:
+        raise ValidationError(f"{width_key} = {width:g} makes {round(steps)} step(s) per period "
+                              f"of length {period:g}; need at least 2")
+    return int(round(steps))
 
 
-def run_scenario(config: dict | ScenarioConfig, refine=False, quiet=False) -> int:
+def run_scenario(config: dict, refine=False, quiet=False) -> int:
     """Execute the scenario; writes report.json and per-task CSVs.
 
     A config that fails validation still gets a report, with status
@@ -164,7 +165,7 @@ def run_scenario(config: dict | ScenarioConfig, refine=False, quiet=False) -> in
             click.echo(msg)
 
     try:
-        cfg = config if isinstance(config, ScenarioConfig) else ScenarioConfig(config)
+        cfg = ScenarioConfig(config)
     except ValidationError as exc:
         if not quiet:
             click.echo(f"validation failure: {exc}", err=True)

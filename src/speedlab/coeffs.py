@@ -115,7 +115,6 @@ def _unparse(node):
 class _Parser:
     def __init__(self, text):
         self.text = text
-        self.pos = 0
         self.tokens = []
         self._tokenize()
         self.i = 0

@@ -43,7 +43,6 @@ class FrontTrace:
     times: list
     positions: list
     aborted: bool = False
-    empty: bool = False
     note: str = ""
     final_state: LineState | None = None
 
@@ -135,14 +134,13 @@ def run_front(sys, periods) -> FrontTrace:
     ev = LineSystemEvolver(sys, -behind * ell, ahead * ell)
     v = np.zeros((2, ev.n_nodes))
     v[0] = np.where(ev.x <= 0.0, u1_star.snapshots[0][cell_offsets(ev.x, ell, nx)], 0.0)
-    if not np.any(v[0] > 0):
-        return FrontTrace(times=[], positions=[], empty=True,
-                          note="species 1 initial data is identically zero")
-
     trace = FrontTrace(times=[], positions=[])
+    if not np.any(v[0] > 0):  # species 1 is extinct: no front and no final state
+        return trace
+
     shift = 0  # whole cells the window has moved
     for p in range(1, int(periods) + 1):
-        v = ev.period(v, period_index=p - 1)
+        v = ev.period(v)
         t = p * omega
         x_lo, x_hi = ev.x_lo + shift * ell, ev.x_hi + shift * ell
         state = LineState(v, t, x_lo, x_hi)
@@ -207,7 +205,7 @@ def spreading_verdict(sys, trace: FrontTrace, c_report) -> SpreadingVerdict:
     notes = ["initial data touches the carrying pair behind the front, so the "
              "upper-tail statement is checked on the approximating run"]
     c0 = getattr(c_report, "c0_plus", None) if c_report is not None else None
-    if trace.empty or trace.final_state is None:
+    if trace.final_state is None:
         return SpreadingVerdict(None, None, None, c0, None, None, None, None, None,
                                 "inconclusive", notes + ["empty trace"])
     try:

@@ -44,7 +44,6 @@ class PeriodicOrbit:
     residual: float
     closure_gap: float
     periods_marched: int
-    lam: float
 
     @property
     def nt(self):
@@ -106,8 +105,7 @@ def logistic_orbit(d, g, c, e, start_value=None, growth=None) -> PeriodicOrbit:
     if growth.lam <= 0.0:
         zeros = np.zeros_like(d.values)
         return PeriodicOrbit(snapshots=zeros, omega=d.omega, ell=d.ell, extinct=True,
-                             residual=0.0, closure_gap=0.0, periods_marched=0,
-                             lam=growth.lam)
+                             residual=0.0, closure_gap=0.0, periods_marched=0)
 
     if start_value is None:
         start_value = c.max() / float(e.values[e.values > 0.0].min())
@@ -126,8 +124,7 @@ def logistic_orbit(d, g, c, e, start_value=None, growth=None) -> PeriodicOrbit:
     snaps, u_end = _nonlinear_period(transport, c, e, u)
     closure = float(np.max(np.abs(u_end - snaps[0])))
     orbit = PeriodicOrbit(snapshots=snaps, omega=d.omega, ell=d.ell, extinct=False,
-                          residual=0.0, closure_gap=closure, periods_marched=period,
-                          lam=growth.lam)
+                          residual=0.0, closure_gap=closure, periods_marched=period)
     orbit.residual = orbit_residual(orbit, d, g, c, e)
     return orbit
 

@@ -504,10 +504,8 @@ class LineSystemEvolver:
             self._line_reaction = [f[0][self._offsets] for f in self._reaction]
         self._reacted = np.empty((2, self.n_nodes))
         bmax = max(sys.b1.max(), sys.b2.max())
-        amin = min(sys.a11.min(), sys.a22.min())
-        if amin <= 0:
-            raise ValueError("a11 and a22 must be strictly positive")
-        self.state_bound = bmax / amin
+        # SystemSpec guarantees a11, a22 > 0
+        self.state_bound = bmax / min(sys.a11.min(), sys.a22.min())
         self.guard = 10.0 * self.state_bound
         amax = max(sys.a11.max(), sys.a12.max(), sys.a21.max(), sys.a22.max())
         self.reaction_lipschitz = abs(bmax) + 3.0 * amax * self.state_bound
@@ -597,10 +595,9 @@ class LineSystemEvolver:
             raise BlowupError(f"state exceeded guard {self.guard:.3g} at step {j}")
         return v
 
-    def period(self, v, period_index=0):
-        """Advance one full period starting at t = period_index*omega."""
-        j0 = period_index * self.nt
-        for j in range(j0, j0 + self.nt):
+    def period(self, v):
+        """Advance one full period; the medium is omega-periodic, so every period is one map."""
+        for j in range(self.nt):
             v = self.step(v, j)
         return v
 

@@ -239,8 +239,7 @@ class C0Result:
     c0: float
     mu0: float
     lambda0_at_mu0: float
-    refined: bool = False
-    discretization_estimate: float | None = None
+    discretization_estimate: float | None = None  # set when Richardson-refined
     eigen_at_mu0: eigen.EigenResult | None = None
 
 
@@ -266,8 +265,7 @@ def linear_speed_c0(sys: SystemSpec, refine=False) -> C0Result:
         return C0Result(res.c_star, res.mu0, res.c_star * res.mu0, eigen_at_mu0=eig)
     res_f, _ = compute(sys.refined())
     c0, estimate = richardson(res.c_star, res_f.c_star)
-    return C0Result(c0, res_f.mu0, c0 * res_f.mu0, refined=True,
-                    discretization_estimate=estimate)
+    return C0Result(c0, res_f.mu0, c0 * res_f.mu0, discretization_estimate=estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +304,7 @@ def _second_tilted(sys: SystemSpec, u2f, mu):
     return drift, potential - 2.0 * sys.a22 * u2f
 
 
-def coupled_eigenfunction(sys: SystemSpec, mu0, phi1_scale=1.0,
-                          eig1=None) -> CoupledEigenfunction:
+def coupled_eigenfunction(sys: SystemSpec, mu0, eig1=None) -> CoupledEigenfunction:
     """Build (phi1*, phi2*) for the coupled eigenproblem at the tilt mu0.
 
     The coupling is linearized at the system's own orbit sys.u2_star().
@@ -326,7 +323,7 @@ def coupled_eigenfunction(sys: SystemSpec, mu0, phi1_scale=1.0,
     if eig1 is None:
         eig1 = eigen.lambda_of_mu(sys.d1, sys.g1, sys.invaded_potential(), mu0)
     lam0 = eig1.lam
-    phi1 = eig1.eigenfunction * phi1_scale
+    phi1 = eig1.eigenfunction
 
     map2 = CellPeriodMap(sys.d2, *_second_tilted(sys, u2f, mu0))
     lambar = eigen.principal_of_map(map2).lam
@@ -612,7 +609,7 @@ def compute_speed_report(sys: SystemSpec, refine=False) -> SpeedReport:
     if certs["H1"].passed and certs["H2"].passed:
         res = linear_speed_c0(sys, refine=refine)
         c0, mu0, lam0 = res.c0, res.mu0, res.lambda0_at_mu0
-        if res.refined:
+        if res.discretization_estimate is not None:
             notes.append(f"c0 Richardson-refined; discretization estimate "
                          f"{res.discretization_estimate:.3g}")
         pair = coupled_eigenfunction(sys, mu0, eig1=res.eigen_at_mu0)

@@ -15,7 +15,7 @@ monotonicity invariant the comparison argument needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,22 +38,30 @@ class RecursionResult:
     x: np.ndarray
     values: np.ndarray  # shape (2, N+1), the last iterate
     iterations: int
-    cap_reached: bool
-    early_beta_exit: bool = False
-    ignited: bool = False
-    front_history: list = dc_field(default_factory=list)
+    reason: str  # why the run stopped: "converged", "station", "ignited" or "cap"
+    front_history: list
+
+    @property
+    def cap_reached(self):
+        return self.reason == "cap"
 
 
 @dataclass
 class SpeedBracket:
-    """Bracket [c_lo, c_hi] for one critical speed, with the tested trace."""
+    """Bracket [c_lo, c_hi] of one critical speed and its tested trace; open edges are infinite."""
 
     c_lo: float
     c_hi: float
-    open_below: bool = False
-    open_above: bool = False
-    trace: list = dc_field(default_factory=list)
-    profiles: dict = dc_field(default_factory=dict)
+    trace: list
+    profiles: dict
+
+    @property
+    def open_below(self):
+        return self.c_lo == -np.inf
+
+    @property
+    def open_above(self):
+        return self.c_hi == np.inf
 
     @property
     def width(self):
@@ -186,7 +194,7 @@ def recursion_limit(c, line, cap=DEFAULT_CAP) -> RecursionResult:
     The run starts from the line's floor ramp.  The iteration is
     nondecreasing in the step count (asserted nodewise each step; a drop
     beyond roundoff raises MonotonicityLost), so the limit exists; hitting
-    the cap returns the last iterate with a warning flag instead of raising.
+    the cap returns the last iterate with reason "cap" instead of raising.
     The run ends early once component 1 reaches the beta band at the
     line's station, which is sound for lower-bound classification because
     the iterates only grow.
@@ -199,7 +207,7 @@ def recursion_limit(c, line, cap=DEFAULT_CAP) -> RecursionResult:
     envelope far shallower than any admissible tail, which caps the wall
     charge without touching the front dynamics and preserves the exact
     monotonicity of the iteration.  Should ignition still occur the run
-    stops flagged `ignited` and classification falls back on the recorded
+    stops with reason "ignited" and classification falls back on the recorded
     front drift instead of the contaminated station value.
     """
     x, beta, ell = line.x, line.beta, line.sys.ell
@@ -223,9 +231,7 @@ def recursion_limit(c, line, cap=DEFAULT_CAP) -> RecursionResult:
 
     current = line.floor.copy()
     apply_ceiling(current)
-    sup_change = np.inf
-    early = False
-    ignited = False
+    reason = "cap"
     iterations = 0
     fronts = []
     for m in range(1, cap + 1):
@@ -242,17 +248,16 @@ def recursion_limit(c, line, cap=DEFAULT_CAP) -> RecursionResult:
         iterations = m
         fronts.append(front)
         if current[0, -1] > 0.05 * beta1 and front < line.A - 6.0 * ell:
-            ignited = True
+            reason = "ignited"
             break
         if np.interp(line.station, x, current[0]) >= stop_level:
-            early = True
+            reason = "station"
             break
         if sup_change < SUP_CHANGE_TOL:
+            reason = "converged"
             break
-    converged = (sup_change < SUP_CHANGE_TOL or early) and not ignited
-    return RecursionResult(x=x, values=current, iterations=iterations,
-                           cap_reached=not converged and not ignited and iterations >= cap,
-                           early_beta_exit=early, ignited=ignited, front_history=fronts)
+    return RecursionResult(x=x, values=current, iterations=iterations, reason=reason,
+                           front_history=fronts)
 
 
 def classify_profile(result: RecursionResult, line, drift_tol):
@@ -268,9 +273,9 @@ def classify_profile(result: RecursionResult, line, drift_tol):
     value = float(np.interp(line.station, result.x, result.values[0]))
     beta1 = float(line.beta[0])
     left = float(np.interp(-line.A + 2.0 * line.sys.ell, result.x, result.values[0]))
-    if result.early_beta_exit:
+    if result.reason == "station":
         return "beta", value, left
-    if result.ignited:
+    if result.reason == "ignited":
         fronts = result.front_history
         skip = max(5, len(fronts) // 4)
         if len(fronts) - skip >= 5:
@@ -298,8 +303,8 @@ def bracket_speeds(sys, bisection, cap=DEFAULT_CAP, A=None):
     positive/zero transition the fast edge cbar.  A classification trace
     that is non-monotone along c raises InconsistentClassification.  Every
     candidate runs recursion_limit on one RecursionLine, by default of the
-    half width of _half_width for c_hi; both brackets keep each candidate's
-    RecursionResult in `profiles`, keyed by c.
+    half width of _half_width for max(|c_lo|, |c_hi|); both brackets keep
+    each candidate's RecursionResult in `profiles`, keyed by c.
     """
     steps = bisection[2] if isinstance(bisection, tuple) and len(bisection) == 3 else None
     if (not isinstance(steps, (int, np.integer)) or isinstance(steps, bool)
@@ -307,7 +312,7 @@ def bracket_speeds(sys, bisection, cap=DEFAULT_CAP, A=None):
         raise ValueError(f"bisection spec must be (c_lo, c_hi, steps) with c_lo < c_hi "
                          f"and an integer steps >= 0, got {bisection!r}")
     c_lo, c_hi, steps = bisection
-    line = RecursionLine(sys, _half_width(sys, c_hi) if A is None else A)
+    line = RecursionLine(sys, _half_width(sys, max(abs(c_lo), abs(c_hi))) if A is None else A)
     drift_tol = max(1e-4, 0.25 * (c_hi - c_lo) / 2 ** max(steps, 1) * sys.omega)
 
     cache = {}
@@ -342,8 +347,7 @@ def bracket_speeds(sys, bisection, cap=DEFAULT_CAP, A=None):
         under = [c for c, cls, *_ in trace if below(cls)]
         over = [c for c, cls, *_ in trace if not below(cls)]
         return SpeedBracket(c_lo=max(under) if under else -np.inf,
-                            c_hi=min(over) if over else np.inf,
-                            open_below=not under, open_above=not over, trace=trace,
+                            c_hi=min(over) if over else np.inf, trace=trace,
                             profiles=profiles)
 
     return tuple(bracket(below) for below in edges)

@@ -29,7 +29,7 @@ def fixed_line_positions(sys, half_width, periods):
     v[0] = np.where(ev.x <= 0.0, u1.snapshots[0][cell_offsets(ev.x, sys.ell, sys.nx)], 0.0)
     positions = []
     for p in range(periods):
-        v = ev.period(v, period_index=p)
+        v = ev.period(v)
         state = LineState(v, (p + 1) * sys.omega, -half_width, half_width)
         positions.append(front_position(state, u1))
     return np.array(positions)

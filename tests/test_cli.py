@@ -83,6 +83,10 @@ def test_ellipticity_guard_is_a_validation_failure(tmp_path):
     lambda c: c["discretization"].update(T=2.7),
     lambda c: c["discretization"].update(T="25"),
     lambda c: c.update(discretization={"nt": 200, "dx": float("nan")}),
+    # widths that leave fewer than two steps per period
+    lambda c: c.update(discretization={"nx": 64, "dt": 0.9}),
+    lambda c: c.update(discretization={"nt": 200, "dx": 0.9}),
+    lambda c: c.update(discretization={"nt": 200, "dx": 5.0}),
     lambda c: c["model"].update(omega=True),
     # grids past the memory bounds, rejected before any field is built
     lambda c: c.update(discretization={"nx": 64, "dt": 1e-320}),  # period/dt overflows
@@ -102,6 +106,16 @@ def test_validation_rejections(tmp_path, mutate):
     cfg = fisher_config(tmp_path / "out")
     mutate(cfg)
     with pytest.raises(ValidationError):
+        ScenarioConfig(cfg)
+
+
+@pytest.mark.parametrize("key, other", [("dt", "nx"), ("dx", "nt")])
+def test_too_wide_a_step_is_rejected_by_its_own_key(tmp_path, key, other):
+    # the user gave dt or dx, never nt or nx: the reason names the given key
+    # and the step count it makes
+    cfg = fisher_config(tmp_path / "out")
+    cfg["discretization"] = {other: 16, key: 0.9}
+    with pytest.raises(ValidationError, match=rf"^{key} = 0.9 makes 1 step\(s\) per period"):
         ScenarioConfig(cfg)
 
 
@@ -302,9 +316,9 @@ def test_lost_recursion_monotonicity_is_a_numerical_failure(tmp_path, monkeypatc
     real_period = pde.LineSystemEvolver.period
     calls = []
 
-    def leaky_period(self, v, period_index=0):
-        calls.append(period_index)
-        out = real_period(self, v, period_index)
+    def leaky_period(self, v):
+        calls.append(v)
+        out = real_period(self, v)
         return out if len(calls) == 1 else 0.5 * out
 
     monkeypatch.setattr(pde.LineSystemEvolver, "period", leaky_period)

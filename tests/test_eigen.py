@@ -132,6 +132,21 @@ def test_time_independent_eigenfunction_is_marched_when_read(monkeypatch):
     np.testing.assert_array_equal(ef, expected)
 
 
+@pytest.mark.parametrize("q", [0.95, 0.99])
+def test_power_iteration_on_a_slow_spectral_gap(q):
+    # M = u u^T + q w w^T with orthonormal u, w is entrywise positive, has
+    # rho = 1 with Perron vector u and second eigenvalue q: the ratios close
+    # in like q^k, the regime where acceleration would matter most
+    u, w = np.array([0.8, 0.6]), np.array([0.6, -0.8])
+    m = np.outer(u, u) + q * np.outer(w, w)
+    assert m.min() > 0.0
+    rho, psi, iterations, residual = eigen._power_iteration(m.dot, 2)
+    assert iterations > 300
+    assert abs(rho - 1.0) <= 1e-9
+    assert residual <= 1e-8
+    np.testing.assert_allclose(psi, u / u.max(), atol=1e-8)
+
+
 @pytest.mark.parametrize("h", ["cos(2*pi*x)", "cos(2*pi*x) + 0.3*sin(2*pi*t)"])
 def test_non_positive_perron_vector_fails_at_solve_time(monkeypatch, h):
     power_iteration = eigen._power_iteration

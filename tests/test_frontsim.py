@@ -108,7 +108,7 @@ def test_fit_speed_too_few_points():
 
 def test_run_front_empty_species(fisher_coarse):
     sys = fisher_coarse
-    empty = FrontTrace(times=[], positions=[], empty=True)
+    empty = FrontTrace(times=[], positions=[])
     verdict = spreading_verdict(sys, empty, None)
     assert verdict.verdict == "inconclusive"
 

@@ -35,7 +35,6 @@ def test_time_periodic_orbit_mean_identity_and_oracle():
 def test_negative_growth_goes_extinct():
     orb = logistic_orbit(small("1"), small("0"), small("-1"), small("1"))
     assert orb.extinct
-    assert orb.lam == pytest.approx(-1.0, abs=1e-10)
     assert np.all(orb.snapshots == 0.0)
 
 
@@ -45,7 +44,7 @@ def test_residual_flags_perturbed_orbit():
     perturbed = type(orb)(snapshots=orb.snapshots + 0.01, omega=orb.omega,
                           ell=orb.ell, extinct=False, residual=0.0,
                           closure_gap=orb.closure_gap,
-                          periods_marched=orb.periods_marched, lam=orb.lam)
+                          periods_marched=orb.periods_marched)
     assert orbit_residual(perturbed, d, g, c, e) >= 0.005
     with pytest.raises(ValueError):
         extinct = logistic_orbit(d, g, small("-1"), e)

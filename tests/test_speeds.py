@@ -136,14 +136,6 @@ def test_coupled_eigenfunction_degenerate_when_uncoupled(fisher_system):
     assert np.all(pair.phi2 == 0.0)
 
 
-def test_coupled_eigenfunction_joint_scaling(constants_system):
-    mu0 = math.sqrt(1.7)
-    one = coupled_eigenfunction(constants_system, mu0)
-    two = coupled_eigenfunction(constants_system, mu0, phi1_scale=2.0)
-    np.testing.assert_allclose(two.phi2, 2.0 * one.phi2, rtol=1e-12)
-    np.testing.assert_allclose(two.phi1 / two.phi2, one.phi1 / one.phi2, rtol=1e-10)
-
-
 def test_check_hypotheses_constants(constants_system):
     rep = check_hypotheses(constants_system)
     assert rep["H1"].verdict == "pass"

@@ -86,6 +86,16 @@ def test_recursion_monotone_in_m(fisher_line):
     assert res.iterations >= 1
 
 
+@pytest.mark.parametrize("c, cap, reason, iterations", [
+    (1.0, 12, "cap", 12), (0.0, 300, "station", 12), (3.0, 300, "converged", 7)])
+def test_recursion_stop_reason(fisher_line, c, cap, reason, iterations):
+    # each run says why it stopped; only a capped run reports cap_reached
+    res = recursion_limit(c, fisher_line, cap=cap)
+    assert res.reason == reason
+    assert res.cap_reached == (reason == "cap")
+    assert res.iterations == iterations
+
+
 def test_recursion_zero_speed_fills_to_carrying_level(fisher_small, fisher_line):
     res = recursion_limit(0.0, fisher_line, cap=80)
     left = np.interp(-12.0 + 2.0, res.x, res.values[0])
@@ -182,6 +192,10 @@ def test_recursion_default_half_width_fits_grid_and_shift(fisher_small):
     fast_line = RecursionLine(fisher_small, _half_width(fisher_small, 3.5))
     assert fast_line.A == 16.0
     assert recursion_limit(3.5, fast_line, cap=2).iterations >= 1
+    # a bracket sizes its line for its fastest candidate in either direction:
+    # c_lo = -4 needs 4*|c|*omega + 2 = 18 cells, more than c_hi = 0.5 does
+    cstar, _ = bracket_speeds(make_system(nt=50, nx=8), (-4.0, 0.5, 0), cap=2)
+    assert cstar.profiles[-4.0].x[-1] == 18.0
 
 
 def test_bracket_builds_one_line_evolver(fisher_small, monkeypatch):
