@@ -244,7 +244,8 @@ def _task_orbit(cfg, sys_spec):
 def _task_eigen(cfg, sys_spec):
     lam1, lam2 = sys_spec.species1_eigen(), sys_spec.species2_eigen()
     mus = [round(0.1 + 0.2 * k, 10) for k in range(15)]
-    results = [eigen.lambda_of_mu(sys_spec.d1, sys_spec.g1, sys_spec.b1, mu) for mu in mus]
+    curve = eigen.lambda_curve(sys_spec.d1, sys_spec.g1, sys_spec.b1)
+    results = [curve(mu) for mu in mus]
     eigen.write_lambda_curve(os.path.join(cfg.output, "lambda_curve_species1.csv"),
                              mus, results)
     return {"lambda_species1": lam1.lam, "lambda_species2": lam2.lam,

@@ -7,7 +7,15 @@ The eigenproblem
 is solved through its linear period map K: the principal eigenvalue is
 lambda = ln(rho(K)) / omega and the eigenfunction is the positive fixed
 direction of K.  K inherits strict positivity from the M-matrix transport
-steps, so the Perron root is simple and plain power iteration converges.
+steps, so the Perron root is simple and power iteration converges from any
+positive start.
+
+Each iterate psi > 0 encloses the root between the Collatz-Wielandt bounds
+min(K psi / psi) <= rho(K) <= max(K psi / psi), and the iteration stops as
+soon as that enclosure is POWER_TOL wide.  A solve starts from the map's
+`start` vector when one is set: a curve mu -> lambda(mu) (lambda_curve)
+starts each solve from the previous one's psi(0).  From a converged psi(0)
+the enclosure is met after one map, from a nearby mu's after one or two.
 
 The iteration needs only K's action.  For time-dependent media each product
 marches one column over the nt steps of the period, and K is never
@@ -31,7 +39,7 @@ from .coeffs import CoefficientField
 from .errors import NoConvergence
 from .pde import CellPeriodMap, write_csv
 
-POWER_TOL = 1e-12          # successive-ratio change, relative
+POWER_TOL = 1e-12          # width of the Collatz-Wielandt enclosure, relative
 RESIDUAL_TOL = 1e-8        # contract: |K psi - rho psi|_inf <= tol * |psi|_inf
 POWER_CAP = 10_000
 
@@ -40,14 +48,17 @@ POWER_CAP = 10_000
 class EigenResult:
     """Principal eigenpair of one periodic parabolic problem.
 
-    lam = ln(rho(K))/omega for the period map K.  eigenfunction[j] is the
-    positive periodic eigenfunction at t_j (nt rows, global max normalized
-    to 1); its rows are built on first access and then kept.
+    lam = ln(rho(K))/omega for the period map K.  psi0 is the Perron vector
+    of K (sup-normalized), the start of a solve on a nearby map.
+    eigenfunction[j] is the positive periodic eigenfunction at t_j (nt rows,
+    global max normalized to 1); its rows are built on first access and then
+    kept.
     """
 
     lam: float
     iterations: int
     residual: float
+    psi0: np.ndarray = field(repr=False, compare=False)
     _build_eigenfunction: Callable[[], np.ndarray] = field(repr=False, compare=False)
 
     @cached_property
@@ -55,26 +66,30 @@ class EigenResult:
         return self._build_eigenfunction()
 
 
-def _power_iteration(apply, n):
-    """Perron root and vector of a positive map by plain power iteration on its action.
+def _power_iteration(apply, start):
+    """Perron root and vector of a positive map by power iteration on its action.
 
-    psi is sup-normalized, so the root is |K psi| = |w|; it stops when two
-    successive roots agree to POWER_TOL and |w - rho psi| <= RESIDUAL_TOL, with
-    that psi returned.  The roots converge like q^k, q = |lambda2/lambda1|, so
-    the root is good to about POWER_TOL*q/(1 - q) (2e-11 at q = 0.95).
+    start is a positive vector.  psi is sup-normalized, so the root is
+    rho = |K psi| = |w|, which lies in the Collatz-Wielandt enclosure
+    [min(w/psi), max(w/psi)] of the Perron root.  It stops when psi > 0, the
+    enclosure is at most POWER_TOL*max(w/psi) wide and |w - rho psi| <=
+    RESIDUAL_TOL, with that psi returned: rho is then within POWER_TOL
+    (relative) of the Perron root of the discrete map, up to roundoff.  The
+    width shrinks like q^k, q = |lambda2/lambda1|; a start at a converged
+    Perron vector meets the stop after one map.
     """
-    psi = np.ones(n)
-    rho_prev = None
+    psi = start / np.max(np.abs(start))
     for it in range(1, POWER_CAP + 1):
         w = apply(psi)
         rho = np.max(np.abs(w))
         if rho == 0.0 or not np.isfinite(rho):
             raise NoConvergence(f"power iteration produced a degenerate iterate at step {it}")
         resid = float(np.max(np.abs(w - rho * psi)))
-        if (rho_prev is not None and abs(rho - rho_prev) <= POWER_TOL * max(1.0, rho)
-                and resid <= RESIDUAL_TOL):
-            return rho, psi, it, resid
-        rho_prev = rho
+        if psi.min() > 0.0 and resid <= RESIDUAL_TOL:
+            ratios = w / psi
+            upper = ratios.max()
+            if upper - ratios.min() <= POWER_TOL * upper:
+                return rho, psi, it, resid
         psi = w / rho
     raise NoConvergence(f"power iteration cap reached ({POWER_CAP} iterations, "
                         f"residual {resid:.3g})")
@@ -99,8 +114,9 @@ def principal_of_map(pmap: CellPeriodMap) -> EigenResult:
     eigenfunction; a time-independent one by its dense matrix, which binary
     powering of the one step matrix makes cheaper than a march, and its
     eigenfunction is marched from psi(0) only when a caller reads it.  The
-    Perron vector psi(0) must be positive at return; every other row is
-    checked when the eigenfunction is built.
+    iteration starts from pmap.start, or from the constant vector when that
+    is None.  The Perron vector psi(0) must be positive at return; every
+    other row is checked when the eigenfunction is built.
     """
     last = {}
 
@@ -108,8 +124,9 @@ def principal_of_map(pmap: CellPeriodMap) -> EigenResult:
         last["states"] = pmap.snapshots(psi)
         return last["states"][-1]
 
+    start = np.ones(pmap.nx) if pmap.start is None else pmap.start
     rho_s, psi0, iterations, residual = _power_iteration(
-        pmap.matrix().dot if pmap.time_independent else march, pmap.nx)
+        pmap.matrix().dot if pmap.time_independent else march, start)
     if psi0.min() <= 0.0:
         raise NoConvergence("eigenfunction lost positivity")
     # a marched psi0 is the iterate just mapped, so the last march holds its
@@ -128,7 +145,8 @@ def principal_of_map(pmap: CellPeriodMap) -> EigenResult:
         return ef
 
     return EigenResult(lam=math.log(rho_s) / pmap.omega + pmap.shift, iterations=iterations,
-                       residual=float(residual), _build_eigenfunction=eigenfunction)
+                       residual=float(residual), psi0=psi0,
+                       _build_eigenfunction=eigenfunction)
 
 
 def tilted_coefficients(d: CoefficientField, g: CoefficientField,
@@ -140,10 +158,26 @@ def tilted_coefficients(d: CoefficientField, g: CoefficientField,
 
 
 def lambda_of_mu(d: CoefficientField, g: CoefficientField,
-                 m: CoefficientField, mu: float) -> EigenResult:
-    """Principal eigenvalue lambda_m(mu) of the tilted problem."""
-    drift, potential = tilted_coefficients(d, g, m, mu)
-    return principal_eigen(d, drift, potential)
+                 m: CoefficientField, mu: float, start=None) -> EigenResult:
+    """Principal eigenvalue lambda_m(mu) of the tilted problem.
+
+    start, when given, is the positive vector the power iteration starts from.
+    """
+    pmap = CellPeriodMap(d, *tilted_coefficients(d, g, m, mu))
+    pmap.start = start
+    return principal_of_map(pmap)
+
+
+def lambda_curve(d: CoefficientField, g: CoefficientField, m: CoefficientField):
+    """mu -> lambda_of_mu(d, g, m, mu), each solve started from the last one's psi(0)."""
+    last = None
+
+    def solve(mu):
+        nonlocal last
+        res = lambda_of_mu(d, g, m, mu, start=last)
+        last = res.psi0
+        return res
+    return solve
 
 
 def write_lambda_curve(path, mus, results):

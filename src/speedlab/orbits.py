@@ -2,8 +2,16 @@
 
 For u_t = d u_xx - g u_x + u (c - e u), the sign of the principal eigenvalue
 lambda(d, g, c) decides extinction versus a unique positive periodic orbit
-that attracts all positive initial data.  The orbit is found by marching the
-period map to its attractor from an explicit constant supersolution.
+that attracts all positive initial data.  The orbit is the fixed point of
+the period map u(0) -> u(omega), found from an explicit constant
+supersolution by Anderson mixing of depth ANDERSON_DEPTH (Walker & Ni 2011):
+each next start is the combination of the last period ends whose residuals
+u(omega) - u(0) best cancel in least squares.  An extrapolated start that is
+not positive is replaced by the plain period end.  Convergence is decided by
+the plain closure test alone: the orbit is the first period whose end is
+within CYCLE_TOL of its start, and that period's states are returned (a
+medium constant in t returns that start at every t, so its orbit's rows are
+equal).
 
 The nonlinear step matches the linear eigensolver split exactly: transport
 solve first, then the nodewise growth factor exp(dt*(c - e*u_new)) with the
@@ -22,10 +30,11 @@ from scipy.special import lambertw
 from . import eigen
 from .coeffs import CoefficientField
 from .errors import NoConvergence, SparseSupport
-from .pde import CellTransport, _transport_entries, write_csv
+from .pde import CellTransport, _transport_entries, constant_in_t, write_csv
 
 CYCLE_TOL = 1e-8
 PERIOD_CAP = 2000
+ANDERSON_DEPTH = 4  # period ends mixed into each next start
 SUPPORT_FRACTION = 0.10  # e must be positive on at least this share of nodes
 
 
@@ -34,7 +43,7 @@ class PeriodicOrbit:
     """A time-space periodic solution over one period cell.
 
     snapshots[j] is the state at t_j = j*omega/nt; closure_gap is
-    |u(omega, .) - u(0, .)|_inf of the converged cycle.
+    |u(omega, .) - u(0, .)|_inf of the converged period, the one returned.
     """
 
     snapshots: np.ndarray
@@ -60,32 +69,55 @@ class PeriodicOrbit:
         return float(self.snapshots.max())
 
 
-def _nonlinear_period(transport, c, e, u0):
-    """One period of the logistic equation; returns (snapshots, u_end).
+def _period_map(transport, c, e):
+    """u0 -> (snapshots, u_end): one period of the logistic equation.
 
-    transport.solve(r, .) is the transport solve with the coefficients of row r.
+    transport.solve(r, .) is the transport solve with the coefficients of row
+    r; the reaction tables are built once here for every period marched, one
+    row of them when c and e do not vary in t.
     """
     nt, nx, dt = c.nt, c.nx, c.dt
-    snaps = np.empty((nt, nx))
-    u = u0
-    for j in range(nt):
-        snaps[j] = u
-        r = (j + 1) % nt
-        w = transport.solve(r, u)
-        a = dt * e.values[r]
-        arg = a * w * np.exp(dt * c.values[r])
-        u = np.where(a > 0.0,
-                     np.real(lambertw(arg)) / np.where(a > 0.0, a, 1.0),
-                     w * np.exp(dt * c.values[r]))
-    return snaps, u
+    rows = 1 if constant_in_t(c.values, e.values) else nt
+    a = dt * e.values[:rows]
+    growth = np.exp(dt * c.values[:rows])
+    positive = a > 0.0
+    a_safe = np.where(positive, a, 1.0)
+
+    def period(u0):
+        snaps = np.empty((nt, nx))
+        u = u0
+        for j in range(nt):
+            snaps[j] = u
+            r = (j + 1) % nt
+            w = transport.solve(r, u)
+            k = r % rows
+            u = np.where(positive[k], np.real(lambertw(a[k] * w * growth[k])) / a_safe[k],
+                         w * growth[k])
+        return snaps, u
+    return period
+
+
+def _anderson(ends, residuals):
+    """Next start from the last period ends g_k and residuals f_k = g_k - u_k.
+
+    Type-II Anderson mixing: g_k - dG gamma with gamma minimizing
+    |f_k - dF gamma|_2 over the differences of successive ends and residuals.
+    """
+    if len(ends) == 1:
+        return ends[0]
+    dg = np.diff(np.array(ends), axis=0).T
+    df = np.diff(np.array(residuals), axis=0).T
+    gamma = np.linalg.lstsq(df, residuals[-1], rcond=None)[0]
+    return ends[-1] - dg @ gamma
 
 
 def logistic_orbit(d, g, c, e, start_value=None, growth=None) -> PeriodicOrbit:
     """Compute the attracting periodic orbit of u_t = d u_xx - g u_x + u(c - e u).
 
     Returns the extinct zero orbit when lambda(d, g, c) <= 0; otherwise
-    marches from the constant supersolution max(c)/min(e | e > 0) until the
-    period-to-period sup change drops below CYCLE_TOL (cap PERIOD_CAP).
+    iterates the period map with Anderson mixing from the constant
+    supersolution max(c)/min(e | e > 0) until one period's end is within
+    CYCLE_TOL of its start (cap PERIOD_CAP), and returns that period.
     growth is the principal eigenpair of (d, g, c) when the caller already
     has it; it is solved here otherwise.
     """
@@ -109,22 +141,27 @@ def logistic_orbit(d, g, c, e, start_value=None, growth=None) -> PeriodicOrbit:
 
     if start_value is None:
         start_value = c.max() / float(e.values[e.values > 0.0].min())
-    transport = CellTransport(d, g)
+    period_map = _period_map(CellTransport(d, g), c, e)
     u = np.full(d.nx, float(start_value))
-    gap = np.inf
+    ends, residuals = [], []  # the last ANDERSON_DEPTH + 1 periods
     for period in range(1, PERIOD_CAP + 1):
-        snaps, u_end = _nonlinear_period(transport, c, e, u)
+        snaps, u_end = period_map(u)
         gap = float(np.max(np.abs(u_end - u)))
-        u = u_end
         if gap < CYCLE_TOL:
             break
+        ends = [*ends[-ANDERSON_DEPTH:], u_end]
+        residuals = [*residuals[-ANDERSON_DEPTH:], u_end - u]
+        u = _anderson(ends, residuals)
+        if u.min() <= 0.0:
+            u = u_end
     else:
         raise NoConvergence(f"orbit cycle gap {gap:.3g} did not close in {PERIOD_CAP} periods")
+    if constant_in_t(d.values, g.values, c.values, e.values):
+        # the orbit of a medium constant in t is stationary: its start at every t
+        snaps = np.tile(u, (d.nt, 1))
 
-    snaps, u_end = _nonlinear_period(transport, c, e, u)
-    closure = float(np.max(np.abs(u_end - snaps[0])))
     orbit = PeriodicOrbit(snapshots=snaps, omega=d.omega, ell=d.ell, extinct=False,
-                          residual=0.0, closure_gap=closure, periods_marched=period)
+                          residual=0.0, closure_gap=gap, periods_marched=period)
     orbit.residual = orbit_residual(orbit, d, g, c, e)
     return orbit
 

@@ -382,6 +382,7 @@ class CellPeriodMap:
         rows = 1 if self.time_independent else self.nt
         self._growth = np.exp(self.dt * (h.values[:rows] - self.shift))
         self._matrix = None
+        self.start = None  # where eigen.principal_of_map starts; None: the constant vector
 
     def _step(self, r, v):
         """One step into row r: the transport solve, then the growth factor."""

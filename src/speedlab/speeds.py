@@ -217,12 +217,15 @@ def richardson(base, fine):
 def _lambda_curve(d, g, m, best=None):
     """mu -> lambda(mu) of the tilted problem.
 
+    Each solve starts from the previous one's psi(0) (eigen.lambda_curve).
     best, when given, is a dict that keeps the eigenpair of the smallest
     lambda(mu)/mu evaluated so far, which is the one minimize_speed returns
     as mu0: one EigenResult, not one per mu.
     """
+    curve = eigen.lambda_curve(d, g, m)
+
     def ev(mu):
-        res = eigen.lambda_of_mu(d, g, m, mu)
+        res = curve(mu)
         if best is not None and ("ratio" not in best or res.lam / mu < best["ratio"]):
             best.update(ratio=res.lam / mu, eigen=res)
         return res.lam
@@ -453,14 +456,15 @@ def check_hypotheses(sys: SystemSpec) -> dict:
 
     if lam2.lam > 0 and c1p is not None:
         pot2 = sys.b2 - sys.a22 * sys.u2_star().as_field()
-        lam2_zero = eigen.principal_eigen(sys.d2, sys.g2, pot2).lam
+        curve2 = eigen.lambda_curve(sys.d2, sys.g2, pot2)
+        lam2_zero = curve2(0.0).lam
         details = {"lambda2_at_0": lam2_zero, "symmetric_media": symmetric}
         if abs(lam2_zero) > 1e-6:
             certs["H5"] = Certificate("H5", "inconclusive", None, {
                 **details, "note": "orbit eigenvalue identity failed, slope unreliable"})
         else:
             eps = (1e-2, 1e-3)
-            vals = [eigen.lambda_of_mu(sys.d2, sys.g2, pot2, e).lam / e for e in eps]
+            vals = [curve2(e).lam / e for e in eps]
             slope = (10.0 * vals[1] - vals[0]) / 9.0
             details.update({"slope": slope, "lambda2_over_mu": dict(zip(eps, vals))})
             margin = c1p - slope

@@ -9,6 +9,11 @@ def field(expr, omega=1.0, ell=1.0, nt=200, nx=64):
     return build_field(expr, omega, ell, nt, nx)
 
 
+# the benchmark's report-tx instance: t- and x-periodic species 1, t-periodic species 2
+REPORT_TX_MEDIA = {"d1": "1 + 0.25*cos(2*pi*x)", "g1": "0.2*sin(2*pi*(x - t))",
+                   "b1": "2 + 0.5*cos(2*pi*x)", "b2": "1 + 0.5*sin(2*pi*t)"}
+
+
 def make_system(nt=200, nx=64, omega=1.0, ell=1.0, **overrides):
     """Constants competition instance; override individual expressions."""
     exprs = {"d1": "1", "d2": "0.5", "g1": "0", "g2": "0", "b1": "2", "b2": "1",

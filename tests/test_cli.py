@@ -15,7 +15,7 @@ from speedlab.cli import (DEMOS, EXIT_INCONCLUSIVE, EXIT_NUMERICAL, EXIT_OK, EXI
 from speedlab.errors import (Inconclusive, NoConvergence, NumericalFailure, SpeedlabError,
                              ValidationError)
 
-from conftest import fixed_line_positions, make_system
+from conftest import REPORT_TX_MEDIA, fixed_line_positions, make_system
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "perfbench", "tracing.py")
@@ -432,6 +432,48 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
         assert metrics[name] > 0, name
     assert (cli.run_scenario, eigen.principal_of_map, pde.CellPeriodMap.__init__,
             pde.CellPeriodMap.matrix) == originals
+
+
+def test_every_report_solve_passes_the_benchmark_wrappers(monkeypatch):
+    # the benchmark's residual probe wraps principal_of_map as a function of
+    # the map alone and its tracer wraps CellPeriodMap.__init__ with this
+    # signature; a solve that took another argument or went round them would
+    # raise TypeError or hide its residual from the probe
+    solved, built = [], []
+    principal_of_map, init = eigen.principal_of_map, pde.CellPeriodMap.__init__
+
+    def probe(pmap):
+        result = principal_of_map(pmap)
+        solved.append((pmap, result.residual))
+        return result
+
+    def traced_init(pmap, d, g, h, shift_mean=True):
+        init(pmap, d, g, h, shift_mean)
+        built.append(pmap)
+
+    monkeypatch.setattr(eigen, "principal_of_map", probe)
+    monkeypatch.setattr(pde.CellPeriodMap, "__init__", traced_init)
+    report = speeds.compute_speed_report(make_system(**REPORT_TX_MEDIA))
+    assert all(report.certificates[name].passed for name in ("H1", "H2", "D1", "D2"))
+    assert len(solved) > 50
+    assert [pmap for pmap, _ in solved] == built  # by identity, in order
+    assert max(residual for _, residual in solved) <= 1e-8
+
+
+def test_eigen_task_starts_each_solve_of_the_curve_warm(tmp_path, monkeypatch):
+    starts = []
+    principal_of_map = eigen.principal_of_map
+
+    def recorded(pmap):
+        starts.append(pmap.start)
+        return principal_of_map(pmap)
+
+    monkeypatch.setattr(eigen, "principal_of_map", recorded)
+    cfg = fisher_config(tmp_path / "out", tasks=("eigen",), nt=100, nx=16)
+    assert run_scenario(cfg, quiet=True) == EXIT_OK
+    # species 1 and 2 alone, then the 15 points of the curve
+    assert len(starts) == 17
+    assert starts[2] is None and all(s is not None for s in starts[3:])
 
 
 def test_fast_invader_speed_report_converges(tmp_path):

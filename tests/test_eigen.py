@@ -125,7 +125,7 @@ def test_time_independent_eigenfunction_is_marched_when_read(monkeypatch):
 
     # the same formula on an explicit march of the Perron vector
     pmap = CellPeriodMap(d, *eigen.tilted_coefficients(d, g, m, mu))
-    rho_s, psi0, _, _ = eigen._power_iteration(pmap.matrix().dot, pmap.nx)
+    rho_s, psi0, _, _ = eigen._power_iteration(pmap.matrix().dot, np.ones(pmap.nx))
     np.testing.assert_array_equal(calls[0], psi0)
     expected = pmap.snapshots(psi0)[:-1] * (rho_s ** (-np.arange(pmap.nt) / pmap.nt))[:, None]
     expected /= expected.max()
@@ -140,21 +140,72 @@ def test_power_iteration_on_a_slow_spectral_gap(q):
     u, w = np.array([0.8, 0.6]), np.array([0.6, -0.8])
     m = np.outer(u, u) + q * np.outer(w, w)
     assert m.min() > 0.0
-    rho, psi, iterations, residual = eigen._power_iteration(m.dot, 2)
+    rho, psi, iterations, residual = eigen._power_iteration(m.dot, np.ones(2))
     assert iterations > 300
     assert abs(rho - 1.0) <= 1e-9
     assert residual <= 1e-8
     np.testing.assert_allclose(psi, u / u.max(), atol=1e-8)
 
 
+POTENTIALS = {"t-independent": "cos(2*pi*x)", "t-dependent": "cos(2*pi*x) + 0.3*sin(2*pi*t)"}
+
+
+def _map_and_action(media):
+    pmap = CellPeriodMap(field("0.7"), field("0.4*sin(2*pi*x)"), field(POTENTIALS[media]))
+    assert pmap.time_independent == (media == "t-independent")
+    return pmap, (pmap.matrix().dot if pmap.time_independent else pmap.apply)
+
+
+@pytest.mark.parametrize("media", list(POTENTIALS))
+def test_root_lies_in_a_narrow_collatz_wielandt_enclosure(media):
+    pmap, apply = _map_and_action(media)
+    rho, psi, _, residual = eigen._power_iteration(apply, np.ones(pmap.nx))
+    assert psi.min() > 0.0 and residual <= eigen.RESIDUAL_TOL
+    ratios = apply(psi) / psi
+    lower, upper = ratios.min(), ratios.max()
+    assert lower <= rho <= upper
+    assert upper - lower <= eigen.POWER_TOL * upper
+    # the enclosure holds the dense Perron root up to the roundoff of the two products
+    dense = np.max(np.abs(np.linalg.eigvals(pmap.matrix())))
+    assert lower - 1e-14 <= dense <= upper + 1e-14
+
+
+@pytest.mark.parametrize("media", list(POTENTIALS))
+def test_a_start_at_the_converged_vector_closes_after_one_map(media):
+    cold = eigen.principal_of_map(_map_and_action(media)[0])
+    assert cold.iterations > 1
+    pmap = _map_and_action(media)[0]
+    pmap.start = cold.psi0
+    warm = eigen.principal_of_map(pmap)
+    assert warm.iterations == 1
+    assert warm.lam == pytest.approx(cold.lam, abs=1e-12)
+    assert warm.residual <= eigen.RESIDUAL_TOL
+
+
+def test_lambda_curve_starts_each_solve_where_the_last_ended():
+    # a slow spectral gap (small d, a travelling drift) makes the start matter
+    d, g = field("0.05", nt=100, nx=16), field("0.2*sin(2*pi*(x - t))", nt=100, nx=16)
+    m = field("1 + 0.5*cos(2*pi*x) + 0.3*sin(2*pi*t)", nt=100, nx=16)
+    mus = [0.1 + 0.2 * k for k in range(15)]
+    curve = eigen.lambda_curve(d, g, m)
+    warm = [curve(mu) for mu in mus]
+    cold = [lambda_of_mu(d, g, m, mu) for mu in mus]
+    assert warm[0].iterations == cold[0].iterations
+    assert all(w.iterations <= c.iterations for w, c in zip(warm, cold))
+    assert sum(w.iterations for w in warm) < sum(c.iterations for c in cold)
+    for w, c in zip(warm, cold):
+        assert w.lam == pytest.approx(c.lam, abs=1e-11)
+        assert w.residual <= eigen.RESIDUAL_TOL
+
+
 @pytest.mark.parametrize("h", ["cos(2*pi*x)", "cos(2*pi*x) + 0.3*sin(2*pi*t)"])
 def test_non_positive_perron_vector_fails_at_solve_time(monkeypatch, h):
     power_iteration = eigen._power_iteration
 
-    def flipped(apply, n):
-        rho, psi, iterations, residual = power_iteration(apply, n)
+    def flipped(apply, start):
+        rho, psi, iterations, residual = power_iteration(apply, start)
         psi = psi.copy()
-        psi[n // 2] = 0.0
+        psi[len(psi) // 2] = 0.0
         return rho, psi, iterations, residual
 
     monkeypatch.setattr(eigen, "_power_iteration", flipped)

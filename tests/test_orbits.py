@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from speedlab import logistic_orbit, orbit_residual, principal_eigen
+from speedlab import logistic_orbit, orbit_residual, orbits, principal_eigen
 from speedlab.errors import SparseSupport
-from speedlab.pde import _transport_entries
+from speedlab.orbits import CYCLE_TOL
+from speedlab.pde import CellTransport, _transport_entries, constant_in_t
 
-from conftest import field, make_system
+from conftest import REPORT_TX_MEDIA, field, make_system
 
 # u*(0) of u' = u(1 + 0.5 sin(2 pi t) - u), frozen from a solve_ivp march to
 # the attractor at rtol 1e-12 (the time-periodic logistic oracle)
@@ -102,15 +103,98 @@ def row_by_row_residual(orbit, d, g, c, e):
     return worst + orbit.closure_gap
 
 
-@pytest.mark.parametrize("media", [
-    {},  # the competition constants
-    {"d1": "1 + 0.25*cos(2*pi*x)", "g1": "0.2*sin(2*pi*(x - t))",
-     "b1": "2 + 0.5*cos(2*pi*x)", "b2": "1 + 0.5*sin(2*pi*t)"},
-    {"d1": "0.25", "d2": "2.5", "b1": "1 + 0.5*cos(2*pi*x) + 0.25*sin(2*pi*t)",
-     "b2": "1 + 0.5*cos(2*pi*x) + 0.25*sin(2*pi*t)", "a12": "1", "a21": "1"},
-], ids=["constants", "report-tx", "shared-growth"])
+ORBIT_MEDIA = {
+    "constants": {},
+    "report-tx": REPORT_TX_MEDIA,
+    "x-only": {"d1": "1 + 0.25*cos(2*pi*x)", "g1": "0.2*sin(2*pi*x)",
+               "b1": "2 + 0.5*cos(2*pi*x)", "b2": "1 + 0.5*sin(2*pi*x)"},
+    "shared-growth": {"d1": "0.25", "d2": "2.5",
+                      "b1": "1 + 0.5*cos(2*pi*x) + 0.25*sin(2*pi*t)",
+                      "b2": "1 + 0.5*cos(2*pi*x) + 0.25*sin(2*pi*t)", "a12": "1", "a21": "1"},
+}
+
+
+def species_orbits(media):
+    """(orbit, its fields) of both species of the make_system instance."""
+    sys = make_system(**ORBIT_MEDIA[media])
+    return ((sys.u1_star(), (sys.d1, sys.g1, sys.b1, sys.a11)),
+            (sys.u2_star(), (sys.d2, sys.g2, sys.b2, sys.a22)))
+
+
+@pytest.mark.parametrize("media", list(ORBIT_MEDIA))
 def test_residual_matches_the_row_by_row_loop(media):
-    sys = make_system(**media)
-    for orbit, fields in ((sys.u1_star(), (sys.d1, sys.g1, sys.b1, sys.a11)),
-                          (sys.u2_star(), (sys.d2, sys.g2, sys.b2, sys.a22))):
+    for orbit, fields in species_orbits(media):
         assert orbit.residual == row_by_row_residual(orbit, *fields)
+
+
+def plain_orbit(d, g, c, e, start_value=None, tol=CYCLE_TOL):
+    """The orbit by plain iteration of the period map: the reference for Anderson mixing.
+
+    Marches from the constant start until a period closes to `tol`; returns
+    that period's states and the number of periods marched.
+    """
+    if start_value is None:
+        start_value = c.max() / e.values[e.values > 0.0].min()
+    period = orbits._period_map(CellTransport(d, g), c, e)
+    u = np.full(d.nx, float(start_value))
+    for marched in range(1, orbits.PERIOD_CAP + 1):
+        snaps, u_end = period(u)
+        if np.max(np.abs(u_end - u)) < tol:
+            return snaps, marched
+        u = u_end
+    raise AssertionError("the plain iteration did not close")
+
+
+@pytest.mark.parametrize("media", ["report-tx", "x-only", "shared-growth"])
+def test_anderson_orbit_matches_plain_iteration_in_fewer_periods(media):
+    for orbit, fields in species_orbits(media):
+        # plain iteration to 1e-13 is the orbit; to CYCLE_TOL, the old cost
+        reference, _ = plain_orbit(*fields, tol=1e-13)
+        assert np.max(np.abs(orbit.snapshots - reference)) <= CYCLE_TOL
+        assert orbit.periods_marched < plain_orbit(*fields)[1]
+        assert orbit.closure_gap < CYCLE_TOL
+        # a medium constant in t has a stationary orbit, with equal rows
+        assert constant_in_t(orbit.snapshots) == (media == "x-only")
+
+
+def test_a_non_positive_extrapolation_falls_back_to_the_period_end(monkeypatch):
+    # from a subsolution start the mixing overshoots below zero, where the
+    # Lambert-W step is not the logistic equation's
+    d, g = small("1"), small("0")
+    c, e = small("1 + 0.5*sin(2*pi*t)"), small("1")
+    extrapolated = []
+    anderson = orbits._anderson
+
+    def recorded(ends, residuals):
+        extrapolated.append(anderson(ends, residuals))
+        return extrapolated[-1]
+
+    monkeypatch.setattr(orbits, "_anderson", recorded)
+    orbit = logistic_orbit(d, g, c, e, start_value=0.15)
+    assert any(u.min() <= 0.0 for u in extrapolated)
+    assert orbit.closure_gap < CYCLE_TOL
+    reference, _ = plain_orbit(d, g, c, e, start_value=0.15, tol=1e-13)
+    assert np.max(np.abs(orbit.snapshots - reference)) <= CYCLE_TOL
+
+
+def test_orbit_is_the_converged_period_itself(monkeypatch):
+    # the returned states are the last period marched, not one more
+    d, g = small("1"), small("0")
+    c, e = small("1 + 0.5*sin(2*pi*t)"), small("1")
+    marched = []
+    period_map = orbits._period_map
+
+    def recorded(*args):
+        period = period_map(*args)
+
+        def run(u0):
+            marched.append(period(u0))
+            return marched[-1]
+        return run
+
+    monkeypatch.setattr(orbits, "_period_map", recorded)
+    orbit = logistic_orbit(d, g, c, e)
+    assert len(marched) == orbit.periods_marched
+    snaps, u_end = marched[-1]
+    np.testing.assert_array_equal(orbit.snapshots, snaps)
+    assert orbit.closure_gap == np.max(np.abs(u_end - snaps[0]))

@@ -172,11 +172,15 @@ VARYING_MEDIA = {"d1": "1 + 0.3*cos(2*pi*(x - t))", "d2": "0.5 + 0.2*sin(2*pi*x)
                  "g1": "0.8*sin(2*pi*(x - t))", "g2": "0.6*cos(2*pi*(x + t))",
                  "b1": "2 + 0.5*cos(2*pi*x)", "b2": "1 + 0.5*sin(2*pi*t)"}
 # the same shapes frozen in t: the line matrix is factored once, and the
-# species-2 orbit rows differ at roundoff, so the reaction is gathered per row
+# species-2 orbit is stationary, so the reaction is gathered once
 X_ONLY_MEDIA = {"d1": "1 + 0.3*cos(2*pi*x)", "d2": "0.5 + 0.2*sin(2*pi*x)",
                 "g1": "0.8*sin(2*pi*x)", "g2": "0.6*cos(2*pi*x)",
                 "b1": "2 + 0.5*cos(2*pi*x)", "b2": "1 + 0.5*sin(2*pi*x)"}
-LINE_MEDIA = {"t-and-x": VARYING_MEDIA, "x-only": X_ONLY_MEDIA, "constants": {}}
+# transport frozen in t, species-2 growth not: the line matrix is factored
+# once and the reaction is gathered per row
+T_GROWTH_MEDIA = dict(X_ONLY_MEDIA, b2="1 + 0.5*sin(2*pi*x) + 0.25*sin(2*pi*t)")
+LINE_MEDIA = {"t-and-x": VARYING_MEDIA, "x-only": X_ONLY_MEDIA,
+              "t-growth": T_GROWTH_MEDIA, "constants": {}}
 
 
 def _reference_line_period(sys, x, u2, v, period_index):
@@ -212,8 +216,9 @@ def test_line_evolver_matches_per_species_reference(monkeypatch, media):
     # period map twice: the map does not depend on which period it runs
     sys = make_system(nt=50, nx=16, **LINE_MEDIA[media])
     u2 = sys.u2_star()
-    assert constant_in_t(u2.snapshots[:sys.nt]) == (media == "constants")
+    assert constant_in_t(u2.snapshots) == (media in ("x-only", "constants"))
     ev = LineSystemEvolver(sys, -2.25, 1.75)
+    assert (ev._line_reaction is None) == (media in ("t-and-x", "t-growth"))
     r = rng(5)
     v0 = np.vstack([r.uniform(0.0, 2.0, ev.n_nodes), r.uniform(0.0, 0.8, ev.n_nodes)])
     ref = _reference_line_period(sys, ev.x, u2, v0.copy(), 1)

@@ -6,6 +6,7 @@ import pytest
 
 from speedlab import (SystemSpec, check_hypotheses, check_linear_determinacy,
                       coupled_eigenfunction, linear_speed_c0, minimize_speed)
+from speedlab.cli import DEMOS
 from speedlab.errors import NoInteriorMinimum
 from speedlab import eigen, pde, speeds
 from speedlab.speeds import compute_speed_report, reflected_scalar_coefficients
@@ -25,6 +26,19 @@ def test_minimize_speed_quadratics():
     r = minimize_speed(lambda mu: mu * mu + 1.7)
     assert r.c_star == pytest.approx(2.0 * math.sqrt(1.7), abs=1e-9)
     assert r.mu0 == pytest.approx(math.sqrt(1.7), abs=1e-5)
+
+
+@pytest.mark.parametrize("name,m", [("fisher", 1.0), ("competition-constants", 1.7)])
+def test_constant_demo_speed_is_the_closed_form(name, m):
+    # constant media: lambda(mu) = d1 mu^2 + m with m = b1 - a12 u2* (u2* = b2/a22
+    # = 1), so mu0 = sqrt(m/d1) up to Brent's tolerance and c0 = 2 sqrt(d1 m)
+    model, grid = DEMOS[name]["model"], DEMOS[name]["discretization"]
+    sys = SystemSpec.from_expressions(model, model["omega"], model["ell"],
+                                      grid["nt"], grid["nx"])
+    d1 = float(model["d1"])
+    res = linear_speed_c0(sys)
+    assert abs(res.mu0 - math.sqrt(m / d1)) <= speeds.MU_TOL
+    assert res.c0 == pytest.approx(2.0 * math.sqrt(d1 * m), rel=1e-10)
 
 
 def test_minimize_speed_stable_under_extra_iterations():
