@@ -2,11 +2,11 @@
 periodic two-species reaction-advection-diffusion systems."""
 
 from .coeffs import (CoefficientField, SymmetryReport, build_field, mean_and_symmetry,
-                     parse_expression, reflect_x, refine_field)
+                     parse_expression, refine_field)
 from .eigen import EigenResult, lambda_of_mu, principal_eigen
 from .frontsim import (FrontTrace, fit_speed, front_position, run_front,
                        spreading_verdict)
-from .orbits import PeriodicOrbit, logistic_orbit, orbit_residual
+from .orbits import PeriodicOrbit, logistic_orbit
 from .pde import (CellPeriodMap, CellState, LineState, LineSystemEvolver, period_map,
                   step_scalar_linear)
 from .speeds import (Certificate, CoupledEigenfunction, SpeedReport, SystemSpec,
@@ -18,9 +18,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoefficientField", "SymmetryReport", "build_field", "mean_and_symmetry",
-    "parse_expression", "reflect_x", "refine_field",
+    "parse_expression", "refine_field",
     "EigenResult", "principal_eigen", "lambda_of_mu",
-    "PeriodicOrbit", "logistic_orbit", "orbit_residual",
+    "PeriodicOrbit", "logistic_orbit",
     "CellState", "LineState", "CellPeriodMap", "LineSystemEvolver",
     "step_scalar_linear", "period_map",
     "SystemSpec", "SpeedReport", "Certificate",

@@ -234,8 +234,7 @@ def _task_orbit(cfg, sys_spec):
     frag = {}
     for name, orbit in (("u1", sys_spec.u1_star()), ("u2", sys_spec.u2_star())):
         orbits.dump_orbit_csv(os.path.join(cfg.output, f"orbit_{name}.csv"), orbit)
-        frag[name] = {"extinct": orbit.extinct, "residual": orbit.residual,
-                      "closure_gap": orbit.closure_gap,
+        frag[name] = {"extinct": orbit.extinct, "closure_gap": orbit.closure_gap,
                       "periods_marched": orbit.periods_marched,
                       "max": orbit.max()}
     return frag

@@ -246,8 +246,8 @@ class CoefficientField:
     expr: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        # C order keeps reductions such as the period map's mean shift
-        # bit-identical between a field and its reflected copies
+        # one float C-ordered copy: reductions such as the period map's mean
+        # shift then sum in one order, whatever array the field was built from
         v = np.ascontiguousarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
         if not (self.omega > 0 and self.ell > 0):
@@ -364,12 +364,6 @@ def refine_field(f: CoefficientField) -> CoefficientField:
     if f.expr is None:
         raise ValueError("field carries no expression, cannot resample exactly")
     return build_field(f.expr, f.omega, f.ell, 2 * f.nt, 2 * f.nx)
-
-
-def reflect_x(f: CoefficientField) -> CoefficientField:
-    """The field (t, x) -> f(t, -x), using periodic indexing; an involution."""
-    idx = (-np.arange(f.nx)) % f.nx
-    return CoefficientField(f.omega, f.ell, f.values[:, idx], None)
 
 
 def mean_and_symmetry(f: CoefficientField) -> tuple[float, SymmetryReport]:

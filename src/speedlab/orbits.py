@@ -9,9 +9,10 @@ each next start is the combination of the last period ends whose residuals
 u(omega) - u(0) best cancel in least squares.  An extrapolated start that is
 not positive is replaced by the plain period end.  Convergence is decided by
 the plain closure test alone: the orbit is the first period whose end is
-within CYCLE_TOL of its start, and that period's states are returned (a
-medium constant in t returns that start at every t, so its orbit's rows are
-equal).
+within CYCLE_TOL * min(1, max u(omega)) of its start, and that period's
+states are returned (a medium constant in t returns that start at every t,
+so its orbit's rows are equal).  The gap is relative below unit scale, so a
+small start does not pass as the orbit.
 
 The nonlinear step matches the linear eigensolver split exactly: transport
 solve first, then the nodewise growth factor exp(dt*(c - e*u_new)) with the
@@ -30,7 +31,7 @@ from scipy.special import lambertw
 from . import eigen
 from .coeffs import CoefficientField
 from .errors import NoConvergence, SparseSupport
-from .pde import CellTransport, _transport_entries, constant_in_t, write_csv
+from .pde import CellTransport, constant_in_t, write_csv
 
 CYCLE_TOL = 1e-8
 PERIOD_CAP = 2000
@@ -43,14 +44,14 @@ class PeriodicOrbit:
     """A time-space periodic solution over one period cell.
 
     snapshots[j] is the state at t_j = j*omega/nt; closure_gap is
-    |u(omega, .) - u(0, .)|_inf of the converged period, the one returned.
+    |u(omega, .) - u(0, .)|_inf of the converged period, the one returned,
+    and is the orbit's certificate.
     """
 
     snapshots: np.ndarray
     omega: float
     ell: float
     extinct: bool
-    residual: float
     closure_gap: float
     periods_marched: int
 
@@ -116,8 +117,9 @@ def logistic_orbit(d, g, c, e, start_value=None, growth=None) -> PeriodicOrbit:
 
     Returns the extinct zero orbit when lambda(d, g, c) <= 0; otherwise
     iterates the period map with Anderson mixing from the constant
-    supersolution max(c)/min(e | e > 0) until one period's end is within
-    CYCLE_TOL of its start (cap PERIOD_CAP), and returns that period.
+    supersolution max(c)/min(e | e > 0) until one period's end u(omega) is
+    within CYCLE_TOL * min(1, max u(omega)) of its start (cap PERIOD_CAP),
+    and returns that period.
     growth is the principal eigenpair of (d, g, c) when the caller already
     has it; it is solved here otherwise.
     """
@@ -137,7 +139,7 @@ def logistic_orbit(d, g, c, e, start_value=None, growth=None) -> PeriodicOrbit:
     if growth.lam <= 0.0:
         zeros = np.zeros_like(d.values)
         return PeriodicOrbit(snapshots=zeros, omega=d.omega, ell=d.ell, extinct=True,
-                             residual=0.0, closure_gap=0.0, periods_marched=0)
+                             closure_gap=0.0, periods_marched=0)
 
     if start_value is None:
         start_value = c.max() / float(e.values[e.values > 0.0].min())
@@ -147,7 +149,7 @@ def logistic_orbit(d, g, c, e, start_value=None, growth=None) -> PeriodicOrbit:
     for period in range(1, PERIOD_CAP + 1):
         snaps, u_end = period_map(u)
         gap = float(np.max(np.abs(u_end - u)))
-        if gap < CYCLE_TOL:
+        if gap < CYCLE_TOL * min(1.0, u_end.max()):
             break
         ends = [*ends[-ANDERSON_DEPTH:], u_end]
         residuals = [*residuals[-ANDERSON_DEPTH:], u_end - u]
@@ -160,31 +162,8 @@ def logistic_orbit(d, g, c, e, start_value=None, growth=None) -> PeriodicOrbit:
         # the orbit of a medium constant in t is stationary: its start at every t
         snaps = np.tile(u, (d.nt, 1))
 
-    orbit = PeriodicOrbit(snapshots=snaps, omega=d.omega, ell=d.ell, extinct=False,
-                          residual=0.0, closure_gap=gap, periods_marched=period)
-    orbit.residual = orbit_residual(orbit, d, g, c, e)
-    return orbit
-
-
-def orbit_residual(orbit: PeriodicOrbit, d, g, c, e) -> float:
-    """Implicit-reaction defect of the orbit plus its closure gap, sup norm.
-
-    Evaluates (u^{j+1}-u^j)/dt - T u^{j+1} - (c - e u^{j+1}) u^{j+1} at every
-    step with coefficients at the implicit level.  The orbit solves the
-    exponential split, not this backward-Euler reaction, so a converged orbit
-    reports the O(dt) gap between the two schemes, not a certificate of its
-    own error.  All steps are evaluated at once on the (nt, nx) arrays.
-    """
-    if orbit.extinct:
-        raise ValueError("residual is defined for non-extinct orbits only")
-    u_old = orbit.snapshots
-    # row j of each array is the implicit level (j+1) mod nt of step j
-    u_new, dv, gv, cv, ev = (np.roll(a, -1, axis=0)
-                             for a in (u_old, d.values, g.values, c.values, e.values))
-    lower, diag, upper = _transport_entries(dv, gv, d.dx)
-    tu = lower * np.roll(u_new, 1, axis=1) + diag * u_new + upper * np.roll(u_new, -1, axis=1)
-    res = (u_new - u_old) / d.dt - tu - (cv - ev * u_new) * u_new
-    return float(np.max(np.abs(res))) + orbit.closure_gap
+    return PeriodicOrbit(snapshots=snaps, omega=d.omega, ell=d.ell, extinct=False,
+                         closure_gap=gap, periods_marched=period)
 
 
 def dump_orbit_csv(path, orbit: PeriodicOrbit):

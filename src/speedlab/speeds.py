@@ -2,7 +2,8 @@
 
 Rightward speeds come from minimizing mu -> lambda(mu)/mu over mu > 0,
 where lambda(mu) is the principal eigenvalue of the mu-tilted problem;
-leftward speeds use the change of variable x -> -x.  The linearized speed
+leftward speeds read the same family at negative tilt, as the infimum of
+lambda(-mu)/mu over mu > 0.  The linearized speed
 of the coupled system at the invaded state is produced the same way from
 the potential b1 - a12*u2star, and the second component of the coupled
 positive eigenfunction needed for the determinacy ratio test comes from one
@@ -25,12 +26,12 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import eigen, orbits
-from .coeffs import CoefficientField, build_field, mean_and_symmetry, reflect_x, refine_field
+from .coeffs import CoefficientField, build_field, mean_and_symmetry, refine_field
 from .errors import NoInteriorMinimum, NonEllipticError, NotMonostable, ValidationError
 from .pde import CellPeriodMap
 
 MU_RANGE = (1e-3, 20.0)
-MU_TOL = 1e-6  # absolute tolerance in mu of the Brent search
+MU_TOL = 1e-6  # absolute tolerance in mu of the Brent search, read at each call
 
 FIELD_NAMES = ("d1", "d2", "g1", "g2", "b1", "b2", "a11", "a12", "a21", "a22")
 
@@ -156,11 +157,6 @@ class SystemSpec:
         return 2.0 * math.sqrt(self.d1.max() * max(self.b1.max(), 1e-9))
 
 
-def reflected_scalar_coefficients(d, g, b):
-    """Coefficients of the x -> -x transformed scalar equation."""
-    return reflect_x(d), -1.0 * reflect_x(g), reflect_x(b)
-
-
 # ---------------------------------------------------------------------------
 # Speed minimization
 # ---------------------------------------------------------------------------
@@ -174,13 +170,13 @@ class MinimizeResult:
     evaluations: int
 
 
-def minimize_speed(lambda_eval, mu_tol=MU_TOL) -> MinimizeResult:
+def minimize_speed(lambda_eval) -> MinimizeResult:
     """Brent minimization of mu -> lambda(mu)/mu on MU_RANGE.
 
     Requires an interior minimum, verified by the slope signs at both ends;
     a monotone profile raises NoInteriorMinimum with the endpoint data, since
     the infimum then sits on the boundary and the formula regime fails.
-    mu_tol is Brent's absolute tolerance in mu (xatol), not a relative one;
+    MU_TOL is Brent's absolute tolerance in mu (xatol), not a relative one;
     the result is the smallest value evaluated, endpoint probes included.
     """
     lo, hi = MU_RANGE
@@ -200,7 +196,7 @@ def minimize_speed(lambda_eval, mu_tol=MU_TOL) -> MinimizeResult:
     if f(hi) <= f(probe_hi):
         raise NoInteriorMinimum("lambda(mu)/mu is nonincreasing at the upper end", data)
 
-    minimize_scalar(f, bounds=MU_RANGE, method="bounded", options={"xatol": mu_tol})
+    minimize_scalar(f, bounds=MU_RANGE, method="bounded", options={"xatol": MU_TOL})
     mu0, c_star = min(cache.items(), key=lambda item: item[1])
     return MinimizeResult(c_star=c_star, mu0=mu0, evaluations=len(cache))
 
@@ -230,11 +226,6 @@ def _lambda_curve(d, g, m, best=None):
             best.update(ratio=res.lam / mu, eigen=res)
         return res.lam
     return ev
-
-
-def _leftward_curve(d, g, m):
-    """lambda(mu) of the x -> -x reflected problem, for leftward speeds."""
-    return _lambda_curve(*reflected_scalar_coefficients(d, g, m))
 
 
 @dataclass
@@ -408,7 +399,9 @@ def check_hypotheses(sys: SystemSpec) -> dict:
 
     H3 is undecidable numerically in general, so only the sufficient
     envelope condition is evaluated and the verdict is three-valued:
-    pass(sufficient) or inconclusive, never fail.
+    pass(sufficient) or inconclusive, never fail.  H4's c2- is
+    inf lambda2(-mu)/mu on species 2's own tilted curve.  H5's slope is the
+    central difference of lambda2 at mu = 0 on the curve linearized at u2*.
     """
     certs = {}
 
@@ -441,9 +434,10 @@ def check_hypotheses(sys: SystemSpec) -> dict:
         try:
             # H4 needs only species 1 rightward and species 2 leftward; both
             # are assigned together so H5 sees c1p only when H4 is decided
+            species2 = _lambda_curve(sys.d2, sys.g2, sys.b2)
             c1p, c2m = (
                 minimize_speed(_lambda_curve(sys.d1, sys.g1, sys.b1)).c_star,
-                minimize_speed(_leftward_curve(sys.d2, sys.g2, sys.b2)).c_star)
+                minimize_speed(lambda mu: species2(-mu)).c_star)
             certs["H4"] = Certificate("H4", "pass" if c1p + c2m > 0 else "fail",
                                       c1p + c2m, {"c1_plus": c1p, "c2_minus": c2m,
                                                   "symmetric_media": symmetric})
@@ -463,17 +457,13 @@ def check_hypotheses(sys: SystemSpec) -> dict:
             certs["H5"] = Certificate("H5", "inconclusive", None, {
                 **details, "note": "orbit eigenvalue identity failed, slope unreliable"})
         else:
-            eps = (1e-2, 1e-3)
-            vals = [curve2(e).lam / e for e in eps]
-            slope = (10.0 * vals[1] - vals[0]) / 9.0
-            details.update({"slope": slope, "lambda2_over_mu": dict(zip(eps, vals))})
+            # a central difference: lambda2(0), the orbit's closure error, cancels
+            eps = 1e-3
+            at_eps = {mu: curve2(mu).lam for mu in (eps, -eps)}
+            slope = (at_eps[eps] - at_eps[-eps]) / (2.0 * eps)
+            details.update({"slope": slope, "lambda2_at_eps": at_eps})
             margin = c1p - slope
-            if symmetric:
-                verdict = "pass"
-                details["note"] = "symmetric media, slope vanishes structurally"
-            else:
-                verdict = "pass" if margin >= 0 else "fail"
-            certs["H5"] = Certificate("H5", verdict, margin, details)
+            certs["H5"] = Certificate("H5", "pass" if margin >= 0 else "fail", margin, details)
     else:
         certs["H5"] = Certificate("H5", "not-applicable", None,
                                   {"note": "requires species-2 orbit and c1_plus"})

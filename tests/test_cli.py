@@ -409,6 +409,11 @@ def test_import_leaves_scipy_stats_unloaded():
     assert out.strip() == "False"
 
 
+def test_every_public_name_resolves():
+    import speedlab
+    assert [name for name in speedlab.__all__ if not hasattr(speedlab, name)] == []
+
+
 def test_benchmark_tracer_finds_every_name_it_wraps():
     # the traced benchmark run wraps speedlab functions and methods by name;
     # a deleted or renamed one makes install() raise here

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from speedlab import logistic_orbit, orbit_residual, orbits, principal_eigen
+from speedlab import logistic_orbit, orbits, principal_eigen
 from speedlab.errors import SparseSupport
 from speedlab.orbits import CYCLE_TOL
-from speedlab.pde import CellTransport, _transport_entries, constant_in_t
+from speedlab.pde import CellTransport, constant_in_t
 
 from conftest import REPORT_TX_MEDIA, field, make_system
 
@@ -20,7 +20,7 @@ def small(expr, nt=200, nx=8):
 def test_constant_orbit_is_the_ratio():
     orb = logistic_orbit(small("1"), small("0"), small("1"), small("1"))
     np.testing.assert_allclose(orb.snapshots, 1.0, atol=1e-12)
-    assert orb.residual <= 1e-10
+    assert orb.closure_gap <= 1e-10
     assert not orb.extinct
 
 
@@ -39,17 +39,14 @@ def test_negative_growth_goes_extinct():
     assert np.all(orb.snapshots == 0.0)
 
 
-def test_residual_flags_perturbed_orbit():
-    d, g, c, e = small("1"), small("0"), small("1"), small("1")
-    orb = logistic_orbit(d, g, c, e)
-    perturbed = type(orb)(snapshots=orb.snapshots + 0.01, omega=orb.omega,
-                          ell=orb.ell, extinct=False, residual=0.0,
-                          closure_gap=orb.closure_gap,
-                          periods_marched=orb.periods_marched)
-    assert orbit_residual(perturbed, d, g, c, e) >= 0.005
-    with pytest.raises(ValueError):
-        extinct = logistic_orbit(d, g, small("-1"), e)
-        orbit_residual(extinct, d, g, small("-1"), e)
+def test_a_tiny_start_does_not_pass_as_the_orbit():
+    # an absolute closure test accepts u0 = 1e-8 after one period (gap about
+    # 2e-9); relative to the state's scale the start must grow to the orbit,
+    # whose mean is mean(c) = 0.2 by the discrete mean identity
+    c = small("0.2 + 0.5*sin(2*pi*t)")
+    orb = logistic_orbit(small("1"), small("0"), c, small("1"), start_value=1e-8)
+    assert orb.snapshots.mean() == pytest.approx(0.2, abs=1e-7)
+    assert orb.periods_marched > 1
 
 
 def test_uniqueness_probe_two_starts_agree():
@@ -88,21 +85,6 @@ def test_orbit_is_exact_discrete_eigenfunction():
     assert abs(lam) <= 1e-6
 
 
-def row_by_row_residual(orbit, d, g, c, e):
-    """orbit_residual one step at a time: the reference for the vectorised pass."""
-    nt, dt, dx = orbit.nt, d.dt, d.dx
-    snaps = orbit.snapshots
-    worst = 0.0
-    for j in range(nt):
-        r = (j + 1) % nt
-        u_new, u_old = snaps[r], snaps[j]
-        lower, diag, upper = _transport_entries(d.values[r], g.values[r], dx)
-        tu = lower * np.roll(u_new, 1) + diag * u_new + upper * np.roll(u_new, -1)
-        h = c.values[r] - e.values[r] * u_new
-        worst = max(worst, float(np.max(np.abs((u_new - u_old) / dt - tu - h * u_new))))
-    return worst + orbit.closure_gap
-
-
 ORBIT_MEDIA = {
     "constants": {},
     "report-tx": REPORT_TX_MEDIA,
@@ -119,12 +101,6 @@ def species_orbits(media):
     sys = make_system(**ORBIT_MEDIA[media])
     return ((sys.u1_star(), (sys.d1, sys.g1, sys.b1, sys.a11)),
             (sys.u2_star(), (sys.d2, sys.g2, sys.b2, sys.a22)))
-
-
-@pytest.mark.parametrize("media", list(ORBIT_MEDIA))
-def test_residual_matches_the_row_by_row_loop(media):
-    for orbit, fields in species_orbits(media):
-        assert orbit.residual == row_by_row_residual(orbit, *fields)
 
 
 def plain_orbit(d, g, c, e, start_value=None, tol=CYCLE_TOL):

@@ -9,7 +9,7 @@ from speedlab import (SystemSpec, check_hypotheses, check_linear_determinacy,
 from speedlab.cli import DEMOS
 from speedlab.errors import NoInteriorMinimum
 from speedlab import eigen, pde, speeds
-from speedlab.speeds import compute_speed_report, reflected_scalar_coefficients
+from speedlab.speeds import compute_speed_report
 
 from conftest import field, make_system
 
@@ -28,22 +28,28 @@ def test_minimize_speed_quadratics():
     assert r.mu0 == pytest.approx(math.sqrt(1.7), abs=1e-5)
 
 
+def demo_system(name):
+    model, grid = DEMOS[name]["model"], DEMOS[name]["discretization"]
+    return SystemSpec.from_expressions(model, model["omega"], model["ell"],
+                                       grid["nt"], grid["nx"])
+
+
 @pytest.mark.parametrize("name,m", [("fisher", 1.0), ("competition-constants", 1.7)])
 def test_constant_demo_speed_is_the_closed_form(name, m):
     # constant media: lambda(mu) = d1 mu^2 + m with m = b1 - a12 u2* (u2* = b2/a22
     # = 1), so mu0 = sqrt(m/d1) up to Brent's tolerance and c0 = 2 sqrt(d1 m)
-    model, grid = DEMOS[name]["model"], DEMOS[name]["discretization"]
-    sys = SystemSpec.from_expressions(model, model["omega"], model["ell"],
-                                      grid["nt"], grid["nx"])
-    d1 = float(model["d1"])
+    sys = demo_system(name)
+    d1 = float(DEMOS[name]["model"]["d1"])
     res = linear_speed_c0(sys)
     assert abs(res.mu0 - math.sqrt(m / d1)) <= speeds.MU_TOL
     assert res.c0 == pytest.approx(2.0 * math.sqrt(d1 * m), rel=1e-10)
 
 
-def test_minimize_speed_stable_under_extra_iterations():
-    coarse = minimize_speed(lambda mu: mu * mu + 1.3, mu_tol=1e-6)
-    fine = minimize_speed(lambda mu: mu * mu + 1.3, mu_tol=1e-12)
+def test_minimize_speed_stable_under_extra_iterations(monkeypatch):
+    coarse = minimize_speed(lambda mu: mu * mu + 1.3)
+    monkeypatch.setattr(speeds, "MU_TOL", 1e-12)
+    fine = minimize_speed(lambda mu: mu * mu + 1.3)
+    assert fine.evaluations > coarse.evaluations
     assert abs(coarse.c_star - fine.c_star) <= 1e-5
 
 
@@ -88,20 +94,21 @@ def test_scalar_kpp_not_monostable():
     assert certs["H4"].verdict == "not-applicable"
 
 
+def reflected(f, sign=1.0):
+    """The field (t, x) -> sign * f(t, -x) on the same grid."""
+    return type(f)(f.omega, f.ell, sign * f.values[:, (-np.arange(f.nx)) % f.nx])
+
+
 def test_reflection_duality():
-    d, g, b = field("1"), field("0.6"), field("1 + 0.3*cos(2*pi*x)")
+    # c2- by negative tilt is c1+ of the x -> -x reflected equation, whose
+    # drift changes sign; the two are separate solves, equal to roundoff
+    d = field("1 + 0.2*sin(2*pi*x)")
+    g = field("0.6 + 0.3*cos(2*pi*x)")
+    b = field("1 + 0.3*cos(2*pi*x) + 0.2*sin(2*pi*x)")
     direct = h4_speeds(both_species(d, g, b))
-    swapped = h4_speeds(both_species(*reflected_scalar_coefficients(d, g, b)))
-    assert direct[1] == swapped[0]
-    assert direct[0] == swapped[1]
-
-
-def test_twice_reflected_coefficients_give_bit_identical_lambda():
-    # reflection gathers columns; the fields stay in C order, so every
-    # reduction over them sums in the same order as for the original
-    d, g, b = field("1"), field("0.6"), field("1 + 0.3*cos(2*pi*x)")
-    twice = reflected_scalar_coefficients(*reflected_scalar_coefficients(d, g, b))
-    assert eigen.lambda_of_mu(*twice, 1.234567).lam == eigen.lambda_of_mu(d, g, b, 1.234567).lam
+    swapped = h4_speeds(both_species(reflected(d), reflected(g, -1.0), reflected(b)))
+    assert direct[1] == pytest.approx(swapped[0], rel=1e-10)
+    assert direct[0] == pytest.approx(swapped[1], rel=1e-10)
 
 
 def test_linear_speed_c0_constants(constants_system):
@@ -179,6 +186,30 @@ def test_check_hypotheses_symmetric_media_branch():
     rep = check_hypotheses(sys_sym)
     assert rep["H5"].verdict == "pass"
     assert rep["H5"].details["symmetric_media"] is True
+    # lambda2 is even in mu there, so the central slope is zero up to roundoff
+    assert abs(rep["H5"].details["slope"]) <= 1e-9
+
+
+def test_h5_slope_is_g2_in_constant_media():
+    # constant media: the discrete lambda2(mu) is exactly d2 mu^2 + g2 mu
+    h5 = check_hypotheses(make_system(g2="0.4"))["H5"]
+    assert h5.details["slope"] == pytest.approx(0.4, abs=1e-8)
+
+
+def test_h5_slope_vanishes_on_the_shared_growth_demo():
+    # even media: the slope is zero by structure, although the orbit closes
+    # only to CYCLE_TOL, so lambda2(0) is not zero
+    h5 = check_hypotheses(demo_system("shared-growth"))["H5"]
+    assert h5.verdict == "pass"
+    assert abs(h5.details["slope"]) <= 1e-9
+
+
+def test_h5_slope_matches_a_finer_central_difference():
+    sysp = make_system(d2="0.5", g2="-0.5", b2="1 + 0.5*cos(2*pi*x) + 0.3*sin(2*pi*t)")
+    slope = check_hypotheses(sysp)["H5"].details["slope"]
+    pot2 = sysp.b2 - sysp.a22 * sysp.u2_star().as_field()
+    plus, minus = (eigen.lambda_of_mu(sysp.d2, sysp.g2, pot2, mu).lam for mu in (1e-4, -1e-4))
+    assert slope == pytest.approx((plus - minus) / 2e-4, abs=1e-8)
 
 
 def test_determinacy_constants_pass(constants_system):
