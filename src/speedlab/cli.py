@@ -252,12 +252,10 @@ def _task_eigen(cfg, sys_spec):
 
 
 def _task_weinberger(cfg, sys_spec, speed_report):
-    c_ref = None
-    if speed_report is not None:
-        c_ref = speed_report.c0_plus or speed_report.c1_plus
+    c_ref = speed_report.c0_plus or speed_report.certificates["H4"].details.get("c1_plus")
     if c_ref is None:
         c_ref = sys_spec.speed_estimate()
-    c_hi = 1.2 * c_ref + 1.0
+    c_hi = 1.2 * abs(c_ref) + 1.0  # above 0 also when species 1 recedes (c_ref < 0)
     cstar, cbar = weinberger.bracket_speeds(
         sys_spec, (0.0, c_hi, weinberger.DEFAULT_BISECTION_STEPS))
     weinberger.dump_bracket_trace_csv(os.path.join(cfg.output, "bracket_trace.csv"),
@@ -266,11 +264,11 @@ def _task_weinberger(cfg, sys_spec, speed_report):
         if c_edge in cstar.profiles:
             weinberger.dump_profile_csv(os.path.join(cfg.output, f"profile_cstar_{label}.csv"),
                                         cstar.profiles[c_edge])
+    def edge(c):  # an open edge is infinite, which strict JSON cannot hold
+        return None if math.isinf(c) else c
     return {
-        "cstar": {"lo": cstar.c_lo, "hi": cstar.c_hi,
-                  "open_below": cstar.open_below, "open_above": cstar.open_above},
-        "cbar": {"lo": cbar.c_lo, "hi": cbar.c_hi,
-                 "open_below": cbar.open_below, "open_above": cbar.open_above},
+        "cstar": {"lo": edge(cstar.c_lo), "hi": edge(cstar.c_hi)},
+        "cbar": {"lo": edge(cbar.c_lo), "hi": edge(cbar.c_hi)},
         "classifications": [{"c": c, "class": cls} for c, cls, _, _ in cstar.trace],
     }
 

@@ -340,7 +340,6 @@ class SymmetryReport:
     """
 
     even_in_x: bool
-    odd_in_x: bool
     x_independent: bool
 
 
@@ -374,7 +373,6 @@ def mean_and_symmetry(f: CoefficientField) -> tuple[float, SymmetryReport]:
     rx = v[:, (-np.arange(f.nx)) % f.nx]
     rep = SymmetryReport(
         even_in_x=float(np.max(np.abs(v - rx))) <= tol,
-        odd_in_x=float(np.max(np.abs(v + rx))) <= tol,
         x_independent=float(np.max(np.abs(v - v.mean(axis=1, keepdims=True)))) <= tol,
     )
     return float(v.mean()), rep

@@ -115,7 +115,8 @@ def _anderson(ends, residuals):
 def logistic_orbit(d, g, c, e, start_value=None, growth=None) -> PeriodicOrbit:
     """Compute the attracting periodic orbit of u_t = d u_xx - g u_x + u(c - e u).
 
-    Returns the extinct zero orbit when lambda(d, g, c) <= 0; otherwise
+    Returns the extinct zero orbit when lambda(d, g, c) <= 0, without a solve
+    when max c <= 0 (then lambda <= max c <= 0); otherwise
     iterates the period map with Anderson mixing from the constant
     supersolution max(c)/min(e | e > 0) until one period's end u(omega) is
     within CYCLE_TOL * min(1, max u(omega)) of its start (cap PERIOD_CAP),
@@ -134,9 +135,9 @@ def logistic_orbit(d, g, c, e, start_value=None, growth=None) -> PeriodicOrbit:
             f"e is positive on only {positive_share:.1%} of nodes; "
             f"the orbit solver requires at least {SUPPORT_FRACTION:.0%}")
 
-    if growth is None:
+    if growth is None and c.max() > 0.0:
         growth = eigen.principal_eigen(d, g, c)
-    if growth.lam <= 0.0:
+    if c.max() <= 0.0 or growth.lam <= 0.0:
         zeros = np.zeros_like(d.values)
         return PeriodicOrbit(snapshots=zeros, omega=d.omega, ell=d.ell, extinct=True,
                              closure_gap=0.0, periods_marched=0)

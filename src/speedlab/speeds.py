@@ -27,11 +27,14 @@ from scipy.optimize import minimize_scalar
 
 from . import eigen, orbits
 from .coeffs import CoefficientField, build_field, mean_and_symmetry, refine_field
-from .errors import NoInteriorMinimum, NonEllipticError, NotMonostable, ValidationError
+from .errors import (NoInteriorMinimum, NonEllipticError, NotMonostable, NumericalFailure,
+                     ValidationError)
 from .pde import CellPeriodMap
 
 MU_RANGE = (1e-3, 20.0)
 MU_TOL = 1e-6  # absolute tolerance in mu of the Brent search, read at each call
+
+LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # the largest x with exp(x) finite
 
 FIELD_NAMES = ("d1", "d2", "g1", "g2", "b1", "b2", "a11", "a12", "a21", "a22")
 
@@ -137,17 +140,6 @@ class SystemSpec:
         return self._cached("invaded", lambda: eigen.principal_eigen(
             self.d1, self.g1, self.invaded_potential()))
 
-    def symmetric_media(self) -> bool:
-        """True when every coefficient is even in x except g1, g2 odd in x."""
-        for name in FIELD_NAMES:
-            _, rep = mean_and_symmetry(getattr(self, name))
-            if name in ("g1", "g2"):
-                if not rep.odd_in_x:
-                    return False
-            elif not rep.even_in_x:
-                return False
-        return True
-
     def speed_estimate(self):
         """Species-1 KPP speed bound 2*sqrt(max d1 * max b1), for sizing domains.
 
@@ -232,7 +224,6 @@ def _lambda_curve(d, g, m, best=None):
 class C0Result:
     c0: float
     mu0: float
-    lambda0_at_mu0: float
     discretization_estimate: float | None = None  # set when Richardson-refined
     eigen_at_mu0: eigen.EigenResult | None = None
 
@@ -256,10 +247,10 @@ def linear_speed_c0(sys: SystemSpec, refine=False) -> C0Result:
 
     res, eig = compute(sys)
     if not refine:
-        return C0Result(res.c_star, res.mu0, res.c_star * res.mu0, eigen_at_mu0=eig)
+        return C0Result(res.c_star, res.mu0, eigen_at_mu0=eig)
     res_f, _ = compute(sys.refined())
     c0, estimate = richardson(res.c_star, res_f.c_star)
-    return C0Result(c0, res_f.mu0, c0 * res_f.mu0, discretization_estimate=estimate)
+    return C0Result(c0, res_f.mu0, discretization_estimate=estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +303,8 @@ def coupled_eigenfunction(sys: SystemSpec, mu0, eig1=None) -> CoupledEigenfuncti
     coupling source, so the pair is an exact discrete eigenpair.
     eig1 is the first equation's eigenpair at mu0 when the caller already
     has it (the c0 minimization evaluated it); it is solved here otherwise.
+    A NumericalFailure is raised when rho1 or the shift factor
+    e^{shift omega} is past the float range.
     """
     u2f = sys.u2_star().as_field()
     if eig1 is None:
@@ -328,6 +321,9 @@ def coupled_eigenfunction(sys: SystemSpec, mu0, eig1=None) -> CoupledEigenfuncti
 
     # the shifted frame: K2 and the forcing carry exp(-shift*omega) per period
     rate = lam0 - map2.shift
+    log_scale = max(rate, map2.shift) * sys.omega  # of rho1 and of the shift factor
+    if log_scale > LOG_FLOAT_MAX:
+        raise NumericalFailure(f"coupled eigenfunction scale exp({log_scale:.6g}) overflows")
     rho1_shifted = math.exp(rate * sys.omega)
     nt, nx = sys.nt, sys.nx
     # running (non-normalized) first component at the arrival time of step j
@@ -378,8 +374,8 @@ class Certificate:
         return {"verdict": self.verdict, "margin": self.margin, "details": self.details}
 
 
-def _prop_c_margins(sys: SystemSpec):
-    """Envelope margins of the coexistence-exclusion sufficient condition."""
+def _envelope_margins(sys: SystemSpec):
+    """Envelope margins of H3's coexistence-exclusion sufficient condition."""
     dt = sys.omega / sys.nt
     b1_lo = sys.b1.values.min(axis=1)
     b2_hi = sys.b2.values.max(axis=1)
@@ -393,15 +389,16 @@ def _prop_c_margins(sys: SystemSpec):
 
 
 def check_hypotheses(sys: SystemSpec) -> dict:
-    """Evaluate H1-H5 plus the envelope condition and the shared-growth test.
+    """Evaluate H1-H5 and the shared-growth test.
 
-    Returns the Certificates keyed by name: H1-H5, PropC and M.
+    Returns the Certificates keyed by name: H1-H5 and M.
 
     H3 is undecidable numerically in general, so only the sufficient
-    envelope condition is evaluated and the verdict is three-valued:
-    pass(sufficient) or inconclusive, never fail.  H4's c2- is
-    inf lambda2(-mu)/mu on species 2's own tilted curve.  H5's slope is the
-    central difference of lambda2 at mu = 0 on the curve linearized at u2*.
+    envelope condition is evaluated, with its four envelope numbers as the
+    details, and the verdict is three-valued: pass(sufficient) or
+    inconclusive, never fail.  H4's c2- is inf lambda2(-mu)/mu on species
+    2's own tilted curve.  H5's slope is the central difference of lambda2
+    at mu = 0 on the curve linearized at u2*.
     """
     certs = {}
 
@@ -419,16 +416,12 @@ def check_hypotheses(sys: SystemSpec) -> dict:
     else:
         h2 = sys.invaded_eigen()
         certs["H2"] = Certificate("H2", "pass" if h2.lam > 0 else "fail", h2.lam,
-                                  {"lambda": h2.lam, "residual": h2.residual})
+                                  {"residual": h2.residual})
 
-    m1, m2, detail = _prop_c_margins(sys)
-    prop_c_ok = m1 > 0 and m2 >= 0
-    certs["PropC"] = Certificate("PropC", "pass" if prop_c_ok else "fail",
-                                 min(m1, m2), detail)
-    certs["H3"] = Certificate("H3", "pass(sufficient)" if prop_c_ok else "inconclusive",
-                              min(m1, m2), {"via": "envelope sufficient condition"})
+    m1, m2, detail = _envelope_margins(sys)
+    certs["H3"] = Certificate("H3", "pass(sufficient)" if m1 > 0 and m2 >= 0 else "inconclusive",
+                              min(m1, m2), {"via": "envelope sufficient condition", **detail})
 
-    symmetric = sys.symmetric_media()
     c1p = c2m = None
     if h1_margin > 0:
         try:
@@ -439,8 +432,7 @@ def check_hypotheses(sys: SystemSpec) -> dict:
                 minimize_speed(_lambda_curve(sys.d1, sys.g1, sys.b1)).c_star,
                 minimize_speed(lambda mu: species2(-mu)).c_star)
             certs["H4"] = Certificate("H4", "pass" if c1p + c2m > 0 else "fail",
-                                      c1p + c2m, {"c1_plus": c1p, "c2_minus": c2m,
-                                                  "symmetric_media": symmetric})
+                                      c1p + c2m, {"c1_plus": c1p, "c2_minus": c2m})
         except NoInteriorMinimum as exc:
             certs["H4"] = Certificate("H4", "inconclusive", None,
                                       {"reason": str(exc), **exc.endpoint_data})
@@ -452,7 +444,7 @@ def check_hypotheses(sys: SystemSpec) -> dict:
         pot2 = sys.b2 - sys.a22 * sys.u2_star().as_field()
         curve2 = eigen.lambda_curve(sys.d2, sys.g2, pot2)
         lam2_zero = curve2(0.0).lam
-        details = {"lambda2_at_0": lam2_zero, "symmetric_media": symmetric}
+        details = {"lambda2_at_0": lam2_zero}
         if abs(lam2_zero) > 1e-6:
             certs["H5"] = Certificate("H5", "inconclusive", None, {
                 **details, "note": "orbit eigenvalue identity failed, slope unreliable"})
@@ -567,12 +559,10 @@ def check_linear_determinacy(sys: SystemSpec, pair: CoupledEigenfunction) -> dic
 
 @dataclass
 class SpeedReport:
+    """c0+ and the certificates.  Every other number sits once, in the details of
+    the certificate that reads it: mu0 and lambdabar in D1's, c1+ and c2- in H4's."""
+
     c0_plus: float | None
-    mu0: float | None
-    c1_plus: float | None
-    c2_minus: float | None
-    lambda0_at_mu0: float | None
-    lambdabar_at_mu0: float | None
     certificates: dict
     linearly_determinate: bool
     notes: list
@@ -580,11 +570,6 @@ class SpeedReport:
     def to_dict(self):
         return {
             "c0_plus": self.c0_plus,
-            "mu0": self.mu0,
-            "c1_plus": self.c1_plus,
-            "c2_minus": self.c2_minus,
-            "lambda0_at_mu0": self.lambda0_at_mu0,
-            "lambdabar_at_mu0": self.lambdabar_at_mu0,
             "certificates": {k: v.to_dict() for k, v in sorted(self.certificates.items())},
             "linearly_determinate": self.linearly_determinate,
             "notes": self.notes,
@@ -595,21 +580,18 @@ def compute_speed_report(sys: SystemSpec, refine=False) -> SpeedReport:
     """Full pipeline: orbits, speeds, coupled eigenfunction, all certificates."""
     notes = []
     certs = check_hypotheses(sys)
-    c1_plus = certs["H4"].details.get("c1_plus")
-    c2_minus = certs["H4"].details.get("c2_minus")
 
-    c0 = mu0 = lam0 = lambar = None
+    c0 = None
     determinate = False
     if certs["H1"].passed and certs["H2"].passed:
         res = linear_speed_c0(sys, refine=refine)
-        c0, mu0, lam0 = res.c0, res.mu0, res.lambda0_at_mu0
+        c0 = res.c0
         if res.discretization_estimate is not None:
             notes.append(f"c0 Richardson-refined; discretization estimate "
                          f"{res.discretization_estimate:.3g}")
-        pair = coupled_eigenfunction(sys, mu0, eig1=res.eigen_at_mu0)
-        lambar = pair.lambdabar
+        pair = coupled_eigenfunction(sys, res.mu0, eig1=res.eigen_at_mu0)
         if pair.phi2 is None:
-            notes.append(f"D1 violated: lambdabar({mu0:.6g}) = {lambar:.6g} "
+            notes.append(f"D1 violated: lambdabar({pair.mu0:.6g}) = {pair.lambdabar:.6g} "
                          f">= lambda0 = {pair.lambda0:.6g}")
         elif pair.degenerate:
             notes.append("coupled eigenfunction degenerates (zero coupling)")
@@ -619,7 +601,5 @@ def compute_speed_report(sys: SystemSpec, refine=False) -> SpeedReport:
         notes.append("H1/H2 not satisfied, linearized speed undefined")
     certs["P1"], certs["P2"] = _p_conditions(sys)
 
-    return SpeedReport(c0_plus=c0, mu0=mu0, c1_plus=c1_plus, c2_minus=c2_minus,
-                       lambda0_at_mu0=lam0, lambdabar_at_mu0=lambar,
-                       certificates=certs, linearly_determinate=determinate,
+    return SpeedReport(c0_plus=c0, certificates=certs, linearly_determinate=determinate,
                        notes=notes)

@@ -56,14 +56,6 @@ class SpeedBracket:
     profiles: dict
 
     @property
-    def open_below(self):
-        return self.c_lo == -np.inf
-
-    @property
-    def open_above(self):
-        return self.c_hi == np.inf
-
-    @property
     def width(self):
         return self.c_hi - self.c_lo
 

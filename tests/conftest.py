@@ -1,8 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 
 from speedlab import LineState, LineSystemEvolver, SystemSpec, build_field, front_position
 from speedlab.pde import cell_offsets
+
+
+def load_strict_json(fh):
+    """json.load that rejects NaN and +-Infinity, which strict JSON does not allow."""
+    def reject(name):
+        raise ValueError(f"{name} is not strict JSON")
+    return json.load(fh, parse_constant=reject)
 
 
 def field(expr, omega=1.0, ell=1.0, nt=200, nx=64):

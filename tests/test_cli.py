@@ -15,7 +15,7 @@ from speedlab.cli import (DEMOS, EXIT_INCONCLUSIVE, EXIT_NUMERICAL, EXIT_OK, EXI
 from speedlab.errors import (Inconclusive, NoConvergence, NumericalFailure, SpeedlabError,
                              ValidationError)
 
-from conftest import REPORT_TX_MEDIA, fixed_line_positions, make_system
+from conftest import REPORT_TX_MEDIA, fixed_line_positions, load_strict_json, make_system
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "perfbench", "tracing.py")
@@ -34,15 +34,16 @@ def fisher_config(outdir, tasks=("speed",), **disc):
 
 
 def read_report(outdir):
+    """report.json parsed as strict JSON: NaN and +-Infinity are rejected."""
     with open(os.path.join(str(outdir), "report.json")) as fh:
-        return json.load(fh)
+        return load_strict_json(fh)
 
 
 def test_minimal_fisher_speed_task(tmp_path):
     code = run_scenario(fisher_config(tmp_path / "out"), quiet=True)
     assert code == EXIT_OK
     rep = read_report(tmp_path / "out")
-    assert abs(rep["speed_report"]["c1_plus"] - 2.0) <= 1e-3
+    assert abs(rep["speed_report"]["certificates"]["H4"]["details"]["c1_plus"] - 2.0) <= 1e-3
     assert rep["status"] == "ok"
 
 
@@ -280,7 +281,7 @@ def test_demo_command_runs_fisher(tmp_path):
     res = runner.invoke(main, ["demo", "fisher", "--run", "--output", str(out)])
     assert res.exit_code == EXIT_OK
     rep = read_report(out)
-    assert abs(rep["speed_report"]["c1_plus"] - 2.0) <= 1e-3
+    assert abs(rep["speed_report"]["certificates"]["H4"]["details"]["c1_plus"] - 2.0) <= 1e-3
     assert rep["speed_report"]["certificates"]["H1"]["verdict"] == "pass"
 
 
@@ -492,4 +493,39 @@ def test_fast_invader_speed_report_converges(tmp_path):
     speed = rep["speed_report"]
     assert speed["certificates"]["D1"]["verdict"] == "pass"
     # constant media: lambdabar = d2 mu0^2 + b2 - 2 a22 u2* with u2* = 1
-    assert speed["lambdabar_at_mu0"] == pytest.approx(speed["mu0"] ** 2 - 1.0, rel=1e-8)
+    d1 = speed["certificates"]["D1"]["details"]
+    assert d1["lambdabar"] == pytest.approx(d1["mu0"] ** 2 - 1.0, rel=1e-8)
+
+
+def test_receding_species_gets_a_bracket_open_below(tmp_path):
+    # g1 = -3 drifts species 1 back at c0 = -1; c_hi is sized from |c0|
+    cfg = fisher_config(tmp_path / "out", tasks=("weinberger",), nt=50, nx=16)
+    cfg["model"]["g1"] = "-3"
+    assert run_scenario(cfg, quiet=True) == EXIT_OK
+    rep = read_report(tmp_path / "out")
+    assert rep["status"] == "ok"
+    assert rep["speed_report"]["c0_plus"] == pytest.approx(-1.0, abs=1e-3)
+    for bracket in ("cstar", "cbar"):
+        assert rep["weinberger"][bracket] == {"lo": None, "hi": 0.0}
+
+
+def test_overflowing_coupled_scale_is_a_numerical_failure(tmp_path):
+    # d1 = 40, g1 = 1000 and omega = 5 put rho1 at exp(1053), past the float range
+    cfg = fisher_config(tmp_path / "out", nt=50, nx=16)
+    cfg["model"].update(DEMOS["competition-constants"]["model"],
+                        d1="40", g1="1000", omega=5)
+    assert run_scenario(cfg, quiet=True) == EXIT_NUMERICAL
+    rep = read_report(tmp_path / "out")
+    assert rep["status"] == "numerical-failure"
+    assert rep["reason"].startswith("NumericalFailure: coupled eigenfunction scale")
+
+
+def test_nowhere_positive_growth_gives_the_extinct_orbit(tmp_path):
+    # max b1 = 0 bounds lambda1 <= 0, though the solve rounds it to +4e-15
+    cfg = fisher_config(tmp_path / "out", tasks=("orbit",), nt=50, nx=8)
+    cfg["model"].update(b1="0", d1="1e-8", g1="1e-8", ell=0.25)
+    assert run_scenario(cfg, quiet=True) == EXIT_OK
+    rep = read_report(tmp_path / "out")
+    assert rep["status"] == "ok"
+    assert rep["orbits"]["u1"] == {"extinct": True, "closure_gap": 0.0,
+                                   "periods_marched": 0, "max": 0.0}

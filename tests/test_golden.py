@@ -21,6 +21,8 @@ import pytest
 
 from speedlab.cli import DEMOS, run_scenario
 
+from conftest import load_strict_json
+
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "demos.json")
 REL, ABS = 1e-9, 1e-10
 WEINBERGER = {
@@ -33,9 +35,10 @@ CASES = {**DEMOS, "weinberger-fisher": WEINBERGER}
 
 
 def summarize(output):
-    """report.json less generated_at, and a summary of each CSV in `output`."""
+    """report.json, parsed as strict JSON, less generated_at, and a summary of
+    each CSV in `output`."""
     with open(os.path.join(output, "report.json")) as fh:
-        report = json.load(fh)
+        report = load_strict_json(fh)
     report.pop("generated_at")
     csvs = {}
     for name in sorted(os.listdir(output)):
