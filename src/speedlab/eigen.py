@@ -42,6 +42,10 @@ from .pde import CellPeriodMap, write_csv
 POWER_TOL = 1e-12          # width of the Collatz-Wielandt enclosure, relative
 RESIDUAL_TOL = 1e-8        # contract: |K psi - rho psi|_inf <= tol * |psi|_inf
 POWER_CAP = 10_000
+# maps with the enclosure met and no new low in the residual after which the
+# residual is taken to sit at its roundoff floor, about 2e-16*rho, which the
+# absolute RESIDUAL_TOL cannot reach once rho exceeds about 5e7
+STALL_MAPS = 5
 
 
 @dataclass
@@ -76,20 +80,34 @@ def _power_iteration(apply, start):
     RESIDUAL_TOL, with that psi returned: rho is then within POWER_TOL
     (relative) of the Perron root of the discrete map, up to roundoff.  The
     width shrinks like q^k, q = |lambda2/lambda1|; a start at a converged
-    Perron vector meets the stop after one map.
+    Perron vector meets the stop after one map.  Once the enclosure is met
+    the residual is at most about POWER_TOL*rho, and when it then makes no
+    new low for STALL_MAPS maps it sits at its roundoff floor above
+    RESIDUAL_TOL: the iteration raises NoConvergence there instead of
+    marching on to POWER_CAP.
     """
     psi = start / np.max(np.abs(start))
+    best, since = np.inf, 0  # lowest residual with the enclosure met, maps since it
     for it in range(1, POWER_CAP + 1):
         w = apply(psi)
         rho = np.max(np.abs(w))
         if rho == 0.0 or not np.isfinite(rho):
             raise NoConvergence(f"power iteration produced a degenerate iterate at step {it}")
         resid = float(np.max(np.abs(w - rho * psi)))
-        if psi.min() > 0.0 and resid <= RESIDUAL_TOL:
+        if psi.min() > 0.0:
             ratios = w / psi
             upper = ratios.max()
             if upper - ratios.min() <= POWER_TOL * upper:
-                return rho, psi, it, resid
+                if resid <= RESIDUAL_TOL:
+                    return rho, psi, it, resid
+                if resid < best:
+                    best, since = resid, 0
+                else:
+                    since += 1
+                if since >= STALL_MAPS:
+                    raise NoConvergence(
+                        f"power iteration residual stalled at {resid:.3g} > {RESIDUAL_TOL:g} "
+                        f"after {it} maps with the enclosure met (root {rho:.3g})")
         psi = w / rho
     raise NoConvergence(f"power iteration cap reached ({POWER_CAP} iterations, "
                         f"residual {resid:.3g})")

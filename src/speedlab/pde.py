@@ -23,9 +23,12 @@ tridiagonal system; a zero seam between the two blocks keeps them
 independent, so the result is bit for bit that of two separate solves.  Its
 stencil and reaction entries are tabulated once on the (nt, nx) cell grid
 and gathered onto the line through the line-to-cell map.  When d and g do
-not vary in t the line matrix is the same at every step, so it is factored
-once by LAPACK dgttrf and each step is one dgttrs; otherwise each step
-gathers its diagonals and makes one dgtsv call.
+not vary in t the line matrix is the same at every step: a diagonal
+similarity makes it symmetric, LAPACK dpttrf factors it once and each step
+is one dpttrs.  Media whose similarity would spread wider than
+MAX_SCALE_SPREAD (drift strong against diffusion over the line's length)
+are LU-factored once by dgttrf instead, and each step is one dgttrs; media
+that vary in t gather the diagonals and make one dgtsv call a step.
 
 The exponential split keeps spatially uniform linear problems exact (a
 constant potential h produces exactly exp(h*omega) per period) and makes
@@ -43,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs, dpttrf, dpttrs
 
 from .coeffs import CoefficientField
 from .errors import BlowupError, NonEllipticError, SingularSolve, StiffReaction
@@ -443,6 +446,14 @@ class CellPeriodMap:
 # Nonlinear two-species evolution on the truncated line
 # ---------------------------------------------------------------------------
 
+# widest max(s)/min(s) of the symmetrizing scale S that the symmetric line
+# solve accepts, so that S^-1 b stays a normal float for states down to
+# about 1e-200; wider media keep an LU factorization.  Drift-free media
+# spread at most sqrt(2*max d/min d); with drift the spread grows roughly
+# like exp(sum of g*dx/(2d)) along the line
+MAX_SCALE_SPREAD = 1e100
+
+
 class LineSystemEvolver:
     """IMEX evolution of the cooperative form of the competition system.
 
@@ -455,12 +466,17 @@ class LineSystemEvolver:
     tables built once on the cell grid, (nt, 2*nx) with both species side by
     side, and are gathered onto the line through the line-to-cell map, so
     memory stays independent of the line length.  When d1, g1, d2 and g2 do
-    not vary in t, one row of tables serves every step: the stacked matrix
-    is gathered from it and LU-factored (dgttrf) once here, only the factors
-    are kept, and each step is one dgttrs solve; otherwise the nt rows of
-    tables are kept and each step gathers its own three diagonals and makes
-    one dgtsv call.  The two routines carry out the same elimination, so the
-    two paths agree bit for bit.
+    not vary in t, the stacked matrix A is gathered once from one row of
+    tables and factored here: with S diagonal, s_0 = 1 and s_{i+1}/s_i =
+    sqrt(dl_i/du_i) (restarted at the species-2 block), T = S^-1 A S is
+    symmetric positive definite with off-diagonal -sqrt(dl_i*du_i), dpttrf
+    factors it as LDL^T, and each step is x = S dpttrs(S^-1 b), whose sweeps
+    add only non-negative terms for b >= 0, so order is preserved exactly.
+    When S spreads wider than MAX_SCALE_SPREAD, A itself is LU-factored
+    (dgttrf) once and each step is one dgttrs.  When the medium varies in
+    t, each step gathers the diagonals and calls dgtsv.  dgttrs and dgtsv
+    carry out the same elimination of A, so they agree bit for bit; the
+    symmetric solve differs from them by roundoff.
 
     The reaction advances explicitly through the nodewise factor
     (1 + dt * rate) with rates sampled at the old time level (plus an
@@ -491,12 +507,9 @@ class LineSystemEvolver:
         self._offsets = cell_offsets(self.x, sys.ell, sys.nx)
         # stacked node k of the two-species system -> its column in the tables
         self._cells = np.concatenate([self._offsets, self._offsets + sys.nx])
-        self._stencil = self._factors = None
+        self._stencil = self._ldl = self._lu = None
         if constant_in_t(sys.d1.values, sys.g1.values, sys.d2.values, sys.g2.values):
-            diagonals = self._line_diagonals(self._stencil_tables(1)[:, 0])
-            *self._factors, info = dgttrf(*diagonals, 1, 1, 1)
-            if info != 0:
-                raise SingularSolve(f"line transport factorization failed (info={info})")
+            self._factor(*self._line_diagonals(self._stencil_tables(1)[:, 0]))
         else:
             self._stencil = self._stencil_tables(self.nt)
         self._reaction = self._reaction_tables()
@@ -576,10 +589,37 @@ class LineSystemEvolver:
         du[n - 1] = dl[n - 1] = 0.0
         return dl, d, du
 
+    def _factor(self, dl, d, du):
+        """Factor the stacked matrix A = (dl, d, du) once: _ldl holds the
+        L D L^T factors of T with s and 1/s, or, when S spreads wider than
+        MAX_SCALE_SPREAD, _lu holds the LU factors of A."""
+        n = self.n_nodes
+        # s_{i+1}/s_i per species block, each block starting at s = 1: off
+        # the zero seam every dl_i and du_i is negative
+        ratios = np.ones((2, n))
+        ratios[0, 1:] = np.sqrt(dl[:n - 1] / du[:n - 1])
+        ratios[1, 1:] = np.sqrt(dl[n:] / du[n:])
+        with np.errstate(over="ignore"):  # an infinite s takes the LU route below
+            scale = np.cumprod(ratios, axis=1).ravel()
+        if scale.max() <= MAX_SCALE_SPREAD * scale.min():
+            ld, le, info = dpttrf(d, -np.sqrt(dl * du))
+            self._ldl = ld, le, scale, 1.0 / scale
+        else:
+            *self._lu, info = dgttrf(dl, d, du, 1, 1, 1)
+        if info != 0:
+            raise SingularSolve(f"line transport factorization failed (info={info})")
+
     def _transport(self, v, j):
-        """Both species' implicit transport as one stacked solve; returns a new array."""
-        if self._factors is not None:
-            w, info = dgttrs(*self._factors, v.ravel())
+        """Both species' implicit transport as one stacked solve; returns a new
+        array.  The symmetric solve overwrites v, the reaction's buffer."""
+        if self._ldl is not None:
+            ld, le, scale, inv_scale = self._ldl
+            b = v.ravel()
+            np.multiply(b, inv_scale, out=b)
+            y, info = dpttrs(ld, le, b, overwrite_b=1)
+            w = y * scale
+        elif self._lu is not None:
+            w, info = dgttrs(*self._lu, v.ravel())
         else:
             diagonals = self._line_diagonals(self._stencil[:, (j + 1) % self.nt])
             *_, w, info = dgtsv(*diagonals, v.ravel(), 1, 1, 1)

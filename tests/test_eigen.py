@@ -198,6 +198,28 @@ def test_lambda_curve_starts_each_solve_where_the_last_ended():
         assert w.residual <= eigen.RESIDUAL_TOL
 
 
+@pytest.mark.parametrize("h", ["2 + 5*cos(2*pi*x)", "2 + 6*cos(2*pi*x)*(1 + 0.2*sin(2*pi*t))"])
+def test_stalled_residual_fails_within_a_few_maps(monkeypatch, h):
+    # at omega = 5 the normalized root is about 6e8 (5.6e10 with the factor
+    # in t), so the residual's roundoff floor, about 2e-16*rho, lies above
+    # the absolute RESIDUAL_TOL: the enclosure is met after a few maps and
+    # the solve must then fail, not march on to POWER_CAP
+    maps = []
+    power_iteration = eigen._power_iteration
+
+    def counted(apply, start):
+        return power_iteration(lambda v: maps.append(1) or apply(v), start)
+
+    monkeypatch.setattr(eigen, "_power_iteration", counted)
+    with pytest.raises(NoConvergence, match="stalled"):
+        principal_eigen(*(field(e, omega=5.0) for e in ("0.01", "0", h)))
+    assert len(maps) <= 2 * eigen.STALL_MAPS
+    # at omega = 1 the root is small enough for the absolute bound
+    maps.clear()
+    res = principal_eigen(*(field(e) for e in ("0.01", "0", h)))
+    assert res.residual <= eigen.RESIDUAL_TOL and res.iterations == len(maps)
+
+
 @pytest.mark.parametrize("h", ["cos(2*pi*x)", "cos(2*pi*x) + 0.3*sin(2*pi*t)"])
 def test_non_positive_perron_vector_fails_at_solve_time(monkeypatch, h):
     power_iteration = eigen._power_iteration

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg.lapack import dptsv
 
 from speedlab import CellState, logistic_orbit, orbits, pde, period_map, step_scalar_linear
 from speedlab.errors import BlowupError, NonEllipticError, StiffReaction
@@ -179,14 +180,49 @@ X_ONLY_MEDIA = {"d1": "1 + 0.3*cos(2*pi*x)", "d2": "0.5 + 0.2*sin(2*pi*x)",
 # transport frozen in t, species-2 growth not: the line matrix is factored
 # once and the reaction is gathered per row
 T_GROWTH_MEDIA = dict(X_ONLY_MEDIA, b2="1 + 0.5*sin(2*pi*x) + 0.25*sin(2*pi*t)")
+# transport frozen in t but drift-dominated: on a 16-cell line species 1's
+# symmetrizing scale spreads about 7e109 > pde.MAX_SCALE_SPREAD, so the line
+# matrix is LU-factored once and each step solves it by dgttrs
+DRIFT_MEDIA = {"d1": "0.05", "g1": "5"}
 LINE_MEDIA = {"t-and-x": VARYING_MEDIA, "x-only": X_ONLY_MEDIA,
-              "t-growth": T_GROWTH_MEDIA, "constants": {}}
+              "t-growth": T_GROWTH_MEDIA, "constants": {}, "drift": DRIFT_MEDIA}
+# the LAPACK routine each medium's line step calls
+LINE_SOLVE = {"t-and-x": "dgtsv", "x-only": "dpttrs", "t-growth": "dpttrs",
+              "constants": "dpttrs", "drift": "dgttrs"}
 
 
-def _reference_line_period(sys, x, u2, v, period_index):
-    """One period on the line: the reaction formula, then solve_line_transport per species."""
+def _line_evolver(media):
+    """The evolver of a LINE_MEDIA entry at (50, 16), on a line that starts off
+    the cell origin so the offsets wrap: 4 cells, or 16 for the drift medium."""
+    sys = make_system(nt=50, nx=16, **LINE_MEDIA[media])
+    x_lo, x_hi = (-8.25, 7.75) if media == "drift" else (-2.25, 1.75)
+    return sys, LineSystemEvolver(sys, x_lo, x_hi)
+
+
+def _symmetrized_line_transport(d_row, g_row, dx, dt, rhs):
+    """The factored line solve for one species alone: x = S dptsv(T, S^-1 rhs).
+
+    M is implicit_transport_banded's line matrix, S the diagonal with s_0 = 1
+    and s_{i+1}/s_i = sqrt(sub_i/sup_i), and T = S^-1 M S, whose off-diagonal
+    is -sqrt(sub_i*sup_i).  dptsv is dpttrf then dpttrs, the evolver's own
+    elimination.
+    """
+    ab, _, _ = implicit_transport_banded(d_row, g_row, dx, dt, "line")
+    sub, diag, sup = ab[2, :-1], ab[1], ab[0, 1:]
+    scale = np.cumprod(np.concatenate([[1.0], np.sqrt(sub / sup)]))
+    *_, y, info = dptsv(diag, -np.sqrt(sub * sup), rhs * (1.0 / scale))
+    assert info == 0
+    return y * scale
+
+
+def _reference_line_period(sys, x, u2, v, period_index, symmetrized):
+    """One period on the line: the reaction formula, then one transport solve
+    per species, symmetrized when the evolver solves the medium by dpttrs and
+    by solve_line_transport (gtsv, the elimination of dgttrs and dgtsv) when
+    it does not."""
     nt, dt, dx = sys.nt, sys.omega / sys.nt, sys.ell / sys.nx
     offsets = cell_offsets(x, sys.ell, sys.nx)
+    solve = _symmetrized_line_transport if symmetrized else solve_line_transport
 
     def tile(f, r):
         return f.values[r][offsets]
@@ -201,7 +237,7 @@ def _reference_line_period(sys, x, u2, v, period_index):
         source2 = tile(sys.a21, r) * v1 * (u2s - v2)
         reacted = [v1 * (1.0 + dt * rate1), v2 * (1.0 + dt * rate2) + dt * source2]
         r_new = (j + 1) % nt
-        v = np.stack([solve_line_transport(tile(d, r_new), tile(g, r_new), dx, dt, w)
+        v = np.stack([solve(tile(d, r_new), tile(g, r_new), dx, dt, w)
                       for (d, g), w in zip(((sys.d1, sys.g1), (sys.d2, sys.g2)), reacted)])
         np.maximum(v, 0.0, out=v)
     return v
@@ -209,38 +245,60 @@ def _reference_line_period(sys, x, u2, v, period_index):
 
 @pytest.mark.parametrize("media", list(LINE_MEDIA))
 def test_line_evolver_matches_per_species_reference(monkeypatch, media):
-    # the stacked two-species solve, factored once or assembled at every step,
-    # must reproduce separate per-species solves bit for bit over consecutive
-    # periods; the line starts off the cell origin so the offsets wrap.  The
-    # reference runs periods 1 and 2 of the medium, the evolver its one
-    # period map twice: the map does not depend on which period it runs
-    sys = make_system(nt=50, nx=16, **LINE_MEDIA[media])
+    # the stacked two-species solve, symmetrized, LU-factored or assembled
+    # at every step, must reproduce separate per-species solves by the same
+    # elimination bit for bit over consecutive periods.  The reference runs
+    # periods 1 and 2 of the medium, the evolver its one period map twice:
+    # the map does not depend on which period it runs
+    sys, ev = _line_evolver(media)
     u2 = sys.u2_star()
-    assert constant_in_t(u2.snapshots) == (media in ("x-only", "constants"))
-    ev = LineSystemEvolver(sys, -2.25, 1.75)
+    assert constant_in_t(u2.snapshots) == (media in ("x-only", "constants", "drift"))
     assert (ev._line_reaction is None) == (media in ("t-and-x", "t-growth"))
+    symmetrized = LINE_SOLVE[media] == "dpttrs"
     r = rng(5)
     v0 = np.vstack([r.uniform(0.0, 2.0, ev.n_nodes), r.uniform(0.0, 0.8, ev.n_nodes)])
-    ref = _reference_line_period(sys, ev.x, u2, v0.copy(), 1)
-    ref = _reference_line_period(sys, ev.x, u2, ref, 2)
+    ref = _reference_line_period(sys, ev.x, u2, v0.copy(), 1, symmetrized)
+    ref = _reference_line_period(sys, ev.x, u2, ref, 2, symmetrized)
 
-    # only a transport that varies in t assembles and solves every step afresh
-    calls = []
-    real_dgtsv = pde.dgtsv
-    monkeypatch.setattr(pde, "dgtsv", lambda *a: calls.append(a) or real_dgtsv(*a))
+    # each step makes exactly one call, to the medium's own routine
+    calls = dict.fromkeys(("dpttrs", "dgttrs", "dgtsv"), 0)
+    for name in calls:
+        def counted(*a, name=name, real=getattr(pde, name), **kw):
+            calls[name] += 1
+            return real(*a, **kw)
+        monkeypatch.setattr(pde, name, counted)
     out = ev.period(ev.period(v0.copy()))
     np.testing.assert_array_equal(out, ref)
     assert not np.array_equal(out, v0)
-    assert len(calls) == (2 * sys.nt if media == "t-and-x" else 0)
+    assert calls == {name: 2 * sys.nt * (name == LINE_SOLVE[media]) for name in calls}
 
 
-@pytest.mark.parametrize("media", ["constants", "t-and-x"])
+@pytest.mark.parametrize("media", list(LINE_MEDIA))
+def test_line_transport_matches_dense_solve(media):
+    # each species' transport, by whichever routine its medium takes, against
+    # a dense LU solve of its own line matrix, componentwise on positive data
+    sys, ev = _line_evolver(media)
+    offsets = cell_offsets(ev.x, sys.ell, sys.nx)
+    r = rng(8)
+    for j in (0, sys.nt // 3):
+        rhs = np.vstack([r.uniform(0.1, 2.0, ev.n_nodes), r.uniform(0.1, 0.8, ev.n_nodes)])
+        out = ev._transport(rhs.copy(), j)
+        row = (j + 1) % sys.nt
+        for k, (d, g) in enumerate(((sys.d1, sys.g1), (sys.d2, sys.g2))):
+            m = transport_step_matrix_dense(d.values[row][offsets], g.values[row][offsets],
+                                            ev.dx, ev.dt, "line")
+            exact = np.linalg.solve(m, rhs[k])
+            assert np.all(np.abs(out[k] - exact) <= 1e-13 * exact)
+
+
+@pytest.mark.parametrize("media", ["constants", "t-and-x", "drift"])
 def test_line_period_leaves_its_input_unchanged(media):
-    # the recursion passes its profile's own array; the factored (dgttrs) and
-    # the per-step (dgtsv) transport must both leave it as it was
-    sys = make_system(nt=50, nx=16, **LINE_MEDIA[media])
-    ev = LineSystemEvolver(sys, -2.0, 2.0)
-    assert (ev._factors is not None) == (media == "constants")
+    # the recursion passes its profile's own array; the symmetrized (dpttrs),
+    # the LU-factored (dgttrs) and the per-step (dgtsv) transport must all
+    # leave it as it was
+    _, ev = _line_evolver(media)
+    route = LINE_SOLVE[media]
+    assert (ev._ldl is not None, ev._lu is not None) == (route == "dpttrs", route == "dgttrs")
     r = rng(6)
     v0 = np.vstack([r.uniform(0.0, 2.0, ev.n_nodes), r.uniform(0.0, 0.8, ev.n_nodes)])
     kept = v0.copy()
