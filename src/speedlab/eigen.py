@@ -21,17 +21,15 @@ The iteration needs only K's action.  For time-dependent media each product
 marches one column over the nt steps of the period, and K is never
 assembled; time-independent media share one step matrix, whose nt-th power
 costs a few dense products, so there K is formed and applied as a matrix.
-The eigenfunction's rows along the period are built when a caller first
-reads them: a time-independent solve marches psi(0) over the period only
-then, so a solve whose eigenvalue alone is used costs no march.
+A solve keeps no states: eigenfunction(pmap, result) marches its psi(0)
+over the period for the one caller that needs the rows, the coupled
+eigenfunction at mu0.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -53,21 +51,14 @@ class EigenResult:
     """Principal eigenpair of one periodic parabolic problem.
 
     lam = ln(rho(K))/omega for the period map K.  psi0 is the Perron vector
-    of K (sup-normalized), the start of a solve on a nearby map.
-    eigenfunction[j] is the positive periodic eigenfunction at t_j (nt rows,
-    global max normalized to 1); its rows are built on first access and then
-    kept.
+    of K (sup-normalized), the start of a solve on a nearby map and of
+    eigenfunction's march.
     """
 
     lam: float
     iterations: int
     residual: float
     psi0: np.ndarray = field(repr=False, compare=False)
-    _build_eigenfunction: Callable[[], np.ndarray] = field(repr=False, compare=False)
-
-    @cached_property
-    def eigenfunction(self) -> np.ndarray:
-        return self._build_eigenfunction()
 
 
 def _power_iteration(apply, start):
@@ -114,7 +105,7 @@ def _power_iteration(apply, start):
 
 
 def principal_eigen(d: CoefficientField, g: CoefficientField, h: CoefficientField) -> EigenResult:
-    """Principal eigenvalue and positive eigenfunction for (d, g, h).
+    """Principal eigenpair for (d, g, h).
 
     Fields must share one grid; d must be strictly positive.  The residual
     contract |K psi(0) - e^{lam omega} psi(0)|_inf <= 1e-8 holds at return.
@@ -128,43 +119,32 @@ def principal_of_map(pmap: CellPeriodMap) -> EigenResult:
     The map carries its mean potential as a separate exact shift, so the
     power iteration always works at unit scale; the residual is measured on
     that normalized map.  A time-dependent map is applied by one-column
-    marches that keep their states, the last of which give the
-    eigenfunction; a time-independent one by its dense matrix, which binary
-    powering of the one step matrix makes cheaper than a march, and its
-    eigenfunction is marched from psi(0) only when a caller reads it.  The
+    marches, a time-independent one by its dense matrix, which binary
+    powering of the one step matrix makes cheaper than a march.  The
     iteration starts from pmap.start, or from the constant vector when that
-    is None.  The Perron vector psi(0) must be positive at return; every
-    other row is checked when the eigenfunction is built.
+    is None.  The Perron vector psi(0) must be positive at return.
     """
-    last = {}
-
-    def march(psi):  # keeps the states of the latest march
-        last["states"] = pmap.snapshots(psi)
-        return last["states"][-1]
-
     start = np.ones(pmap.nx) if pmap.start is None else pmap.start
     rho_s, psi0, iterations, residual = _power_iteration(
-        pmap.matrix().dot if pmap.time_independent else march, start)
+        pmap.matrix().dot if pmap.time_independent else pmap.apply, start)
     if psi0.min() <= 0.0:
         raise NoConvergence("eigenfunction lost positivity")
-    # a marched psi0 is the iterate just mapped, so the last march holds its
-    # states; an unmarched one is marched when the eigenfunction is first read
-    states = last.get("states")
-    snapshots = pmap.snapshots if states is None else None
-    nt = pmap.nt
-
-    def eigenfunction():
-        raw = (snapshots(psi0) if states is None else states)[:-1]  # rows at t_0 .. t_{nt-1}
-        scale = rho_s ** (-np.arange(nt) / nt)
-        ef = raw * scale[:, None]
-        ef /= ef.max()
-        if ef.min() <= 0.0:
-            raise NoConvergence("eigenfunction lost positivity")
-        return ef
-
     return EigenResult(lam=math.log(rho_s) / pmap.omega + pmap.shift, iterations=iterations,
-                       residual=float(residual), psi0=psi0,
-                       _build_eigenfunction=eigenfunction)
+                       residual=float(residual), psi0=psi0)
+
+
+def eigenfunction(pmap: CellPeriodMap, res: EigenResult) -> np.ndarray:
+    """Positive periodic eigenfunction of pmap's solve res: nt rows at t_j, max 1.
+
+    res.psi0 is marched over the period and row j scaled by rho^(-j/nt),
+    rho = e^{(lam - shift) omega} being the root of the unit-scale map.
+    """
+    rho_s = math.exp((res.lam - pmap.shift) * pmap.omega)
+    ef = pmap.snapshots(res.psi0)[:-1] * (rho_s ** (-np.arange(pmap.nt) / pmap.nt))[:, None]
+    ef /= ef.max()
+    if ef.min() <= 0.0:
+        raise NoConvergence("eigenfunction lost positivity")
+    return ef
 
 
 def tilted_coefficients(d: CoefficientField, g: CoefficientField,

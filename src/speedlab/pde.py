@@ -49,7 +49,7 @@ from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs, dpttrf, dpttrs
 
 from .coeffs import CoefficientField
-from .errors import BlowupError, NonEllipticError, SingularSolve, StiffReaction
+from .errors import BlowupError, NonEllipticError, NumericalFailure, SingularSolve, StiffReaction
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +362,9 @@ class CellPeriodMap:
     solve of CellTransport, the kernel the logistic orbit solver shares,
     followed by the growth factor exp(dt*h).  The orbit solver uses the
     identical split, which makes converged orbits exact discrete
-    eigenfunctions of the map built from their own potential.
+    eigenfunctions of the map built from their own potential.  A growth
+    factor, march or power past the float range raises NumericalFailure,
+    so no inf or NaN leaves the map.
     """
 
     def __init__(self, d: CoefficientField, g, h, shift_mean=True):
@@ -370,9 +372,7 @@ class CellPeriodMap:
             if not d.same_grid(other):
                 raise ValueError("period map fields must share one grid")
         self.nt, self.nx = d.nt, d.nx
-        self.omega, self.ell = d.omega, d.ell
-        self.dt = d.dt
-        self.dx = d.dx
+        self.omega, self.dt = d.omega, d.dt
         # factoring out the mean potential keeps the map at unit scale; the
         # potential-shift identity is exact for this scheme, so no accuracy
         # is lost and huge tilts cannot overflow
@@ -383,7 +383,11 @@ class CellPeriodMap:
         self.time_independent = self._transport._rows == 1 and constant_in_t(h.values)
         # one row of growth factors serves every step of a t-independent map
         rows = 1 if self.time_independent else self.nt
-        self._growth = np.exp(self.dt * (h.values[:rows] - self.shift))
+        with np.errstate(over="ignore"):
+            self._growth = np.exp(self.dt * (h.values[:rows] - self.shift))
+        if not np.isfinite(self._growth).all():
+            raise NumericalFailure(f"step growth factor overflows: dt*max(h - mean h) = "
+                                   f"{self.dt * (h.max() - self.shift):.6g}")
         self._matrix = None
         self.start = None  # where eigen.principal_of_map starts; None: the constant vector
 
@@ -405,12 +409,15 @@ class CellPeriodMap:
         if keep:
             out = np.empty((self.nt + 1, self.nx))
             out[0] = v
-        for j in range(self.nt):
-            v = self._step((j + 1) % self.nt, v)
-            if source is not None:
-                v = v + self.dt * source[j]
-            if keep:
-                out[j + 1] = v
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(self.nt):
+                v = self._step((j + 1) % self.nt, v)
+                if source is not None:
+                    v = v + self.dt * source[j]
+                if keep:
+                    out[j + 1] = v
+        if not np.isfinite(v).all():  # a non-finite state spreads to every node of a solve
+            raise NumericalFailure("period march overflows the float range")
         return out if keep else v
 
     # perfbench/tracing.py wraps these four by name for its pde.cell_march
@@ -436,7 +443,11 @@ class CellPeriodMap:
         if self._matrix is None:
             if self.time_independent:
                 # every step shares one matrix; binary powering is exact
-                self._matrix = np.linalg.matrix_power(self._step(0, np.eye(self.nx)), self.nt)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    power = np.linalg.matrix_power(self._step(0, np.eye(self.nx)), self.nt)
+                if not np.isfinite(power).all():
+                    raise NumericalFailure("period map power overflows the float range")
+                self._matrix = power
             else:
                 self._matrix = self._march(np.eye(self.nx))
         return self._matrix

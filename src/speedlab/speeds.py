@@ -202,24 +202,6 @@ def richardson(base, fine):
     return 2.0 * fine - base, 2.0 * abs(fine - base)
 
 
-def _lambda_curve(d, g, m, best=None):
-    """mu -> lambda(mu) of the tilted problem.
-
-    Each solve starts from the previous one's psi(0) (eigen.lambda_curve).
-    best, when given, is a dict that keeps the eigenpair of the smallest
-    lambda(mu)/mu evaluated so far, which is the one minimize_speed returns
-    as mu0: one EigenResult, not one per mu.
-    """
-    curve = eigen.lambda_curve(d, g, m)
-
-    def ev(mu):
-        res = curve(mu)
-        if best is not None and ("ratio" not in best or res.lam / mu < best["ratio"]):
-            best.update(ratio=res.lam / mu, eigen=res)
-        return res.lam
-    return ev
-
-
 @dataclass
 class C0Result:
     c0: float
@@ -235,15 +217,22 @@ def linear_speed_c0(sys: SystemSpec, refine=False) -> C0Result:
     positivity of lambda0(0) (the H2 margin) is a precondition; refine=True
     recomputes the whole pipeline, orbit included, on a doubled grid and
     extrapolates c0.  Without refinement the result carries the eigenpair
-    the minimization computed at mu0, for the coupled eigenfunction.
+    the minimization computed at mu0, for the coupled eigenfunction.  Each
+    solve of the curve starts from the previous one's psi(0).
     """
     def compute(s):
         margin = s.invaded_eigen().lam
         if margin <= 0.0:
             raise NotMonostable(f"lambda(d1,g1,b1-a12*u2) = {margin:.6g} <= 0")
-        best = {}
-        res = minimize_speed(_lambda_curve(s.d1, s.g1, s.invaded_potential(), best))
-        return res, best["eigen"]
+        curve = eigen.lambda_curve(s.d1, s.g1, s.invaded_potential())
+        solved = {}  # each mu's eigenpair, so that mu0's goes to the coupled eigenfunction
+
+        def lam(mu):
+            solved[mu] = curve(mu)
+            return solved[mu].lam
+
+        res = minimize_speed(lam)
+        return res, solved[res.mu0]
 
     res, eig = compute(sys)
     if not refine:
@@ -264,9 +253,9 @@ class CoupledEigenfunction:
     phi1 is sup-normalized to 1; phi2 carries the scale induced by phi1
     through the coupling, so the ratio field phi1/phi2 is normalization
     free.  phi2 is None when D1 fails (lambdabar >= lambda0), since the
-    coupled problem then has no positive eigenfunction.  residual is the
-    sup-norm defect of one coupled period-map application against
-    rho1 = e^{lambda0 omega}.
+    coupled problem then has no positive eigenfunction, and identically zero
+    when the coupling a21*u2* vanishes.  residual is the sup-norm defect of
+    one coupled period-map application against rho1 = e^{lambda0 omega}.
     """
 
     phi1: np.ndarray
@@ -275,8 +264,7 @@ class CoupledEigenfunction:
     lambda0: float
     lambdabar: float
     residual: float
-    degenerate: bool
-    # resolvent solves: 1, or 0 when the pair is degenerate or D1 fails; read
+    # resolvent solves: 1, or 0 when D1 fails; read
     # by name by perfbench/tracing.py (speeds.coupled_terms); ROADMAP item 5
     # moves that count into in-package counters and retires the field
     series_terms: int
@@ -293,31 +281,35 @@ def coupled_eigenfunction(sys: SystemSpec, mu0, eig1=None) -> CoupledEigenfuncti
     """Build (phi1*, phi2*) for the coupled eigenproblem at the tilt mu0.
 
     The coupling is linearized at the system's own orbit sys.u2_star().
-    phi1 solves the decoupled first equation; phi2(0) solves
-    (rho1 - K2) phi2 = F in one dense solve.  D1 (rho(K2) < rho1) makes that
-    resolvent positive; when D1 fails the pair comes back with phi2 None and
-    the lambdabar it computed.  K2 is the unit-scale map, its mean potential
-    factored out, so the solve runs in that frame: rho1, the source and the
-    snapshots carry the same factor, which leaves phi2 unchanged.  The
-    snapshots are then reconstructed along the period by marching with the
-    coupling source, so the pair is an exact discrete eigenpair.
-    eig1 is the first equation's eigenpair at mu0 when the caller already
-    has it (the c0 minimization evaluated it); it is solved here otherwise.
+    phi1 is the decoupled first equation's eigenfunction, marched here from
+    its psi(0) by eigen.eigenfunction; phi2(0) solves (rho1 - K2) phi2 = F
+    in one dense solve, so a zero forcing F (no coupling) gives phi2 = 0.
+    D1 (rho(K2) < rho1) makes that resolvent positive; when D1 fails the
+    pair comes back with phi2 None and the lambdabar it computed.  K2 is
+    the unit-scale map, its mean potential factored out, so the solve runs
+    in that frame: rho1, the source and the snapshots carry the same
+    factor, which leaves phi2 unchanged.  The snapshots are then
+    reconstructed along the period by marching with the coupling source,
+    so the pair is an exact discrete eigenpair.  eig1 is the first
+    equation's eigenpair at mu0 when the caller already has it (the c0
+    minimization evaluated it); it is solved here otherwise.
     A NumericalFailure is raised when rho1 or the shift factor
     e^{shift omega} is past the float range.
     """
     u2f = sys.u2_star().as_field()
+    map1 = CellPeriodMap(sys.d1, *eigen.tilted_coefficients(
+        sys.d1, sys.g1, sys.invaded_potential(), mu0))
     if eig1 is None:
-        eig1 = eigen.lambda_of_mu(sys.d1, sys.g1, sys.invaded_potential(), mu0)
+        eig1 = eigen.principal_of_map(map1)
     lam0 = eig1.lam
-    phi1 = eig1.eigenfunction
+    phi1 = eigen.eigenfunction(map1, eig1)
 
     map2 = CellPeriodMap(sys.d2, *_second_tilted(sys, u2f, mu0))
     lambar = eigen.principal_of_map(map2).lam
     if lambar >= lam0:
         return CoupledEigenfunction(phi1=phi1, phi2=None, mu0=mu0, lambda0=lam0,
                                     lambdabar=lambar, residual=float(eig1.residual),
-                                    degenerate=False, series_terms=0)
+                                    series_terms=0)
 
     # the shifted frame: K2 and the forcing carry exp(-shift*omega) per period
     rate = lam0 - map2.shift
@@ -334,12 +326,6 @@ def coupled_eigenfunction(sys: SystemSpec, mu0, eig1=None) -> CoupledEigenfuncti
     source = coupling * psi1_arrival
 
     forcing = map2.apply_with_source(np.zeros(nx), source)
-    if np.max(np.abs(forcing)) < 1e-300:
-        return CoupledEigenfunction(phi1=phi1, phi2=np.zeros((nt, nx)), mu0=mu0,
-                                    lambda0=lam0, lambdabar=lambar,
-                                    residual=float(eig1.residual), degenerate=True,
-                                    series_terms=0)
-
     phi2_start = np.linalg.solve(rho1_shifted * np.eye(nx) - map2.matrix(), forcing)
     raw2 = map2.snapshots_with_source(phi2_start, source)
     scale = np.exp(-rate * map2.dt * np.arange(nt))
@@ -351,8 +337,7 @@ def coupled_eigenfunction(sys: SystemSpec, mu0, eig1=None) -> CoupledEigenfuncti
     denom = max(np.max(np.abs(phi2_start)), 1e-300)
     residual = max(float(eig1.residual), resid2 / denom)
     return CoupledEigenfunction(phi1=phi1, phi2=phi2, mu0=mu0, lambda0=lam0,
-                                lambdabar=lambar, residual=residual,
-                                degenerate=False, series_terms=1)
+                                lambdabar=lambar, residual=residual, series_terms=1)
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +412,10 @@ def check_hypotheses(sys: SystemSpec) -> dict:
         try:
             # H4 needs only species 1 rightward and species 2 leftward; both
             # are assigned together so H5 sees c1p only when H4 is decided
-            species2 = _lambda_curve(sys.d2, sys.g2, sys.b2)
-            c1p, c2m = (
-                minimize_speed(_lambda_curve(sys.d1, sys.g1, sys.b1)).c_star,
-                minimize_speed(lambda mu: species2(-mu)).c_star)
+            species1 = eigen.lambda_curve(sys.d1, sys.g1, sys.b1)
+            species2 = eigen.lambda_curve(sys.d2, sys.g2, sys.b2)
+            c1p, c2m = (minimize_speed(lambda mu: species1(mu).lam).c_star,
+                        minimize_speed(lambda mu: species2(-mu).lam).c_star)
             certs["H4"] = Certificate("H4", "pass" if c1p + c2m > 0 else "fail",
                                       c1p + c2m, {"c1_plus": c1p, "c2_minus": c2m})
         except NoInteriorMinimum as exc:
@@ -530,8 +515,8 @@ def check_linear_determinacy(sys: SystemSpec, pair: CoupledEigenfunction) -> dic
     lambda0(mu0) - lambdabar(mu0), both as coupled_eigenfunction computed
     them.  D2 margin: minimum over the period cell of phi1/phi2 -
     max(a12/a11, a22/a21); not applicable without a positive phi2 (D1
-    fails or the pair degenerates) or with zero coupling.  Both positive
-    are the sufficient conditions for linear determinacy.
+    fails) or with zero coupling.  Both positive are the sufficient
+    conditions for linear determinacy.
     """
     certs = {}
     d1_margin = pair.lambda0 - pair.lambdabar
@@ -593,7 +578,7 @@ def compute_speed_report(sys: SystemSpec, refine=False) -> SpeedReport:
         if pair.phi2 is None:
             notes.append(f"D1 violated: lambdabar({pair.mu0:.6g}) = {pair.lambdabar:.6g} "
                          f">= lambda0 = {pair.lambda0:.6g}")
-        elif pair.degenerate:
+        elif not pair.phi2.any():
             notes.append("coupled eigenfunction degenerates (zero coupling)")
         certs.update(check_linear_determinacy(sys, pair))
         determinate = certs["D1"].passed and certs["D2"].passed

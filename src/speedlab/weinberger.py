@@ -5,8 +5,8 @@ on non-increasing two-component profiles over a truncated line, starting
 from a compactly supported ramp.  The limit's behaviour at the right end
 classifies each candidate speed c: profiles that refill to the carrying
 level mean c is below the slow edge c*, profiles that vanish mean c is
-above the fast edge cbar.  Bisection on c turns the classifications into
-brackets for both critical speeds without ever linearizing.
+above the fast edge cbar.  Bisection on c turns the classes the runs
+decide into brackets for both critical speeds without ever linearizing.
 
 Fractional shifts use linear interpolation followed by a pool-adjacent-
 violators projection back onto non-increasing profiles, which restores the
@@ -39,7 +39,9 @@ class RecursionResult:
     values: np.ndarray  # shape (2, N+1), the last iterate
     iterations: int
     reason: str  # why the run stopped: "converged", "station", "ignited" or "cap"
-    front_history: list
+    cls: str  # the run's class: "beta", "intermediate" or "zero"
+    station_value: float  # species 1 at the line's station x = A - 2L
+    left_value: float  # species 1 at x = -A + 2L
 
     @property
     def cap_reached(self):
@@ -180,8 +182,9 @@ def _half_width(sys, c):
     return ceil_to_multiple(A, sys.ell)
 
 
-def recursion_limit(c, line, cap=DEFAULT_CAP) -> RecursionResult:
-    """Iterate the recursion on `line` until the sup change drops below 1e-6 or cap.
+def recursion_limit(c, line, drift_tol) -> RecursionResult:
+    """Iterate the recursion on `line` until the sup change drops below 1e-6
+    or DEFAULT_CAP (read at each call) iterations, and classify the run.
 
     The run starts from the line's floor ramp.  The iteration is
     nondecreasing in the step count (asserted nodewise each step; a drop
@@ -199,8 +202,13 @@ def recursion_limit(c, line, cap=DEFAULT_CAP) -> RecursionResult:
     envelope far shallower than any admissible tail, which caps the wall
     charge without touching the front dynamics and preserves the exact
     monotonicity of the iteration.  Should ignition still occur the run
-    stops with reason "ignited" and classification falls back on the recorded
-    front drift instead of the contaminated station value.
+    stops with reason "ignited".
+
+    The class is read at the station x = A - 2L: beta within 5% of the
+    plateau, zero below 1%, intermediate in between.  An ignited run cannot
+    trust that value; it is beta when the median front drift per period
+    reaches drift_tol, a steady advance (the monotone iteration's drift
+    underestimates the limiting speed), and intermediate otherwise.
     """
     x, beta, ell = line.x, line.beta, line.sys.ell
     beta1 = float(beta[0])
@@ -224,9 +232,8 @@ def recursion_limit(c, line, cap=DEFAULT_CAP) -> RecursionResult:
     current = line.floor.copy()
     apply_ceiling(current)
     reason = "cap"
-    iterations = 0
-    fronts = []
-    for m in range(1, cap + 1):
+    fronts = []  # one per iteration
+    for _ in range(DEFAULT_CAP):
         new = line.apply_R(current, c)
         front = apply_ceiling(new)
         # nondecreasing in m up to the truncated-tail tolerance; the iterate
@@ -237,7 +244,6 @@ def recursion_limit(c, line, cap=DEFAULT_CAP) -> RecursionResult:
             raise MonotonicityLost(f"recursion lost monotonicity by {worst_drop:.3g}")
         sup_change = float(np.max(np.abs(new - current)))
         current = new
-        iterations = m
         fronts.append(front)
         if current[0, -1] > 0.05 * beta1 and front < line.A - 6.0 * ell:
             reason = "ignited"
@@ -248,55 +254,34 @@ def recursion_limit(c, line, cap=DEFAULT_CAP) -> RecursionResult:
         if sup_change < SUP_CHANGE_TOL:
             reason = "converged"
             break
-    return RecursionResult(x=x, values=current, iterations=iterations, reason=reason,
-                           front_history=fronts)
 
-
-def classify_profile(result: RecursionResult, line, drift_tol):
-    """Classify a recursion run by species 1 at the line's station x = A - 2L.
-
-    Clean runs use the station value: beta within 5% of the plateau, zero
-    below 1%, intermediate otherwise.  Ignited runs cannot trust the station
-    value; they are classified beta only when the recorded front drift
-    reaches drift_tol, which certifies a steady advance (sound, since the
-    measured drift of the monotone iteration underestimates the limiting
-    speed), and never zero.  Returns (class, station value, value at -A + 2L).
-    """
-    value = float(np.interp(line.station, result.x, result.values[0]))
-    beta1 = float(line.beta[0])
-    left = float(np.interp(-line.A + 2.0 * line.sys.ell, result.x, result.values[0]))
-    if result.reason == "station":
-        return "beta", value, left
-    if result.reason == "ignited":
-        fronts = result.front_history
+    value = float(np.interp(line.station, x, current[0]))  # a station exit's stop value
+    if reason == "ignited":
         skip = max(5, len(fronts) // 4)
-        if len(fronts) - skip >= 5:
-            drift = float(np.median(np.diff(fronts[skip:])))
-        else:
-            drift = 0.0
-        return ("beta" if drift >= drift_tol else "intermediate"), value, left
-    if value >= (1.0 - BETA_BAND) * beta1:
+        drift = float(np.median(np.diff(fronts[skip:]))) if len(fronts) - skip >= 5 else 0.0
+        cls = "beta" if drift >= drift_tol else "intermediate"
+    elif value >= stop_level:
         cls = "beta"
-    elif value < ZERO_BAND * beta1:
-        cls = "zero"
     else:
-        cls = "intermediate"
-    return cls, value, left
+        cls = "zero" if value < ZERO_BAND * beta1 else "intermediate"
+    return RecursionResult(x=x, values=current, iterations=len(fronts), reason=reason, cls=cls,
+                           station_value=value,
+                           left_value=float(np.interp(-line.A + 2.0 * ell, x, current[0])))
 
 
-def bracket_speeds(sys, bisection, cap=DEFAULT_CAP, A=None):
+def bracket_speeds(sys, bisection, A=None):
     """Bracket the slow and fast critical speeds by classifying candidate c.
 
     bisection is the tuple (c_lo, c_hi, steps), with c_lo < c_hi and an
     integer steps >= 0; anything else, a list included, raises ValueError.
-    Both ends are classified first.  Each edge is then bisected `steps`
-    times on the shared classification cache when the ends straddle it:
-    the beta/not-beta transition brackets the slow edge c*, the
-    positive/zero transition the fast edge cbar.  A classification trace
-    that is non-monotone along c raises InconsistentClassification.  Every
-    candidate runs recursion_limit on one RecursionLine, by default of the
-    half width of _half_width for max(|c_lo|, |c_hi|); both brackets keep
-    each candidate's RecursionResult in `profiles`, keyed by c.
+    Both ends run first.  Each edge is then bisected `steps` times on the
+    runs made so far when the ends straddle it: the beta/not-beta transition
+    brackets the slow edge c*, the positive/zero transition the fast edge
+    cbar.  A classification trace that is non-monotone along c raises
+    InconsistentClassification.  Every candidate is one recursion_limit run
+    on one RecursionLine, by default of the half width of _half_width for
+    max(|c_lo|, |c_hi|).  Both brackets keep the runs in `profiles`, keyed
+    by c, and their (c, cls, station_value, left_value) in `trace`, by c.
     """
     steps = bisection[2] if isinstance(bisection, tuple) and len(bisection) == 3 else None
     if (not isinstance(steps, (int, np.integer)) or isinstance(steps, bool)
@@ -307,14 +292,12 @@ def bracket_speeds(sys, bisection, cap=DEFAULT_CAP, A=None):
     line = RecursionLine(sys, _half_width(sys, max(abs(c_lo), abs(c_hi))) if A is None else A)
     drift_tol = max(1e-4, 0.25 * (c_hi - c_lo) / 2 ** max(steps, 1) * sys.omega)
 
-    cache = {}
-    profiles = {}
+    runs = {}
 
     def classify(c):
-        if c not in cache:
-            profiles[c] = recursion_limit(c, line, cap=cap)
-            cache[c] = classify_profile(profiles[c], line, drift_tol)
-        return cache[c][0]
+        if c not in runs:
+            runs[c] = recursion_limit(c, line, drift_tol)
+        return runs[c].cls
 
     # "below the edge" for c* and for cbar
     edges = (lambda cls: cls == "beta", lambda cls: cls != "zero")
@@ -329,7 +312,7 @@ def bracket_speeds(sys, bisection, cap=DEFAULT_CAP, A=None):
                 else:
                     hi = mid
 
-    trace = sorted((c, *cache[c]) for c in cache)
+    trace = sorted((c, r.cls, r.station_value, r.left_value) for c, r in runs.items())
     ranks = [_RANK[t[1]] for t in trace]
     if any(r2 > r1 for r1, r2 in zip(ranks, ranks[1:])):
         raise InconsistentClassification("classification is non-monotone along c: " + ", ".join(
@@ -340,7 +323,7 @@ def bracket_speeds(sys, bisection, cap=DEFAULT_CAP, A=None):
         over = [c for c, cls, *_ in trace if not below(cls)]
         return SpeedBracket(c_lo=max(under) if under else -np.inf,
                             c_hi=min(over) if over else np.inf, trace=trace,
-                            profiles=profiles)
+                            profiles=runs)
 
     return tuple(bracket(below) for below in edges)
 

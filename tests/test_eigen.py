@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,10 +19,17 @@ from conftest import field
 LAMBDA_COS_CONTINUUM = 0.012661594814
 
 
+def _solved(d, g, h):
+    """The eigenpair of (d, g, h) and its eigenfunction, marched on the solved map."""
+    pmap = CellPeriodMap(d, g, h)
+    r = eigen.principal_of_map(pmap)
+    return r, eigen.eigenfunction(pmap, r)
+
+
 def test_constant_coefficients_exact():
-    r = principal_eigen(field("1"), field("0"), field("2"))
+    r, ef = _solved(field("1"), field("0"), field("2"))
     assert r.lam == pytest.approx(2.0, abs=1e-10)
-    np.testing.assert_allclose(r.eigenfunction, 1.0, atol=1e-9)
+    np.testing.assert_allclose(ef, 1.0, atol=1e-9)
 
 
 def test_x_independent_reduces_to_time_average():
@@ -43,11 +52,11 @@ def test_cos_potential_positive_gap_and_continuum_value():
 
 
 def test_residual_contract_and_positivity():
-    r = principal_eigen(field("0.7"), field("0.4*sin(2*pi*x)"),
-                        field("cos(2*pi*x) + 0.3*sin(2*pi*t)"))
+    r, ef = _solved(field("0.7"), field("0.4*sin(2*pi*x)"),
+                    field("cos(2*pi*x) + 0.3*sin(2*pi*t)"))
     assert r.residual <= 1e-8
-    assert r.eigenfunction.min() > 0.0
-    assert r.eigenfunction.max() == pytest.approx(1.0)
+    assert ef.min() > 0.0
+    assert ef.max() == pytest.approx(1.0)
 
 
 def _count_matrix_calls(monkeypatch):
@@ -73,13 +82,14 @@ def test_time_dependent_solve_is_matrix_free_and_matches_dense_oracle(monkeypatc
     k = pmap.matrix()
     rho = np.max(np.abs(np.linalg.eigvals(k)))
     assert r.lam == pytest.approx(np.log(rho) / pmap.omega + pmap.shift, abs=1e-12)
-    psi = r.eigenfunction[0]
+    psi = eigen.eigenfunction(pmap, r)[0]
     rho_shifted = np.exp((r.lam - pmap.shift) * pmap.omega)
     assert np.max(np.abs(k @ psi - rho_shifted * psi)) <= 1e-8
 
 
 def test_time_dependent_solve_marches_once_per_iteration(monkeypatch):
-    # the eigenfunction is the last power iterate's march, not one more
+    # the solve keeps no states; the eigenfunction is one more march, made
+    # only when it is asked for
     marches = []
     inner = CellPeriodMap._march
 
@@ -88,10 +98,13 @@ def test_time_dependent_solve_marches_once_per_iteration(monkeypatch):
         return inner(self, *args, **kwargs)
 
     monkeypatch.setattr(CellPeriodMap, "_march", counted)
-    r = principal_eigen(field("0.7"), field("0.4*sin(2*pi*x)"),
-                        field("cos(2*pi*x) + 0.3*sin(2*pi*t)"))
+    pmap = CellPeriodMap(field("0.7"), field("0.4*sin(2*pi*x)"),
+                         field("cos(2*pi*x) + 0.3*sin(2*pi*t)"))
+    r = eigen.principal_of_map(pmap)
     assert len(marches) == r.iterations
     assert r.residual <= 1e-8
+    eigen.eigenfunction(pmap, r)
+    assert len(marches) == r.iterations + 1
 
 
 def test_time_independent_solve_powers_the_dense_matrix_once(monkeypatch):
@@ -119,15 +132,18 @@ def test_time_independent_eigenfunction_is_marched_when_read(monkeypatch):
     calls = _count_snapshots(monkeypatch)
     r = lambda_of_mu(d, g, m, mu)
     assert calls == []
-    ef = r.eigenfunction
-    assert len(calls) == 1
-    assert r.eigenfunction is ef and len(calls) == 1
-
-    # the same formula on an explicit march of the Perron vector
+    # as the coupled eigenfunction does: a map of the same tilt marches the solve's psi(0)
     pmap = CellPeriodMap(d, *eigen.tilted_coefficients(d, g, m, mu))
+    ef = eigen.eigenfunction(pmap, r)
+    assert len(calls) == 1
+
+    # the same formula on an explicit march of the Perron vector, with the
+    # unit-scale root rebuilt from lambda, which is the power iteration's to roundoff
     rho_s, psi0, _, _ = eigen._power_iteration(pmap.matrix().dot, np.ones(pmap.nx))
     np.testing.assert_array_equal(calls[0], psi0)
-    expected = pmap.snapshots(psi0)[:-1] * (rho_s ** (-np.arange(pmap.nt) / pmap.nt))[:, None]
+    rho_lam = math.exp((r.lam - pmap.shift) * pmap.omega)
+    assert rho_lam == pytest.approx(rho_s, rel=1e-15)
+    expected = pmap.snapshots(psi0)[:-1] * (rho_lam ** (-np.arange(pmap.nt) / pmap.nt))[:, None]
     expected /= expected.max()
     np.testing.assert_array_equal(ef, expected)
 
@@ -242,10 +258,11 @@ def test_non_positive_eigenfunction_row_fails_when_built(monkeypatch):
         return states
 
     _count_snapshots(monkeypatch, alter=negate_one_row)
-    r = principal_eigen(field("0.7"), field("0.4*sin(2*pi*x)"), field("cos(2*pi*x)"))
+    pmap = CellPeriodMap(field("0.7"), field("0.4*sin(2*pi*x)"), field("cos(2*pi*x)"))
+    r = eigen.principal_of_map(pmap)
     assert r.residual <= 1e-8
     with pytest.raises(NoConvergence, match="positivity"):
-        r.eigenfunction
+        eigen.eigenfunction(pmap, r)
 
 
 def test_potential_shift_identity_exact():

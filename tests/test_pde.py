@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg.lapack import dptsv
 
-from speedlab import CellState, logistic_orbit, orbits, pde, period_map, step_scalar_linear
-from speedlab.errors import BlowupError, NonEllipticError, StiffReaction
+from speedlab import (CellState, logistic_orbit, orbits, pde, period_map, principal_eigen,
+                      step_scalar_linear)
+from speedlab.errors import BlowupError, NonEllipticError, NumericalFailure, StiffReaction
 from speedlab.pde import (CellPeriodMap, CellTransport, LineSystemEvolver, cell_offsets,
                           cell_transport_solver, constant_in_t, implicit_transport_banded,
                           solve_cell_transport, solve_line_transport, transport_step_matrix_dense,
@@ -459,6 +462,20 @@ def test_time_independent_cell_map_keeps_one_growth_row():
         v = np.exp(pmap.dt * (h.values[r] - pmap.shift)) * ref.solve(r, v)
         states.append(v)
     np.testing.assert_array_equal(pmap.snapshots(states[0]), np.array(states))
+
+
+@pytest.mark.parametrize("h, where", [
+    ("2e5*cos(2*pi*x)", "step growth factor overflows: dt\\*max\\(h - mean h\\) = 1000"),
+    ("1e5*cos(2*pi*x)", "period map power overflows"),  # a t-independent map's power
+    ("1000*cos(2*pi*x)*(1 + 0.2*sin(2*pi*t))", "period march overflows")],
+    ids=["growth", "power", "march"])
+def test_overflowing_cell_map_fails_without_warnings(h, where):
+    # each growth factor, the power or the march passes the float range: a
+    # NumericalFailure that names it, with no numpy RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match=where):
+            principal_eigen(field("0.01"), field("0"), field(h))
 
 
 @pytest.mark.parametrize("nx", [2, 3, 4, 5])

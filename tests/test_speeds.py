@@ -152,9 +152,13 @@ def test_coupled_eigenfunction_periodic_residual(periodic_b2_system):
 
 
 def test_coupled_eigenfunction_degenerate_when_uncoupled(fisher_system):
+    # a21 = 0: the zero forcing solves to phi2 = 0, with the first equation's residual
+    eig1 = eigen.lambda_of_mu(fisher_system.d1, fisher_system.g1,
+                              fisher_system.invaded_potential(), 1.0)
     pair = coupled_eigenfunction(fisher_system, 1.0)
-    assert pair.degenerate
-    assert np.all(pair.phi2 == 0.0)
+    assert pair.phi2 is not None and not pair.phi2.any()
+    assert pair.residual == eig1.residual
+    assert pair.series_terms == 1
 
 
 def test_check_hypotheses_constants(constants_system):
