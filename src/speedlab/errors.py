@@ -6,8 +6,8 @@ give the report status and exit code of a run that ends in it: ValidationError
 measurement or resolution guard stopped).  The resolution guards, which a
 finer grid or other input lifts, are also ValueErrors.  An error carries only
 its message, which is what a report records; a failed certificate such as D1
-is a verdict, not an error.  NoInteriorMinimum alone keeps data, the endpoint
-probes that become the H4 details.
+is a verdict, not an error.  NoInteriorMinimum alone keeps data, lambda/mu at
+both ends of the search range, which becomes the H4 details.
 """
 
 

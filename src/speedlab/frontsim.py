@@ -17,7 +17,7 @@ pulled front (Brunet and Derrida, Phys. Rev. E 56 (1997)).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import stdtrit
@@ -60,17 +60,17 @@ class FitResult:
 
 @dataclass
 class SpreadingVerdict:
-    fitted_speed: float | None
-    r2: float | None
-    ci: float | None
-    c0: float | None
-    relative_gap: float | None
-    tail_front: float | None
-    tail_back: float | None
-    tail_front_2ell: float | None
-    tail_back_2ell: float | None
-    verdict: str
-    notes: list
+    fitted_speed: float | None = None
+    r2: float | None = None
+    ci: float | None = None
+    c0: float | None = None
+    relative_gap: float | None = None
+    tail_front: float | None = None
+    tail_back: float | None = None
+    tail_front_2ell: float | None = None
+    tail_back_2ell: float | None = None
+    verdict: str = "inconclusive"
+    notes: list = field(default_factory=list)
 
     def to_dict(self):
         return asdict(self)
@@ -206,13 +206,11 @@ def spreading_verdict(sys, trace: FrontTrace, c_report) -> SpreadingVerdict:
              "upper-tail statement is checked on the approximating run"]
     c0 = getattr(c_report, "c0_plus", None) if c_report is not None else None
     if trace.final_state is None:
-        return SpreadingVerdict(None, None, None, c0, None, None, None, None, None,
-                                "inconclusive", notes + ["empty trace"])
+        return SpreadingVerdict(c0=c0, notes=notes + ["empty trace"])
     try:
         fit = fit_speed(trace)
     except TooFewPoints as exc:
-        return SpreadingVerdict(None, None, None, c0, None, None, None, None, None,
-                                "inconclusive", notes + [str(exc)])
+        return SpreadingVerdict(c0=c0, notes=notes + [str(exc)])
 
     state = trace.final_state
     x = state.x
@@ -248,13 +246,13 @@ def spreading_verdict(sys, trace: FrontTrace, c_report) -> SpreadingVerdict:
         notes.append(f"ahead station falls back to x_hi - {BOUNDARY_GUARD_PERIODS}*ell = {ahead:.6g}")
     tail_front = region_max(rel_size, x >= ahead)
     tail_back = region_max(rel_dist, x <= behind)
-    tail_front_2ell = region_max(rel_size, x >= x_f + 2.0 * sys.ell)
-    tail_back_2ell = region_max(rel_dist, x <= x_f - 2.0 * sys.ell)
+    measured = {"fitted_speed": fit.speed, "r2": fit.r2, "ci": fit.ci_halfwidth, "c0": c0,
+                "tail_front": tail_front, "tail_back": tail_back,
+                "tail_front_2ell": region_max(rel_size, x >= x_f + 2.0 * sys.ell),
+                "tail_back_2ell": region_max(rel_dist, x <= x_f - 2.0 * sys.ell)}
 
     if trace.aborted:
-        return SpreadingVerdict(fit.speed, fit.r2, fit.ci_halfwidth, c0, None,
-                                tail_front, tail_back, tail_front_2ell, tail_back_2ell,
-                                "inconclusive", notes + [trace.note])
+        return SpreadingVerdict(**measured, notes=notes + [trace.note])
 
     gap = None if c0 in (None, 0) else abs(fit.speed - c0) / abs(c0)
     checks = [tail_front is not None and tail_front < 0.01,
@@ -262,9 +260,7 @@ def spreading_verdict(sys, trace: FrontTrace, c_report) -> SpreadingVerdict:
     if gap is not None:
         checks.append(gap < SPEED_TOL)
     verdict = "pass" if all(checks) else "fail"
-    return SpreadingVerdict(fit.speed, fit.r2, fit.ci_halfwidth, c0, gap,
-                            tail_front, tail_back, tail_front_2ell, tail_back_2ell,
-                            verdict, notes)
+    return SpreadingVerdict(**measured, relative_gap=gap, verdict=verdict, notes=notes)
 
 
 def dump_trace_csv(path, trace: FrontTrace):

@@ -157,40 +157,42 @@ class SystemSpec:
 class MinimizeResult:
     c_star: float
     mu0: float
+    eigen_at_mu0: eigen.EigenResult
     # read by name by perfbench/tracing.py (speeds.minimize_evals); ROADMAP
     # item 5 moves that count into in-package counters and retires the field
     evaluations: int
 
 
-def minimize_speed(lambda_eval) -> MinimizeResult:
-    """Brent minimization of mu -> lambda(mu)/mu on MU_RANGE.
+def minimize_speed(curve) -> MinimizeResult:
+    """Brent minimization of mu -> curve(mu).lam / mu on MU_RANGE.
 
-    Requires an interior minimum, verified by the slope signs at both ends;
-    a monotone profile raises NoInteriorMinimum with the endpoint data, since
-    the infimum then sits on the boundary and the formula regime fails.
-    MU_TOL is Brent's absolute tolerance in mu (xatol), not a relative one;
-    the result is the smallest value evaluated, endpoint probes included.
+    curve maps mu to its EigenResult, and each mu is solved once.  The
+    minimum must be interior: mu0 outside (1.01 lo, 0.99 hi) raises
+    NoInteriorMinimum with the endpoint data, solved only then, since the
+    infimum then sits on the boundary and the formula regime fails.  As
+    lambda is convex in mu, lambda/mu has at most one interior minimum when
+    lambda(0) > 0.  MU_TOL is Brent's absolute tolerance in mu (xatol), not
+    a relative one; the result is the smallest value evaluated, with the
+    eigenpair at mu0.
     """
     lo, hi = MU_RANGE
-    cache = {}
+    solved = {}
 
     def f(mu):
         mu = float(mu)
-        if mu not in cache:
-            cache[mu] = lambda_eval(mu) / mu
-        return cache[mu]
-
-    probe_lo = lo * (1.0 + 1e-2)
-    probe_hi = hi * (1.0 - 1e-2)
-    data = {"mu_lo": lo, "f_lo": f(lo), "mu_hi": hi, "f_hi": f(hi)}
-    if f(probe_lo) >= f(lo):
-        raise NoInteriorMinimum("lambda(mu)/mu is nondecreasing at the lower end", data)
-    if f(hi) <= f(probe_hi):
-        raise NoInteriorMinimum("lambda(mu)/mu is nonincreasing at the upper end", data)
+        if mu not in solved:
+            solved[mu] = curve(mu)
+        return solved[mu].lam / mu
 
     minimize_scalar(f, bounds=MU_RANGE, method="bounded", options={"xatol": MU_TOL})
-    mu0, c_star = min(cache.items(), key=lambda item: item[1])
-    return MinimizeResult(c_star=c_star, mu0=mu0, evaluations=len(cache))
+    mu0 = min(solved, key=f)
+    band_lo, band_hi = lo * (1.0 + 1e-2), hi * (1.0 - 1e-2)
+    if not band_lo < mu0 < band_hi:
+        end = "lower" if mu0 <= band_lo else "upper"
+        raise NoInteriorMinimum(f"lambda(mu)/mu is least at the {end} end of the range",
+                                {"mu_lo": lo, "f_lo": f(lo), "mu_hi": hi, "f_hi": f(hi)})
+    return MinimizeResult(c_star=f(mu0), mu0=mu0, eigen_at_mu0=solved[mu0],
+                          evaluations=len(solved))
 
 
 def richardson(base, fine):
@@ -217,27 +219,19 @@ def linear_speed_c0(sys: SystemSpec, refine=False) -> C0Result:
     positivity of lambda0(0) (the H2 margin) is a precondition; refine=True
     recomputes the whole pipeline, orbit included, on a doubled grid and
     extrapolates c0.  Without refinement the result carries the eigenpair
-    the minimization computed at mu0, for the coupled eigenfunction.  Each
+    the minimization returned at mu0, for the coupled eigenfunction.  Each
     solve of the curve starts from the previous one's psi(0).
     """
     def compute(s):
         margin = s.invaded_eigen().lam
         if margin <= 0.0:
             raise NotMonostable(f"lambda(d1,g1,b1-a12*u2) = {margin:.6g} <= 0")
-        curve = eigen.lambda_curve(s.d1, s.g1, s.invaded_potential())
-        solved = {}  # each mu's eigenpair, so that mu0's goes to the coupled eigenfunction
+        return minimize_speed(eigen.lambda_curve(s.d1, s.g1, s.invaded_potential()))
 
-        def lam(mu):
-            solved[mu] = curve(mu)
-            return solved[mu].lam
-
-        res = minimize_speed(lam)
-        return res, solved[res.mu0]
-
-    res, eig = compute(sys)
+    res = compute(sys)
     if not refine:
-        return C0Result(res.c_star, res.mu0, eigen_at_mu0=eig)
-    res_f, _ = compute(sys.refined())
+        return C0Result(res.c_star, res.mu0, eigen_at_mu0=res.eigen_at_mu0)
+    res_f = compute(sys.refined())
     c0, estimate = richardson(res.c_star, res_f.c_star)
     return C0Result(c0, res_f.mu0, discretization_estimate=estimate)
 
@@ -414,8 +408,8 @@ def check_hypotheses(sys: SystemSpec) -> dict:
             # are assigned together so H5 sees c1p only when H4 is decided
             species1 = eigen.lambda_curve(sys.d1, sys.g1, sys.b1)
             species2 = eigen.lambda_curve(sys.d2, sys.g2, sys.b2)
-            c1p, c2m = (minimize_speed(lambda mu: species1(mu).lam).c_star,
-                        minimize_speed(lambda mu: species2(-mu).lam).c_star)
+            c1p, c2m = (minimize_speed(species1).c_star,
+                        minimize_speed(lambda mu: species2(-mu)).c_star)
             certs["H4"] = Certificate("H4", "pass" if c1p + c2m > 0 else "fail",
                                       c1p + c2m, {"c1_plus": c1p, "c2_minus": c2m})
         except NoInteriorMinimum as exc:

@@ -441,6 +441,28 @@ def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
             pde.CellPeriodMap.matrix) == originals
 
 
+def test_report_tx_media_on_a_coarse_grid_certify_in_full(tmp_path):
+    # the benchmark's report-tx media at (50, 16): d1*mu^2 varies by +-100
+    # over the cell at mu = 20, where the power iteration's absolute residual
+    # stalls; mu0 is about 1.3, so a search that solves only the points Brent
+    # picks never goes there and the report finishes with every certificate
+    cfg = {
+        "model": {"omega": 1.0, "ell": 1.0,
+                  "d1": "1 + 0.25*cos(2*pi*x)", "d2": "0.5",
+                  "g1": "0.2*sin(2*pi*(x - t))", "g2": "0",
+                  "b1": "2 + 0.5*cos(2*pi*x)", "b2": "1 + 0.5*sin(2*pi*t)",
+                  "a11": "1", "a12": "0.3", "a21": "1.2", "a22": "1"},
+        "discretization": {"nt": 50, "nx": 16},
+        "tasks": ["check"],
+        "output": str(tmp_path / "out"),
+    }
+    assert run_scenario(cfg, quiet=True) == EXIT_OK
+    rep = read_report(tmp_path / "out")
+    assert rep["status"] == "ok"
+    certs = rep["speed_report"]["certificates"]
+    assert [certs[name]["verdict"] for name in ("H1", "H2", "D1", "D2")] == ["pass"] * 4
+
+
 def test_every_report_solve_passes_the_benchmark_wrappers(monkeypatch):
     # the benchmark's residual probe wraps principal_of_map as a function of
     # the map alone and its tracer wraps CellPeriodMap.__init__ with this

@@ -14,16 +14,21 @@ from speedlab.speeds import compute_speed_report
 from conftest import field, make_system
 
 
+def curve_of(lam):
+    """A lambda-curve mu -> EigenResult whose eigenvalue is lam(mu)."""
+    return lambda mu: eigen.EigenResult(lam=lam(mu), iterations=0, residual=0.0, psi0=None)
+
+
 def test_minimize_speed_quadratics():
-    r = minimize_speed(lambda mu: mu * mu + 1.0)
+    r = minimize_speed(curve_of(lambda mu: mu * mu + 1.0))
     assert r.c_star == pytest.approx(2.0, abs=1e-9)
     assert r.mu0 == pytest.approx(1.0, abs=1e-5)
 
-    r = minimize_speed(lambda mu: 2.0 * mu * mu + 3.0)
+    r = minimize_speed(curve_of(lambda mu: 2.0 * mu * mu + 3.0))
     assert r.c_star == pytest.approx(2.0 * math.sqrt(6.0), abs=1e-9)
     assert r.mu0 == pytest.approx(math.sqrt(1.5), abs=1e-5)
 
-    r = minimize_speed(lambda mu: mu * mu + 1.7)
+    r = minimize_speed(curve_of(lambda mu: mu * mu + 1.7))
     assert r.c_star == pytest.approx(2.0 * math.sqrt(1.7), abs=1e-9)
     assert r.mu0 == pytest.approx(math.sqrt(1.7), abs=1e-5)
 
@@ -46,18 +51,53 @@ def test_constant_demo_speed_is_the_closed_form(name, m):
 
 
 def test_minimize_speed_stable_under_extra_iterations(monkeypatch):
-    coarse = minimize_speed(lambda mu: mu * mu + 1.3)
+    coarse = minimize_speed(curve_of(lambda mu: mu * mu + 1.3))
     monkeypatch.setattr(speeds, "MU_TOL", 1e-12)
-    fine = minimize_speed(lambda mu: mu * mu + 1.3)
+    fine = minimize_speed(curve_of(lambda mu: mu * mu + 1.3))
     assert fine.evaluations > coarse.evaluations
     assert abs(coarse.c_star - fine.c_star) <= 1e-5
 
 
+def test_minimize_speed_solves_only_brents_points():
+    # a successful search solves each point Brent picks once, never an end of
+    # MU_RANGE, and returns the curve's own eigenpair at mu0
+    solved = {}
+    quadratic = curve_of(lambda mu: mu * mu + 1.0)
+
+    def curve(mu):
+        assert mu not in solved
+        solved[mu] = quadratic(mu)
+        return solved[mu]
+
+    r = minimize_speed(curve)
+    assert not set(speeds.MU_RANGE) & set(solved)
+    assert r.evaluations == len(solved)
+    assert r.eigen_at_mu0 is solved[r.mu0]
+    assert r.c_star == min(res.lam / mu for mu, res in solved.items())
+
+
+def assert_no_interior_minimum(lam):
+    """minimize_speed on lam raises NoInteriorMinimum with lam/mu at both ends."""
+    lo, hi = speeds.MU_RANGE
+    with pytest.raises(NoInteriorMinimum) as info:
+        minimize_speed(curve_of(lam))
+    assert info.value.endpoint_data == {"mu_lo": lo, "f_lo": lam(lo) / lo,
+                                        "mu_hi": hi, "f_hi": lam(hi) / hi}
+
+
 def test_minimize_speed_monotone_raises():
-    with pytest.raises(NoInteriorMinimum):
-        minimize_speed(lambda mu: 1.0)          # lambda/mu decreasing everywhere
-    with pytest.raises(NoInteriorMinimum):
-        minimize_speed(lambda mu: mu * mu)      # lambda/mu increasing everywhere
+    assert_no_interior_minimum(lambda mu: 1.0)          # lambda/mu decreasing everywhere
+    assert_no_interior_minimum(lambda mu: mu * mu)      # lambda/mu increasing everywhere
+
+
+@pytest.mark.parametrize("lam_over_mu", [
+    lambda mu: ((mu - 1.005e-3) * 1e3) ** 2 + 1.0,
+    lambda mu: (mu - 19.9) ** 2 + 1.0,
+], ids=["lower", "upper"])
+def test_minimum_inside_an_end_band_is_not_interior(lam_over_mu):
+    # interior means mu0 in (1.01 lo, 0.99 hi); these minima sit inside the
+    # 1% band at one end
+    assert_no_interior_minimum(lambda mu: mu * lam_over_mu(mu))
 
 
 def h4_speeds(sys):
