@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import eigen, orbits
 from .coeffs import CoefficientField, build_field, mean_and_symmetry, refine_field
@@ -163,10 +162,71 @@ class MinimizeResult:
     evaluations: int
 
 
+def _brent_bounded(f, lo, hi, xatol):
+    """Evaluate f along a bounded Brent search for its minimum on [lo, hi].
+
+    The fmin of Forsythe, Malcolm & Moler (1977), golden section with
+    parabolic steps, ported from scipy's _minimize_scalar_bounded with its
+    arithmetic in the same order (its sqrt(2.2e-16) tolerance term, parabola
+    test, sign rules and stop after 500 evaluations): it evaluates f at
+    scipy's points bit for bit.  The caller keeps its own record of the
+    evaluations and reads the minimum off it, so nothing is returned.
+    """
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    sqrt_eps = math.sqrt(2.2e-16)
+    a, b = lo, hi
+    x = w = v = a + golden_mean * (b - a)  # the least f so far, the next, the one before w
+    fx = fw = fv = f(x)
+    evaluations = 1
+    step = prev = 0.0  # the last step and the one before it
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(x) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(x - xm) > tol2 - 0.5 * (b - a) and evaluations < 500:
+        golden = True
+        if abs(prev) > tol1:
+            # a parabola through the three best points
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, prev = prev, step
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                golden = False
+                step = p / q
+                u = x + step
+                if u - a < tol2 or b - u < tol2:
+                    step = -tol1 if xm < x else tol1
+        if golden:
+            prev = (a if x >= xm else b) - x
+            step = golden_mean * prev
+        reach = max(abs(step), tol1)  # NaN-propagating, as np.maximum
+        u = x - reach if step < 0.0 else x + reach
+        fu = f(u)
+        evaluations += 1
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(x) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+
 def minimize_speed(curve) -> MinimizeResult:
     """Brent minimization of mu -> curve(mu).lam / mu on MU_RANGE.
 
     curve maps mu to its EigenResult, and each mu is solved once.  The
+    search is _brent_bounded, scipy's bounded minimize_scalar ported with
+    the same arithmetic, so the package does not load scipy.optimize.  The
     minimum must be interior: mu0 outside (1.01 lo, 0.99 hi) raises
     NoInteriorMinimum with the endpoint data, solved only then, since the
     infimum then sits on the boundary and the formula regime fails.  As
@@ -179,12 +239,11 @@ def minimize_speed(curve) -> MinimizeResult:
     solved = {}
 
     def f(mu):
-        mu = float(mu)
         if mu not in solved:
             solved[mu] = curve(mu)
         return solved[mu].lam / mu
 
-    minimize_scalar(f, bounds=MU_RANGE, method="bounded", options={"xatol": MU_TOL})
+    _brent_bounded(f, lo, hi, MU_TOL)
     mu0 = min(solved, key=f)
     band_lo, band_hi = lo * (1.0 + 1e-2), hi * (1.0 - 1e-2)
     if not band_lo < mu0 < band_hi:

@@ -400,14 +400,26 @@ def test_eigen_task_writes_lambda_curve(tmp_path):
     assert header == "mu,lambda,residual,iterations"
 
 
+def modules_after_import(module):
+    """The names in sys.modules of a fresh process after `import module`."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    code = f"import sys, {module}; print(' '.join(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    return set(out.split())
+
+
 def test_import_leaves_scipy_stats_unloaded():
     # fit_speed takes its t quantile from scipy.special; scipy.stats costs
     # about half a second and 20 MB at import
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
-    code = "import sys, speedlab; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert "scipy.stats" not in modules_after_import("speedlab")
+
+
+@pytest.mark.parametrize("module", ["speedlab", "speedlab.cli"])
+def test_import_leaves_scipy_optimize_unloaded(module):
+    # the bounded Brent search is in-package; scipy.optimize costs about
+    # 16 MB and 215 modules at import
+    assert "scipy.optimize" not in modules_after_import(module)
 
 
 def test_every_public_name_resolves():

@@ -1,8 +1,10 @@
 import math
+import random
 from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from speedlab import (SystemSpec, check_hypotheses, check_linear_determinacy,
                       coupled_eigenfunction, linear_speed_c0, minimize_speed)
@@ -90,14 +92,78 @@ def test_minimize_speed_monotone_raises():
     assert_no_interior_minimum(lambda mu: mu * mu)      # lambda/mu increasing everywhere
 
 
-@pytest.mark.parametrize("lam_over_mu", [
-    lambda mu: ((mu - 1.005e-3) * 1e3) ** 2 + 1.0,
-    lambda mu: (mu - 19.9) ** 2 + 1.0,
-], ids=["lower", "upper"])
+def times_mu(ratio):
+    """The lambda whose lambda/mu is ratio."""
+    return lambda mu: mu * ratio(mu)
+
+
+# lambda/mu with its minimum inside the 1% band at one end of MU_RANGE
+END_BANDS = {"lower": lambda mu: ((mu - 1.005e-3) * 1e3) ** 2 + 1.0,
+             "upper": lambda mu: (mu - 19.9) ** 2 + 1.0}
+
+
+@pytest.mark.parametrize("lam_over_mu", END_BANDS.values(), ids=END_BANDS)
 def test_minimum_inside_an_end_band_is_not_interior(lam_over_mu):
     # interior means mu0 in (1.01 lo, 0.99 hi); these minima sit inside the
     # 1% band at one end
-    assert_no_interior_minimum(lambda mu: mu * lam_over_mu(mu))
+    assert_no_interior_minimum(times_mu(lam_over_mu))
+
+
+def scipy_bounded(f, lo, hi, xatol):
+    """scipy's bounded Brent search, the reference _brent_bounded ports."""
+    minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+
+
+def brent_points(search, lam):
+    """The mu, as float hex strings, at which search evaluates lam(mu)/mu on
+    MU_RANGE with xatol = MU_TOL, in order."""
+    points = []
+
+    def f(mu):
+        points.append(float(mu).hex())
+        return lam(mu) / mu
+
+    search(f, *speeds.MU_RANGE, speeds.MU_TOL)
+    return points
+
+
+BRENT_CURVES = {
+    "quadratic-1": lambda mu: mu * mu + 1.0,
+    "quadratic-2-3": lambda mu: 2.0 * mu * mu + 3.0,
+    "quadratic-1.7": lambda mu: mu * mu + 1.7,
+    "quadratic-1.3": lambda mu: mu * mu + 1.3,
+    **{f"end-band-{end}": times_mu(ratio) for end, ratio in END_BANDS.items()},
+    "constant": lambda mu: 1.0,
+    "square": lambda mu: mu * mu,
+    "flat-ratio": lambda mu: 2.0 * mu,  # lambda/mu = 2 exactly: every comparison ties
+}
+
+
+@pytest.mark.parametrize("lam", BRENT_CURVES.values(), ids=BRENT_CURVES)
+def test_brent_bounded_evaluates_scipys_points(lam):
+    points = brent_points(speeds._brent_bounded, lam)
+    assert points == brent_points(scipy_bounded, lam)
+
+
+def test_brent_bounded_evaluates_scipys_points_on_rough_curves():
+    # kinks, plateaus and wiggles reach the point-update branches (ties and
+    # coincident points) that the smooth curves above leave untried
+    for seed in range(40):
+        rng = random.Random(seed)
+        c, s, h = rng.uniform(1e-3, 20.0), 10 ** rng.uniform(-3, 3), rng.uniform(-5, 5)
+        for ratio in (lambda mu: s * abs(mu - c), lambda mu: round(s * (mu - c) ** 2, 2),
+                      lambda mu: math.sin(s * mu) + h * mu):
+            lam = times_mu(ratio)
+            assert brent_points(speeds._brent_bounded, lam) == brent_points(scipy_bounded, lam), seed
+
+
+def test_brent_bounded_evaluates_scipys_points_at_a_fine_tolerance(monkeypatch):
+    lam = BRENT_CURVES["quadratic-1.3"]
+    coarse = brent_points(speeds._brent_bounded, lam)
+    monkeypatch.setattr(speeds, "MU_TOL", 1e-12)
+    points = brent_points(speeds._brent_bounded, lam)
+    assert len(points) > len(coarse)
+    assert points == brent_points(scipy_bounded, lam)
 
 
 def h4_speeds(sys):
