@@ -12,7 +12,10 @@ positive start.
 
 Each iterate psi > 0 encloses the root between the Collatz-Wielandt bounds
 min(K psi / psi) <= rho(K) <= max(K psi / psi), and the iteration stops as
-soon as that enclosure is POWER_TOL wide.  A solve starts from the map's
+soon as that enclosure is POWER_TOL wide, its one stopping rule: rho is
+then within POWER_TOL (relative) of the discrete Perron root, and the
+residual |K psi - rho psi|_inf, psi sup-normalized, is at most POWER_TOL*rho
+plus roundoff by construction.  A solve starts from the map's
 `start` vector when one is set: a curve mu -> lambda(mu) (lambda_curve)
 starts each solve from the previous one's psi(0).  From a converged psi(0)
 the enclosure is met after one map, from a nearby mu's after one or two.
@@ -38,12 +41,7 @@ from .errors import NoConvergence
 from .pde import CellPeriodMap, write_csv
 
 POWER_TOL = 1e-12          # width of the Collatz-Wielandt enclosure, relative
-RESIDUAL_TOL = 1e-8        # contract: |K psi - rho psi|_inf <= tol * |psi|_inf
 POWER_CAP = 10_000
-# maps with the enclosure met and no new low in the residual after which the
-# residual is taken to sit at its roundoff floor, about 2e-16*rho, which the
-# absolute RESIDUAL_TOL cannot reach once rho exceeds about 5e7
-STALL_MAPS = 5
 
 
 @dataclass
@@ -66,49 +64,38 @@ def _power_iteration(apply, start):
 
     start is a positive vector.  psi is sup-normalized, so the root is
     rho = |K psi| = |w|, which lies in the Collatz-Wielandt enclosure
-    [min(w/psi), max(w/psi)] of the Perron root.  It stops when psi > 0, the
-    enclosure is at most POWER_TOL*max(w/psi) wide and |w - rho psi| <=
-    RESIDUAL_TOL, with that psi returned: rho is then within POWER_TOL
-    (relative) of the Perron root of the discrete map, up to roundoff.  The
-    width shrinks like q^k, q = |lambda2/lambda1|; a start at a converged
-    Perron vector meets the stop after one map.  Once the enclosure is met
-    the residual is at most about POWER_TOL*rho, and when it then makes no
-    new low for STALL_MAPS maps it sits at its roundoff floor above
-    RESIDUAL_TOL: the iteration raises NoConvergence there instead of
-    marching on to POWER_CAP.
+    [min(w/psi), max(w/psi)] of the Perron root.  It stops at the first map
+    where psi > 0 and the enclosure is at most POWER_TOL*max(w/psi) wide,
+    with that psi returned: rho is then within POWER_TOL (relative) of the
+    Perron root of the discrete map, up to roundoff.  The returned residual
+    |w - rho psi|_inf is absolute; it is psi_i |w_i/psi_i - rho| <= the
+    enclosure's width, so at most POWER_TOL*rho plus roundoff (about
+    2e-16*rho) by construction.  The width shrinks like q^k,
+    q = |lambda2/lambda1|; a start at a converged Perron vector meets the
+    stop after one map.
     """
     psi = start / np.max(np.abs(start))
-    best, since = np.inf, 0  # lowest residual with the enclosure met, maps since it
     for it in range(1, POWER_CAP + 1):
         w = apply(psi)
         rho = np.max(np.abs(w))
         if rho == 0.0 or not np.isfinite(rho):
             raise NoConvergence(f"power iteration produced a degenerate iterate at step {it}")
-        resid = float(np.max(np.abs(w - rho * psi)))
         if psi.min() > 0.0:
             ratios = w / psi
             upper = ratios.max()
             if upper - ratios.min() <= POWER_TOL * upper:
-                if resid <= RESIDUAL_TOL:
-                    return rho, psi, it, resid
-                if resid < best:
-                    best, since = resid, 0
-                else:
-                    since += 1
-                if since >= STALL_MAPS:
-                    raise NoConvergence(
-                        f"power iteration residual stalled at {resid:.3g} > {RESIDUAL_TOL:g} "
-                        f"after {it} maps with the enclosure met (root {rho:.3g})")
+                return rho, psi, it, float(np.max(np.abs(w - rho * psi)))
         psi = w / rho
-    raise NoConvergence(f"power iteration cap reached ({POWER_CAP} iterations, "
-                        f"residual {resid:.3g})")
+    raise NoConvergence(f"power iteration cap reached ({POWER_CAP} iterations)")
 
 
 def principal_eigen(d: CoefficientField, g: CoefficientField, h: CoefficientField) -> EigenResult:
     """Principal eigenpair for (d, g, h).
 
-    Fields must share one grid; d must be strictly positive.  The residual
-    contract |K psi(0) - e^{lam omega} psi(0)|_inf <= 1e-8 holds at return.
+    Fields must share one grid; d must be strictly positive.  At return
+    lam is ln(rho)/omega for a rho within POWER_TOL (relative) of the
+    discrete Perron root, and the residual is at most POWER_TOL*rho plus
+    roundoff, measured on the unit-scale map (see principal_of_map).
     """
     return principal_of_map(CellPeriodMap(d, g, h))
 
@@ -117,12 +104,17 @@ def principal_of_map(pmap: CellPeriodMap) -> EigenResult:
     """Principal eigenpair of a linear period map, iterated on its action.
 
     The map carries its mean potential as a separate exact shift, so the
-    power iteration always works at unit scale; the residual is measured on
-    that normalized map.  A time-dependent map is applied by one-column
-    marches, a time-independent one by its dense matrix, which binary
-    powering of the one step matrix makes cheaper than a march.  The
-    iteration starts from pmap.start, or from the constant vector when that
-    is None.  The Perron vector psi(0) must be positive at return.
+    power iteration always works at unit scale.  The solve stops on the
+    Collatz-Wielandt enclosure alone: its root rho is within POWER_TOL
+    (relative) of the discrete Perron root, and the residual
+    |K psi - rho psi|_inf, absolute on that unit-scale map with psi
+    sup-normalized, is at most POWER_TOL*rho plus roundoff by construction,
+    so an ill-scaled map (rho past about 5e7) reports one above 1e-8.  A
+    time-dependent map is applied by one-column marches, a time-independent
+    one by its dense matrix, which binary powering of the one step matrix
+    makes cheaper than a march.  The iteration starts from pmap.start, or
+    from the constant vector when that is None.  The Perron vector psi(0)
+    must be positive at return.
     """
     start = np.ones(pmap.nx) if pmap.start is None else pmap.start
     rho_s, psi0, iterations, residual = _power_iteration(

@@ -455,9 +455,9 @@ def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
 
 def test_report_tx_media_on_a_coarse_grid_certify_in_full(tmp_path):
     # the benchmark's report-tx media at (50, 16): d1*mu^2 varies by +-100
-    # over the cell at mu = 20, where the power iteration's absolute residual
-    # stalls; mu0 is about 1.3, so a search that solves only the points Brent
-    # picks never goes there and the report finishes with every certificate
+    # over the cell at mu = 20, an ill-scaled solve; mu0 is about 1.3, so a
+    # search that solves only the points Brent picks never goes there, and
+    # the report finishes with every certificate
     cfg = {
         "model": {"omega": 1.0, "ell": 1.0,
                   "d1": "1 + 0.25*cos(2*pi*x)", "d2": "0.5",
@@ -570,3 +570,19 @@ def test_nowhere_positive_growth_gives_the_extinct_orbit(tmp_path):
     assert rep["status"] == "ok"
     assert rep["orbits"]["u1"] == {"extinct": True, "closure_gap": 0.0,
                                    "periods_marched": 0, "max": 0.0}
+
+
+def test_ill_scaled_eigen_task_solves(tmp_path):
+    # species 1's unit-scale root is about 6.0e8 at omega = 5, so the
+    # residual's roundoff floor (about 2e-16*rho) is far above 1e-8 in
+    # absolute terms; the solve stops on the enclosure and matches the dense
+    # Perron root of the period map, 6.041655895193623
+    cfg = fisher_config(tmp_path / "out", tasks=("eigen",))
+    cfg["model"].update(omega=5, d1="0.01", b1="2 + 5*cos(2*pi*x)", a12="0.3", a21="1.2")
+    assert run_scenario(cfg, quiet=True) == EXIT_OK
+    rep = read_report(tmp_path / "out")
+    assert rep["status"] == "ok"
+    lam = rep["eigen"]["lambda_species1"]
+    assert lam == pytest.approx(6.041655895193623, rel=1e-13)
+    rho = np.exp((lam - 2.0) * 5)  # the unit-scale root: the map is shifted by mean b1 = 2
+    assert 1e-8 < rep["eigen"]["residuals"][0] <= (eigen.POWER_TOL + 1e-15) * rho
