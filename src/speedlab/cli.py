@@ -252,12 +252,13 @@ def _task_eigen(cfg, sys_spec):
 
 
 def _task_weinberger(cfg, sys_spec, speed_report):
-    c_ref = speed_report.c0_plus or speed_report.certificates["H4"].details.get("c1_plus")
-    if c_ref is None:
-        c_ref = sys_spec.speed_estimate()
-    c_hi = 1.2 * abs(c_ref) + 1.0  # above 0 also when species 1 recedes (c_ref < 0)
+    c0 = speed_report.c0_plus
+    if c0 is None:  # H1 or H2 failed: the recursion raises NotMonostable before any run
+        c0 = 0.0
+    c_hi = 1.2 * abs(c0) + 1.0
+    c_lo = -c_hi if c0 < 0.0 else 0.0  # a receding species is bracketed below 0 too
     cstar, cbar = weinberger.bracket_speeds(
-        sys_spec, (0.0, c_hi, weinberger.DEFAULT_BISECTION_STEPS))
+        sys_spec, (c_lo, c_hi, weinberger.DEFAULT_BISECTION_STEPS))
     weinberger.dump_bracket_trace_csv(os.path.join(cfg.output, "bracket_trace.csv"),
                                       cstar.trace)
     for label, c_edge in (("lo", cstar.c_lo), ("hi", cstar.c_hi)):
@@ -279,7 +280,7 @@ def _task_front(cfg, sys_spec, speed_report):
     if trace.final_state is not None:
         pde.dump_snapshot_csv(os.path.join(cfg.output, "final_snapshot.csv"),
                               trace.final_state)
-    verdict = frontsim.spreading_verdict(sys_spec, trace, speed_report)
+    verdict = frontsim.spreading_verdict(sys_spec, trace, speed_report.c0_plus)
     return verdict.to_dict(), verdict.verdict == "inconclusive"
 
 
@@ -343,7 +344,7 @@ def _read_config(config_path):
 
 @main.command("run")
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--refine", is_flag=True, help="Richardson grid-doubling study for speeds.")
+@click.option("--refine", is_flag=True, help="Richardson grid-doubling study for c0.")
 @click.option("--quiet", is_flag=True, help="Suppress progress output.")
 def cmd_run(config_path, refine, quiet):
     """Execute a scenario config."""

@@ -3,11 +3,12 @@
 Each package error derives from exactly one category, whose class attributes
 give the report status and exit code of a run that ends in it: ValidationError
 (rejected input), NumericalFailure (a solver failed) or Inconclusive (a regime,
-measurement or resolution guard stopped).  The resolution guards, which a
-finer grid or other input lifts, are also ValueErrors.  An error carries only
-its message, which is what a report records; a failed certificate such as D1
-is a verdict, not an error.  NoInteriorMinimum alone keeps data, lambda/mu at
-both ends of the search range, which becomes the H4 details.
+measurement or resolution guard stopped).  The two resolution guards,
+StiffReaction and TooFewNodes, which a finer grid lifts, are also
+ValueErrors.  An error carries only its message, which is what a report
+records; a failed certificate such as D1 is a verdict, not an error.
+NoInteriorMinimum alone keeps data, lambda/mu at both ends of the search
+range, which becomes the H4 details.
 """
 
 
@@ -92,8 +93,3 @@ class StiffReaction(Inconclusive, ValueError):
 
 class TooFewNodes(Inconclusive, ValueError):
     """A recursion profile has fewer nodes than the recursion resolves."""
-
-
-class SparseSupport(Inconclusive, ValueError):
-    """The orbit's self-limitation e is positive on too small a share of nodes."""
-

@@ -76,8 +76,8 @@ class SpreadingVerdict:
         return asdict(self)
 
 
-def front_position(state: LineState, u1_star, threshold=FRONT_THRESHOLD):
-    """Largest x where species 1, normalized by its periodic level, crosses.
+def front_position(state: LineState, u1_star):
+    """Largest x where species 1, normalized by its periodic level, crosses FRONT_THRESHOLD.
 
     The state must sit at a whole period so the level u1*(0, x mod ell)
     applies; the crossing is refined by linear interpolation between nodes.
@@ -88,8 +88,8 @@ def front_position(state: LineState, u1_star, threshold=FRONT_THRESHOLD):
         raise ValueError("front_position needs a state at a whole period")
     x = state.x
     w = state.values[0] / u1_star.snapshots[0][cell_offsets(x, u1_star.ell, u1_star.nx)]
-    pos = rightmost_crossing(x, w, threshold)
-    if pos is None or np.all(w >= threshold):
+    pos = rightmost_crossing(x, w, FRONT_THRESHOLD)
+    if pos is None or np.all(w >= FRONT_THRESHOLD):
         raise NoCrossing("normalized field does not cross the threshold")
     return pos
 
@@ -108,7 +108,9 @@ def window_cells(sys, periods):
     with ell = 0.25, with omega = 20, and at T = 120.
     """
     ell = sys.ell
-    c_bound = sys.speed_estimate() + max(sys.g1.max(), -sys.g1.min())
+    # max b1 is floored at 1e-9, which keeps the root real when species 1 cannot grow
+    c_bound = (2.0 * math.sqrt(sys.d1.max() * max(sys.b1.max(), 1e-9))
+               + max(sys.g1.max(), -sys.g1.min()))
     room = math.sqrt(EDGE_SPREAD * sys.d1.max() * periods * sys.omega)
     behind = max(WINDOW_BEHIND, math.ceil(WINDOW_BEHIND / ell))
     ahead = max(WINDOW_AHEAD, 1 + BOUNDARY_GUARD_PERIODS
@@ -186,25 +188,26 @@ def fit_speed(trace: FrontTrace) -> FitResult:
     return FitResult(speed=slope, r2=r2, ci_halfwidth=half)
 
 
-def spreading_verdict(sys, trace: FrontTrace, c_report) -> SpreadingVerdict:
+def spreading_verdict(sys, trace: FrontTrace, c0) -> SpreadingVerdict:
     """Check the spreading dichotomy on the final state and compare speeds.
 
     Ahead of the front the solution must be below 1% of the carrying pair;
     behind it must sit within 5%; the fitted speed must be within SPEED_TOL
-    of c0, relatively.  The decisive stations follow the dichotomy's moving
-    frame on the front's window [x_lo, x_hi]: behind, x <= max(0.8*c_fit*T,
-    x_lo + 5*ell); ahead, x >= min(1.05*c_fit*T, x_hi - 5*ell).  In long runs
-    0.8*c_fit*T leaves the window, whose first five cells then serve; the
-    notes name a station that falls back.  The fixed two-period offsets
-    x_f +/- 2*ell are also reported since a front whose width exceeds a
-    couple of periods straddles them.  Note: the simulator's step data
-    touches the carrying pair on the left, which matches the lower
-    statement's initial class and only approximates the upper one; the
-    verdict reports both tails regardless.
+    of c0 (None when the report has no c0), relatively.  The decisive
+    stations follow the dichotomy's moving frame on the front's window
+    [x_lo, x_hi]: behind, x <= max(0.8*c_fit*T, x_lo + 5*ell); ahead,
+    x >= min(1.05*c_fit*T, x_hi - 5*ell).  In long runs 0.8*c_fit*T leaves
+    the window, whose first five cells then serve; the notes name a station
+    that falls back.  The fixed two-period offsets x_f +/- 2*ell are also
+    reported since a front whose width exceeds a couple of periods straddles
+    them.  Species 2 enters neither comparison when its orbit is extinct
+    (then v2 stays 0), and not the behind one when a21 vanishes somewhere.
+    Note: the simulator's step data touches the carrying pair on the left,
+    which matches the lower statement's initial class and only approximates
+    the upper one; the verdict reports both tails regardless.
     """
     notes = ["initial data touches the carrying pair behind the front, so the "
              "upper-tail statement is checked on the approximating run"]
-    c0 = getattr(c_report, "c0_plus", None) if c_report is not None else None
     if trace.final_state is None:
         return SpreadingVerdict(c0=c0, notes=notes + ["empty trace"])
     try:
@@ -216,16 +219,20 @@ def spreading_verdict(sys, trace: FrontTrace, c_report) -> SpreadingVerdict:
     x = state.x
     cells = cell_offsets(x, sys.ell, sys.nx)
     beta1 = sys.u1_star().snapshots[0][cells]
-    beta2 = sys.u2_star().snapshots[0][cells]
     rel_dist = np.abs(state.values[0] - beta1) / beta1
-    if sys.a21.min() > 0.0:
-        # with zero interspecific pressure the carrying pair is not the
-        # attractor behind the front, so v2 only enters when coupled
-        rel_dist = np.maximum(rel_dist, np.abs(state.values[1] - beta2) / beta2)
+    rel_size = state.values[0] / beta1
+    if sys.u2_star().extinct:
+        notes.append("species 2 is extinct: second component excluded from both comparisons")
     else:
-        notes.append("a21 vanishes somewhere: second component excluded from "
-                     "the behind-front comparison")
-    rel_size = np.maximum(state.values[0] / beta1, state.values[1] / beta2)
+        beta2 = sys.u2_star().snapshots[0][cells]
+        if sys.a21.min() > 0.0:
+            # with zero interspecific pressure the carrying pair is not the
+            # attractor behind the front, so v2 only enters when coupled
+            rel_dist = np.maximum(rel_dist, np.abs(state.values[1] - beta2) / beta2)
+        else:
+            notes.append("a21 vanishes somewhere: second component excluded from "
+                         "the behind-front comparison")
+        rel_size = np.maximum(rel_size, state.values[1] / beta2)
 
     t_final = state.t
     x_f = trace.positions[-1]

@@ -30,13 +30,12 @@ from scipy.special import lambertw
 
 from . import eigen
 from .coeffs import CoefficientField
-from .errors import NoConvergence, SparseSupport
+from .errors import NoConvergence
 from .pde import CellTransport, constant_in_t, write_csv
 
 CYCLE_TOL = 1e-8
 PERIOD_CAP = 2000
 ANDERSON_DEPTH = 4  # period ends mixed into each next start
-SUPPORT_FRACTION = 0.10  # e must be positive on at least this share of nodes
 
 
 @dataclass
@@ -81,8 +80,6 @@ def _period_map(transport, c, e):
     rows = 1 if constant_in_t(c.values, e.values) else nt
     a = dt * e.values[:rows]
     growth = np.exp(dt * c.values[:rows])
-    positive = a > 0.0
-    a_safe = np.where(positive, a, 1.0)
 
     def period(u0):
         snaps = np.empty((nt, nx))
@@ -92,8 +89,7 @@ def _period_map(transport, c, e):
             r = (j + 1) % nt
             w = transport.solve(r, u)
             k = r % rows
-            u = np.where(positive[k], np.real(lambertw(a[k] * w * growth[k])) / a_safe[k],
-                         w * growth[k])
+            u = np.real(lambertw(a[k] * w * growth[k])) / a[k]
         return snaps, u
     return period
 
@@ -115,25 +111,21 @@ def _anderson(ends, residuals):
 def logistic_orbit(d, g, c, e, start_value=None, growth=None) -> PeriodicOrbit:
     """Compute the attracting periodic orbit of u_t = d u_xx - g u_x + u(c - e u).
 
-    Returns the extinct zero orbit when lambda(d, g, c) <= 0, without a solve
-    when max c <= 0 (then lambda <= max c <= 0); otherwise
-    iterates the period map with Anderson mixing from the constant
-    supersolution max(c)/min(e | e > 0) until one period's end u(omega) is
-    within CYCLE_TOL * min(1, max u(omega)) of its start (cap PERIOD_CAP),
-    and returns that period.
+    e must be positive at every node (ValueError otherwise), as SystemSpec
+    requires of a11 and a22.  Returns the extinct zero orbit when
+    lambda(d, g, c) <= 0, without a solve when max c <= 0 (then
+    lambda <= max c <= 0); otherwise iterates the period map with Anderson
+    mixing from the constant supersolution max(c)/min(e) until one period's
+    end u(omega) is within CYCLE_TOL * min(1, max u(omega)) of its start (cap
+    PERIOD_CAP), and returns that period.
     growth is the principal eigenpair of (d, g, c) when the caller already
     has it; it is solved here otherwise.
     """
     for other in (g, c, e):
         if not d.same_grid(other):
             raise ValueError("orbit fields must share one grid")
-    if e.min() < 0.0 or e.max() <= 0.0:
-        raise ValueError("need e >= 0 and e not identically zero")
-    positive_share = np.mean(e.values > 0.0)
-    if positive_share < SUPPORT_FRACTION:
-        raise SparseSupport(
-            f"e is positive on only {positive_share:.1%} of nodes; "
-            f"the orbit solver requires at least {SUPPORT_FRACTION:.0%}")
+    if e.min() <= 0.0:
+        raise ValueError("need e > 0")
 
     if growth is None and c.max() > 0.0:
         growth = eigen.principal_eigen(d, g, c)
@@ -143,7 +135,7 @@ def logistic_orbit(d, g, c, e, start_value=None, growth=None) -> PeriodicOrbit:
                              closure_gap=0.0, periods_marched=0)
 
     if start_value is None:
-        start_value = c.max() / float(e.values[e.values > 0.0].min())
+        start_value = c.max() / e.min()
     period_map = _period_map(CellTransport(d, g), c, e)
     u = np.full(d.nx, float(start_value))
     ends, residuals = [], []  # the last ANDERSON_DEPTH + 1 periods

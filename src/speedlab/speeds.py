@@ -139,14 +139,6 @@ class SystemSpec:
         return self._cached("invaded", lambda: eigen.principal_eigen(
             self.d1, self.g1, self.invaded_potential()))
 
-    def speed_estimate(self):
-        """Species-1 KPP speed bound 2*sqrt(max d1 * max b1), for sizing domains.
-
-        It ignores the drift g1, which can make the true speed larger; max b1
-        is floored at 1e-9.
-        """
-        return 2.0 * math.sqrt(self.d1.max() * max(self.b1.max(), 1e-9))
-
 
 # ---------------------------------------------------------------------------
 # Speed minimization
@@ -267,8 +259,8 @@ def richardson(base, fine):
 class C0Result:
     c0: float
     mu0: float
+    eigen_at_mu0: eigen.EigenResult
     discretization_estimate: float | None = None  # set when Richardson-refined
-    eigen_at_mu0: eigen.EigenResult | None = None
 
 
 def linear_speed_c0(sys: SystemSpec, refine=False) -> C0Result:
@@ -277,9 +269,9 @@ def linear_speed_c0(sys: SystemSpec, refine=False) -> C0Result:
     lambda0 is the tilted eigenvalue with potential b1 - a12*u2star.  The
     positivity of lambda0(0) (the H2 margin) is a precondition; refine=True
     recomputes the whole pipeline, orbit included, on a doubled grid and
-    extrapolates c0.  Without refinement the result carries the eigenpair
-    the minimization returned at mu0, for the coupled eigenfunction.  Each
-    solve of the curve starts from the previous one's psi(0).
+    extrapolates c0 alone.  mu0 and the eigenpair the minimization returned
+    there, which the coupled eigenfunction reads, are the base grid's either
+    way.  Each solve of the curve starts from the previous one's psi(0).
     """
     def compute(s):
         margin = s.invaded_eigen().lam
@@ -289,10 +281,9 @@ def linear_speed_c0(sys: SystemSpec, refine=False) -> C0Result:
 
     res = compute(sys)
     if not refine:
-        return C0Result(res.c_star, res.mu0, eigen_at_mu0=res.eigen_at_mu0)
-    res_f = compute(sys.refined())
-    c0, estimate = richardson(res.c_star, res_f.c_star)
-    return C0Result(c0, res_f.mu0, discretization_estimate=estimate)
+        return C0Result(res.c_star, res.mu0, res.eigen_at_mu0)
+    c0, estimate = richardson(res.c_star, compute(sys.refined()).c_star)
+    return C0Result(c0, res.mu0, res.eigen_at_mu0, discretization_estimate=estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +321,7 @@ def _second_tilted(sys: SystemSpec, u2f, mu):
     return drift, potential - 2.0 * sys.a22 * u2f
 
 
-def coupled_eigenfunction(sys: SystemSpec, mu0, eig1=None) -> CoupledEigenfunction:
+def coupled_eigenfunction(sys: SystemSpec, mu0, eig1) -> CoupledEigenfunction:
     """Build (phi1*, phi2*) for the coupled eigenproblem at the tilt mu0.
 
     The coupling is linearized at the system's own orbit sys.u2_star().
@@ -344,16 +335,13 @@ def coupled_eigenfunction(sys: SystemSpec, mu0, eig1=None) -> CoupledEigenfuncti
     factor, which leaves phi2 unchanged.  The snapshots are then
     reconstructed along the period by marching with the coupling source,
     so the pair is an exact discrete eigenpair.  eig1 is the first
-    equation's eigenpair at mu0 when the caller already has it (the c0
-    minimization evaluated it); it is solved here otherwise.
+    equation's eigenpair at mu0, which the c0 minimization evaluated.
     A NumericalFailure is raised when rho1 or the shift factor
     e^{shift omega} is past the float range.
     """
     u2f = sys.u2_star().as_field()
     map1 = CellPeriodMap(sys.d1, *eigen.tilted_coefficients(
         sys.d1, sys.g1, sys.invaded_potential(), mu0))
-    if eig1 is None:
-        eig1 = eigen.principal_of_map(map1)
     lam0 = eig1.lam
     phi1 = eigen.eigenfunction(map1, eig1)
 
@@ -399,7 +387,6 @@ def coupled_eigenfunction(sys: SystemSpec, mu0, eig1=None) -> CoupledEigenfuncti
 
 @dataclass
 class Certificate:
-    name: str
     verdict: str  # pass | pass(sufficient) | fail | inconclusive | not-applicable
     margin: float | None
     details: dict = dc_field(default_factory=dict)
@@ -443,21 +430,20 @@ def check_hypotheses(sys: SystemSpec) -> dict:
     lam1 = sys.species1_eigen()
     lam2 = sys.species2_eigen()
     h1_margin = min(lam1.lam, lam2.lam)
-    certs["H1"] = Certificate(
-        "H1", "pass" if h1_margin > 0 else "fail", h1_margin,
-        {"lambda_species1": lam1.lam, "lambda_species2": lam2.lam,
-         "residuals": [lam1.residual, lam2.residual]})
+    certs["H1"] = Certificate("pass" if h1_margin > 0 else "fail", h1_margin,
+                              {"lambda_species1": lam1.lam, "lambda_species2": lam2.lam,
+                               "residuals": [lam1.residual, lam2.residual]})
 
     if lam2.lam <= 0:
-        certs["H2"] = Certificate("H2", "not-applicable", None,
+        certs["H2"] = Certificate("not-applicable", None,
                                   {"note": "species 2 is extinct, no invaded state"})
     else:
         h2 = sys.invaded_eigen()
-        certs["H2"] = Certificate("H2", "pass" if h2.lam > 0 else "fail", h2.lam,
+        certs["H2"] = Certificate("pass" if h2.lam > 0 else "fail", h2.lam,
                                   {"residual": h2.residual})
 
     m1, m2, detail = _envelope_margins(sys)
-    certs["H3"] = Certificate("H3", "pass(sufficient)" if m1 > 0 and m2 >= 0 else "inconclusive",
+    certs["H3"] = Certificate("pass(sufficient)" if m1 > 0 and m2 >= 0 else "inconclusive",
                               min(m1, m2), {"via": "envelope sufficient condition", **detail})
 
     c1p = c2m = None
@@ -469,13 +455,13 @@ def check_hypotheses(sys: SystemSpec) -> dict:
             species2 = eigen.lambda_curve(sys.d2, sys.g2, sys.b2)
             c1p, c2m = (minimize_speed(species1).c_star,
                         minimize_speed(lambda mu: species2(-mu)).c_star)
-            certs["H4"] = Certificate("H4", "pass" if c1p + c2m > 0 else "fail",
+            certs["H4"] = Certificate("pass" if c1p + c2m > 0 else "fail",
                                       c1p + c2m, {"c1_plus": c1p, "c2_minus": c2m})
         except NoInteriorMinimum as exc:
-            certs["H4"] = Certificate("H4", "inconclusive", None,
+            certs["H4"] = Certificate("inconclusive", None,
                                       {"reason": str(exc), **exc.endpoint_data})
     else:
-        certs["H4"] = Certificate("H4", "not-applicable", None,
+        certs["H4"] = Certificate("not-applicable", None,
                                   {"note": "H1 fails, single-species speeds undefined"})
 
     if lam2.lam > 0 and c1p is not None:
@@ -484,7 +470,7 @@ def check_hypotheses(sys: SystemSpec) -> dict:
         lam2_zero = curve2(0.0).lam
         details = {"lambda2_at_0": lam2_zero}
         if abs(lam2_zero) > 1e-6:
-            certs["H5"] = Certificate("H5", "inconclusive", None, {
+            certs["H5"] = Certificate("inconclusive", None, {
                 **details, "note": "orbit eigenvalue identity failed, slope unreliable"})
         else:
             # a central difference: lambda2(0), the orbit's closure error, cancels
@@ -493,9 +479,9 @@ def check_hypotheses(sys: SystemSpec) -> dict:
             slope = (at_eps[eps] - at_eps[-eps]) / (2.0 * eps)
             details.update({"slope": slope, "lambda2_at_eps": at_eps})
             margin = c1p - slope
-            certs["H5"] = Certificate("H5", "pass" if margin >= 0 else "fail", margin, details)
+            certs["H5"] = Certificate("pass" if margin >= 0 else "fail", margin, details)
     else:
-        certs["H5"] = Certificate("H5", "not-applicable", None,
+        certs["H5"] = Certificate("not-applicable", None,
                                   {"note": "requires species-2 orbit and c1_plus"})
 
     certs["M"] = _condition_m(sys)
@@ -512,12 +498,12 @@ def _condition_m(sys: SystemSpec) -> Certificate:
                 and np.max(np.abs(sys.g1.values)) <= tol
                 and np.max(np.abs(sys.g2.values)) <= tol)
     if not shape_ok:
-        return Certificate("M", "not-applicable", None,
+        return Certificate("not-applicable", None,
                            {"note": "system is not of the shared-growth unit-interaction form"})
     mean, rep = mean_and_symmetry(sys.b1)
     nontrivial = not rep.x_independent
     ok = nontrivial and rep.even_in_x and mean >= 0.0
-    return Certificate("M", "pass" if ok else "fail", mean,
+    return Certificate("pass" if ok else "fail", mean,
                        {"even_in_x": rep.even_in_x, "x_dependent": nontrivial, "mean": mean})
 
 
@@ -529,9 +515,9 @@ def _p_conditions(sys: SystemSpec) -> tuple[Certificate, Certificate]:
     d2_const = np.max(sys.d2.values) - np.min(sys.d2.values) <= tol
     no_drift = np.max(np.abs(sys.g1.values)) <= tol and np.max(np.abs(sys.g2.values)) <= tol
     if not (x_indep and d1_unit and d2_const and no_drift):
-        na = Certificate("P1", "not-applicable", None,
+        na = Certificate("not-applicable", None,
                          {"note": "requires x-independent coefficients, d1 = 1, no drift"})
-        return na, Certificate("P2", na.verdict, None, na.details)
+        return na, na
 
     b1bar = float(sys.b1.values.mean())
     b2bar = float(sys.b2.values.mean())
@@ -540,7 +526,7 @@ def _p_conditions(sys: SystemSpec) -> tuple[Certificate, Certificate]:
     m1 = b1bar - r12 * b2bar
     m2 = r21 * b1bar - b2bar
     p1_ok = (m1 > 0) and (b2bar > 0) and (m2 >= 0)
-    p1 = Certificate("P1", "pass" if p1_ok else "fail", min(m1, m2),
+    p1 = Certificate("pass" if p1_ok else "fail", min(m1, m2),
                      {"b1_mean": b1bar, "b2_mean": b2bar,
                       "max_a12_over_a22": r12, "max_a21_over_a11": r21})
 
@@ -548,7 +534,7 @@ def _p_conditions(sys: SystemSpec) -> tuple[Certificate, Certificate]:
     u1 = sys.u1_star()
     u2 = sys.u2_star()
     if u1.extinct or u2.extinct:
-        return p1, Certificate("P2", "not-applicable", None,
+        return p1, Certificate("not-applicable", None,
                                {"note": "needs both single-species orbits"})
     a = sys.a11.values * u1.snapshots - sys.a12.values * u2.snapshots
     b = sys.a21.values * u1.snapshots - sys.a22.values * u2.snapshots
@@ -556,7 +542,7 @@ def _p_conditions(sys: SystemSpec) -> tuple[Certificate, Certificate]:
     mab = float(np.min(a - b))
     mb = float(np.min(b))
     p2_ok = (d > 0) and (md >= 0) and (mab >= -1e-10) and (mb >= -1e-10)
-    p2 = Certificate("P2", "pass" if p2_ok else "fail", min(md, mab, mb),
+    p2 = Certificate("pass" if p2_ok else "fail", min(md, mab, mb),
                      {"d": d, "min_first_minus_second": mab, "min_second": mb})
     return p1, p2
 
@@ -573,19 +559,19 @@ def check_linear_determinacy(sys: SystemSpec, pair: CoupledEigenfunction) -> dic
     """
     certs = {}
     d1_margin = pair.lambda0 - pair.lambdabar
-    certs["D1"] = Certificate("D1", "pass" if d1_margin > 0 else "fail", d1_margin,
+    certs["D1"] = Certificate("pass" if d1_margin > 0 else "fail", d1_margin,
                               {"lambda0": pair.lambda0, "lambdabar": pair.lambdabar,
                                "mu0": pair.mu0})
 
     if pair.phi2 is None or np.all(pair.phi2 <= 0.0) or sys.a21.min() <= 0.0:
-        certs["D2"] = Certificate("D2", "not-applicable", None,
+        certs["D2"] = Certificate("not-applicable", None,
                                   {"note": "degenerate second component or zero coupling"})
     else:
         ratio = pair.phi1 / pair.phi2
         bound = np.maximum(sys.a12.values / sys.a11.values,
                            sys.a22.values / sys.a21.values)
         d2_margin = float(np.min(ratio - bound))
-        certs["D2"] = Certificate("D2", "pass" if d2_margin > 0 else "fail", d2_margin,
+        certs["D2"] = Certificate("pass" if d2_margin > 0 else "fail", d2_margin,
                                   {"min_ratio": float(ratio.min()),
                                    "max_bound": float(bound.max())})
     return certs
@@ -627,7 +613,7 @@ def compute_speed_report(sys: SystemSpec, refine=False) -> SpeedReport:
         if res.discretization_estimate is not None:
             notes.append(f"c0 Richardson-refined; discretization estimate "
                          f"{res.discretization_estimate:.3g}")
-        pair = coupled_eigenfunction(sys, res.mu0, eig1=res.eigen_at_mu0)
+        pair = coupled_eigenfunction(sys, res.mu0, res.eigen_at_mu0)
         if pair.phi2 is None:
             notes.append(f"D1 violated: lambdabar({pair.mu0:.6g}) = {pair.lambdabar:.6g} "
                          f">= lambda0 = {pair.lambda0:.6g}")

@@ -45,7 +45,7 @@ def const_front(const_sys, const_report):
     rep, rep_seconds = const_report
     t0 = time.perf_counter()
     trace = run_front(const_sys, 40)
-    verdict = spreading_verdict(const_sys, trace, rep)
+    verdict = spreading_verdict(const_sys, trace, rep.c0_plus)
     return trace, verdict, rep_seconds + (time.perf_counter() - t0)
 
 

@@ -538,8 +538,10 @@ def test_fast_invader_speed_report_converges(tmp_path):
     assert d1["lambdabar"] == pytest.approx(d1["mu0"] ** 2 - 1.0, rel=1e-8)
 
 
-def test_receding_species_gets_a_bracket_open_below(tmp_path):
-    # g1 = -3 drifts species 1 back at c0 = -1; c_hi is sized from |c0|
+def test_receding_species_gets_a_bracket_below_zero(tmp_path):
+    # g1 = -3 drifts species 1 back at c0 = -1, so the candidates span
+    # [-c_hi, c_hi] with c_hi = 1.2|c0| + 1; the line scheme's own speed
+    # misses c0 on drift media, so only where the edges sit is pinned
     cfg = fisher_config(tmp_path / "out", tasks=("weinberger",), nt=50, nx=16)
     cfg["model"]["g1"] = "-3"
     assert run_scenario(cfg, quiet=True) == EXIT_OK
@@ -547,7 +549,13 @@ def test_receding_species_gets_a_bracket_open_below(tmp_path):
     assert rep["status"] == "ok"
     assert rep["speed_report"]["c0_plus"] == pytest.approx(-1.0, abs=1e-3)
     for bracket in ("cstar", "cbar"):
-        assert rep["weinberger"][bracket] == {"lo": None, "hi": 0.0}
+        edges = rep["weinberger"][bracket]
+        assert edges["lo"] is not None and edges["hi"] is not None
+        assert -2.2 < edges["lo"] < edges["hi"] < 0.0
+    tested = rep["weinberger"]["classifications"]
+    assert [t["c"] for t in (tested[0], tested[-1])] == pytest.approx([-2.2, 2.2], abs=1e-3)
+    ranks = [{"beta": 2, "intermediate": 1, "zero": 0}[t["class"]] for t in tested]
+    assert ranks == sorted(ranks, reverse=True)  # classes fall monotonely along c
 
 
 def test_overflowing_coupled_scale_is_a_numerical_failure(tmp_path):

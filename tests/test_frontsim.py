@@ -4,7 +4,7 @@ import pytest
 from speedlab import fit_speed, front_position, frontsim, run_front, spreading_verdict
 from speedlab.errors import NoCrossing, TooFewPoints
 from speedlab.frontsim import FrontTrace
-from speedlab.pde import LineState
+from speedlab.pde import LineState, cell_offsets, rightmost_crossing
 
 from conftest import fixed_line_positions, make_system
 
@@ -118,10 +118,7 @@ def test_fisher_front_speed_and_verdict(fisher_run):
     fit = fit_speed(trace)
     assert fit.speed == pytest.approx(2.0, rel=0.05)
 
-    class Report:
-        c0_plus = 2.0
-
-    verdict = spreading_verdict(sys, trace, Report())
+    verdict = spreading_verdict(sys, trace, 2.0)
     assert verdict.verdict == "pass"
     assert verdict.tail_front < 0.01
     assert verdict.tail_back < 0.05
@@ -136,10 +133,15 @@ def test_threshold_invariance_of_measured_speed(fisher_run):
     states.append(trace.final_state)
     base = fit_speed(trace)
     allowance = base.ci_halfwidth + 0.3 * sys.ell / sys.omega
-    at_half = np.array([front_position(s, u1, threshold=0.5) for s in states])
+    at_half = np.array([front_position(s, u1) for s in states])
+
+    def crossing(state, threshold):  # front_position's crossing at another threshold
+        level = u1.snapshots[0][cell_offsets(state.x, u1.ell, u1.nx)]
+        return rightmost_crossing(state.x, state.values[0] / level, threshold)
+
     # front offsets at different thresholds stay parallel: translate at one speed
     for thr in (0.2, 0.5, 0.8):
-        offsets = np.array([front_position(s, u1, threshold=thr) for s in states]) - at_half
+        offsets = np.array([crossing(s, thr) for s in states]) - at_half
         assert np.ptp(offsets) <= allowance + 0.1
 
 
@@ -196,10 +198,7 @@ def test_long_run_checks_behind_on_the_window(fisher_coarse):
     sys = fisher_coarse
     trace = run_front(sys, 80)
 
-    class Report:
-        c0_plus = 2.0
-
-    verdict = spreading_verdict(sys, trace, Report())
+    verdict = spreading_verdict(sys, trace, 2.0)
     assert verdict.verdict == "pass"
     assert any(note.startswith("behind station falls back") for note in verdict.notes)
     assert verdict.tail_back < 0.05

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from speedlab import logistic_orbit, orbits, principal_eigen
-from speedlab.errors import SparseSupport
+from speedlab import CoefficientField, logistic_orbit, orbits, principal_eigen
 from speedlab.orbits import CYCLE_TOL
 from speedlab.pde import CellTransport, constant_in_t
 
@@ -68,11 +67,13 @@ def test_reflection_consistency_for_symmetric_media():
     assert np.max(np.abs(orb.snapshots - reflected)) <= 1e-9
 
 
-def test_support_fraction_guard():
-    # e positive on a sliver of the cell only
-    e = field("abs(x - 0.5) - 0.47", nt=8, nx=64)
-    e = type(e)(e.omega, e.ell, np.maximum(e.values, 0.0), None)
-    with pytest.raises(SparseSupport):
+def test_orbit_needs_positive_e():
+    # the orbit's self-limitation must be positive at every node: one zero
+    # node is refused, as SystemSpec refuses a11 or a22 that touch zero
+    values = np.ones((8, 64))
+    values[3, 17] = 0.0
+    e = CoefficientField(1.0, 1.0, values)
+    with pytest.raises(ValueError, match="need e > 0"):
         logistic_orbit(field("1", nt=8, nx=64), field("0", nt=8, nx=64),
                        field("1", nt=8, nx=64), e)
 
@@ -110,7 +111,7 @@ def plain_orbit(d, g, c, e, start_value=None, tol=CYCLE_TOL):
     that period's states and the number of periods marched.
     """
     if start_value is None:
-        start_value = c.max() / e.values[e.values > 0.0].min()
+        start_value = c.max() / e.min()
     period = orbits._period_map(CellTransport(d, g), c, e)
     u = np.full(d.nx, float(start_value))
     for marched in range(1, orbits.PERIOD_CAP + 1):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg.lapack import dptsv
+from scipy.special import lambertw
 
 from speedlab import (CellState, logistic_orbit, orbits, pde, period_map, principal_eigen,
                       step_scalar_linear)
@@ -494,12 +495,32 @@ def test_cell_period_map_tiny_cells_match_dense_solves(nx):
     np.testing.assert_allclose(pmap.matrix(), k, rtol=1e-13, atol=1e-13 * np.abs(k).max())
 
 
+def _row_by_row_period_map(transport, c, e):
+    """Reference logistic period: each step's Lambert-W solve written out from row r of c and e."""
+    def period(u0):
+        snaps = np.empty((c.nt, c.nx))
+        u = u0
+        for j in range(c.nt):
+            snaps[j] = u
+            r = (j + 1) % c.nt
+            w = transport.solve(r, u)
+            a = c.dt * e.values[r]
+            u = np.real(lambertw(a * w * np.exp(c.dt * c.values[r]))) / a
+        return snaps, u
+    return period
+
+
 def test_logistic_orbit_matches_row_by_row_reference(monkeypatch):
-    # the report-tx species-2 problem: t-periodic growth, nt = 200, nx = 64
-    d, g = field("0.5"), field("0")
-    c, e = field("1 + 0.5*sin(2*pi*t)"), field("1")
-    orbit = logistic_orbit(d, g, c, e)
+    # per-row cyclic solves and Lambert-W steps against the tables, at
+    # nt = 200, nx = 64: the report-tx species-2 problem (t-periodic growth)
+    # and report-tx's species 1 under a self-limitation varying in t and x
+    media = [(field("0.5"), field("0"), field("1 + 0.5*sin(2*pi*t)"), field("1")),
+             (field("1 + 0.25*cos(2*pi*x)"), field("0.2*sin(2*pi*(x - t))"),
+              field("2 + 0.5*cos(2*pi*x)"), field("1 + 0.3*cos(2*pi*(x - t))"))]
+    tabled = [logistic_orbit(*fields) for fields in media]
     monkeypatch.setattr(orbits, "CellTransport", _RowByRowTransport)
-    reference = logistic_orbit(d, g, c, e)
-    assert orbit.periods_marched == reference.periods_marched
-    np.testing.assert_array_equal(orbit.snapshots, reference.snapshots)
+    monkeypatch.setattr(orbits, "_period_map", _row_by_row_period_map)
+    for orbit, fields in zip(tabled, media):
+        reference = logistic_orbit(*fields)
+        assert orbit.periods_marched == reference.periods_marched
+        np.testing.assert_array_equal(orbit.snapshots, reference.snapshots)

@@ -238,8 +238,9 @@ def test_linear_speed_c0_time_periodic_mean_formula():
 
 
 def test_coupled_eigenfunction_constants_closed_form(constants_system):
-    mu0 = math.sqrt(1.7)
-    pair = coupled_eigenfunction(constants_system, mu0)
+    sys, mu0 = constants_system, math.sqrt(1.7)
+    pair = coupled_eigenfunction(
+        sys, mu0, eigen.lambda_of_mu(sys.d1, sys.g1, sys.invaded_potential(), mu0))
     # continuum ratio phi2/phi1 = a21 u2* / (lambda0 - lambdabar) = 1.2/3.55
     ratio = pair.phi2 / pair.phi1
     assert np.max(np.abs(ratio - 1.2 / 3.55)) < 5e-3
@@ -252,7 +253,7 @@ def test_coupled_eigenfunction_constants_closed_form(constants_system):
 def test_coupled_eigenfunction_periodic_residual(periodic_b2_system):
     sysp = periodic_b2_system
     res = linear_speed_c0(sysp)
-    pair = coupled_eigenfunction(sysp, res.mu0)
+    pair = coupled_eigenfunction(sysp, res.mu0, res.eigen_at_mu0)
     assert pair.residual < 1e-11
     assert pair.phi2.min() > 0.0
 
@@ -261,7 +262,7 @@ def test_coupled_eigenfunction_degenerate_when_uncoupled(fisher_system):
     # a21 = 0: the zero forcing solves to phi2 = 0, with the first equation's residual
     eig1 = eigen.lambda_of_mu(fisher_system.d1, fisher_system.g1,
                               fisher_system.invaded_potential(), 1.0)
-    pair = coupled_eigenfunction(fisher_system, 1.0)
+    pair = coupled_eigenfunction(fisher_system, 1.0, eig1)
     assert pair.phi2 is not None and not pair.phi2.any()
     assert pair.residual == eig1.residual
     assert pair.series_terms == 1
@@ -324,7 +325,7 @@ def test_h5_slope_matches_a_finer_central_difference():
 
 def test_determinacy_constants_pass(constants_system):
     res = linear_speed_c0(constants_system)
-    pair = coupled_eigenfunction(constants_system, res.mu0)
+    pair = coupled_eigenfunction(constants_system, res.mu0, res.eigen_at_mu0)
     det = check_linear_determinacy(constants_system, pair)
     assert det["D1"].passed and det["D2"].passed
     assert det["D1"].margin == pytest.approx(3.55, abs=1e-3)
@@ -339,7 +340,7 @@ def test_determinacy_d2_fails_for_fast_second_diffuser():
     # d2 = 2.2 keeps D1 but pushes lambda0 - lambdabar below a22 u2*
     sys_d2 = make_system(d2="2.2")
     res = linear_speed_c0(sys_d2)
-    pair = coupled_eigenfunction(sys_d2, res.mu0)
+    pair = coupled_eigenfunction(sys_d2, res.mu0, res.eigen_at_mu0)
     det = check_linear_determinacy(sys_d2, pair)
     assert det["D1"].verdict == "pass"
     assert det["D2"].verdict == "fail"
@@ -350,7 +351,7 @@ def test_determinacy_tiny_a21_still_passes_d2():
     # scale-free comparison (lambda0 - lambdabar) vs a22 u2* holds here
     sys_tiny = make_system(a21="0.01")
     res = linear_speed_c0(sys_tiny)
-    pair = coupled_eigenfunction(sys_tiny, res.mu0)
+    pair = coupled_eigenfunction(sys_tiny, res.mu0, res.eigen_at_mu0)
     det = check_linear_determinacy(sys_tiny, pair)
     assert det["D2"].verdict == "pass"
     assert det["D2"].margin == pytest.approx(355.0 - 100.0, rel=0.05)
@@ -420,6 +421,34 @@ def test_speed_report_solves_each_eigenproblem_once(monkeypatch):
     assert rep.c0_plus == pytest.approx(2.0 * math.sqrt(1.7), abs=1e-5)
     assert len(minimizations) == 3
     assert solves and set(solves.values()) == {1}
+
+
+def test_refine_moves_only_c0_and_its_note(monkeypatch):
+    # --refine extrapolates c0 alone: every certificate stays the base grid's,
+    # D1's mu0 and lambda0 included, and the refined run solves no base-grid
+    # eigenproblem that the plain one does not
+    nt, nx = 50, 8
+    keys = key_maps_by_fields(monkeypatch)
+    solve = eigen.principal_of_map
+    solves = {False: Counter(), True: Counter()}
+
+    def report(refine):
+        def counting_solve(pmap):
+            solves[refine][keys[pmap]] += 1
+            return solve(pmap)
+        monkeypatch.setattr(eigen, "principal_of_map", counting_solve)
+        sysp = make_system(nt=nt, nx=nx, b2="1 + 0.5*sin(2*pi*t)")
+        return compute_speed_report(sysp, refine=refine).to_dict()
+
+    plain, refined = report(False), report(True)
+    assert refined["c0_plus"] != plain["c0_plus"]
+    assert ({k: v for k, v in refined.items() if k not in ("c0_plus", "notes")}
+            == {k: v for k, v in plain.items() if k not in ("c0_plus", "notes")})
+    assert refined["notes"][0].startswith("c0 Richardson-refined")
+    assert refined["notes"][1:] == plain["notes"]
+    # a map's key starts with the bytes of its d field, nt*nx floats on the base grid
+    on_base = Counter({k: n for k, n in solves[True].items() if len(k[0]) == nt * nx * 8})
+    assert on_base == solves[False]
 
 
 def test_d1_violated_report_reuses_the_series_lambdabar(monkeypatch):
