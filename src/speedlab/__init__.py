@@ -1,8 +1,8 @@
 """Spreading speeds and linear-determinacy certificates for time-space
 periodic two-species reaction-advection-diffusion systems."""
 
-from .coeffs import (CoefficientField, SymmetryReport, build_field, mean_and_symmetry,
-                     parse_expression, refine_field)
+from .coeffs import (CoefficientField, SymmetryReport, build_field, evaluate_expression,
+                     mean_and_symmetry, refine_field)
 from .eigen import EigenResult, lambda_of_mu, principal_eigen
 from .frontsim import (FrontTrace, fit_speed, front_position, run_front,
                        spreading_verdict)
@@ -17,8 +17,8 @@ from .weinberger import RecursionLine, SpeedBracket, bracket_speeds, recursion_l
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoefficientField", "SymmetryReport", "build_field", "mean_and_symmetry",
-    "parse_expression", "refine_field",
+    "CoefficientField", "SymmetryReport", "build_field", "evaluate_expression",
+    "mean_and_symmetry", "refine_field",
     "EigenResult", "principal_eigen", "lambda_of_mu",
     "PeriodicOrbit", "logistic_orbit",
     "CellState", "LineState", "CellPeriodMap", "LineSystemEvolver",

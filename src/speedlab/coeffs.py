@@ -13,11 +13,17 @@ on a uniform grid over one period cell [0, omega) x [0, ell).  Grammar:
 Whitespace is insignificant; numbers are decimal literals with an optional
 exponent.  '^' is right-associative and binds the already-resolved unary,
 so "-2^2" evaluates to 4.
+
+An expression is evaluated on the grid as it is parsed, with float64
+literals.  Malformed text, or nesting too deep for the parser's recursion,
+raises ParseError; a non-finite sample, a constant "1/0" included, raises
+EvalError.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -27,9 +33,6 @@ from .errors import EvalError, ParseError
 
 # Relative tolerance deciding whether a structural symmetry holds.
 SYMMETRY_TOL = 1e-10
-# Deepest accepted expression tree: evaluation and unparse() recurse once per
-# level, and this keeps them well inside Python's default recursion limit.
-MAX_DEPTH = 600
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
@@ -38,83 +41,19 @@ _TOKEN_RE = re.compile(
 )
 
 _FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs}
-_CONSTANTS = {"pi": math.pi, "e": math.e}
-
-
-# ---------------------------------------------------------------------------
-# Expression AST
-# ---------------------------------------------------------------------------
-
-class Expr:
-    """Parsed coefficient expression."""
-
-    def __init__(self, node):
-        self._node = node
-
-    def evaluate(self, t, x):
-        """Evaluate on broadcastable arrays t, x; raises EvalError on non-finite."""
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        with np.errstate(all="ignore"):
-            out = np.asarray(_eval_node(self._node, t, x), dtype=float)
-        out = np.broadcast_to(out, np.broadcast_shapes(t.shape, x.shape)).copy()
-        if not np.all(np.isfinite(out)):
-            bad = np.argwhere(~np.isfinite(np.atleast_1d(out)))
-            raise EvalError(f"non-finite value at grid node index {tuple(bad[0].tolist())}")
-        return out
-
-    def unparse(self):
-        """Render back to a string that re-parses to the same tree."""
-        return _unparse(self._node)
-
-    def __repr__(self):
-        return f"Expr({self.unparse()!r})"
-
-
-def _eval_node(node, t, x):
-    kind = node[0]
-    if kind == "num":
-        return node[1]
-    if kind == "t":
-        return t
-    if kind == "x":
-        return x
-    if kind == "neg":
-        return -_eval_node(node[1], t, x)
-    if kind == "call":
-        return _FUNCS[node[1]](_eval_node(node[2], t, x))
-    if kind == "bin":
-        a = _eval_node(node[2], t, x)
-        b = _eval_node(node[3], t, x)
-        op = node[1]
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            return a / b
-        return np.power(a, b)
-    raise AssertionError(f"unknown node {kind}")
-
-
-def _unparse(node):
-    kind = node[0]
-    if kind == "num":
-        return repr(node[1])
-    if kind in ("t", "x"):
-        return kind
-    if kind == "neg":
-        return f"(-{_unparse(node[1])})"
-    if kind == "call":
-        return f"{node[1]}({_unparse(node[2])})"
-    return f"({_unparse(node[2])}{node[1]}{_unparse(node[3])})"
+_CONSTANTS = {"pi": np.float64(math.pi), "e": np.float64(math.e)}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 class _Parser:
-    def __init__(self, text):
+    """Recursive descent that evaluates each production as it reads it, on the
+    broadcastable sample arrays t and x; literals are float64, so a constant
+    division by zero gives inf like any other non-finite sample."""
+
+    def __init__(self, text, t, x):
         self.text = text
+        self.t = t
+        self.x = x
         self.tokens = []
         self._tokenize()
         self.i = 0
@@ -149,56 +88,58 @@ class _Parser:
                              f"(at position {pos})")
 
     def parse(self):
-        node = self.expr()
+        value = self.expr()
         kind, val, pos = self.peek()
         if kind != "end":
             raise ParseError(f"trailing input {val!r} (at position {pos})")
-        return node
+        return value
 
     def expr(self):
-        node = self.term()
+        value = self.term()
         while self.peek()[:2] in (("op", "+"), ("op", "-")):
-            op = self.take()[1]
-            node = ("bin", op, node, self.term())
-        return node
+            op = _BINARY[self.take()[1]]
+            value = op(value, self.term())
+        return value
 
     def term(self):
-        node = self.factor()
+        value = self.factor()
         while self.peek()[:2] in (("op", "*"), ("op", "/")):
-            op = self.take()[1]
-            node = ("bin", op, node, self.factor())
-        return node
+            op = _BINARY[self.take()[1]]
+            value = op(value, self.factor())
+        return value
 
     def factor(self):
         bases = [self.unary()]
         while self.peek()[:2] == ("op", "^"):
             self.take()
             bases.append(self.unary())
-        node = bases[-1]
-        for b in reversed(bases[:-1]):  # right-associative
-            node = ("bin", "^", b, node)
-        return node
+        value = bases.pop()
+        for b in reversed(bases):  # right-associative
+            value = np.power(b, value)
+        return value
 
     def unary(self):
         if self.peek()[:2] == ("op", "-"):
             self.take()
-            return ("neg", self.unary())
+            return -self.unary()
         return self.atom()
 
     def atom(self):
         kind, val, pos = self.take()
         if kind == "num":
-            return ("num", float(val))
+            return np.float64(val)
         if kind == "name":
-            if val in ("t", "x"):
-                return (val,)
+            if val == "t":
+                return self.t
+            if val == "x":
+                return self.x
             if val in _CONSTANTS:
-                return ("num", _CONSTANTS[val])
+                return _CONSTANTS[val]
             if val in _FUNCS:
                 self.expect_op("(")
                 inner = self.expr()
                 self.expect_op(")")
-                return ("call", val, inner)
+                return _FUNCS[val](inner)
             raise ParseError(f"unknown name {val!r} (at position {pos})")
         if kind == "op" and val == "(":
             inner = self.expr()
@@ -208,23 +149,24 @@ class _Parser:
                          f"(at position {pos})")
 
 
-def parse_expression(text: str) -> Expr:
-    """Parse a coefficient expression; raises ParseError with position."""
+def evaluate_expression(text: str, t, x) -> np.ndarray:
+    """Evaluate a coefficient expression on broadcastable arrays t and x.
+
+    Raises ParseError (with position) on malformed text and EvalError on a
+    non-finite sample.
+    """
+    t = np.asarray(t, dtype=float)
+    x = np.asarray(x, dtype=float)
     try:
-        node = _Parser(text).parse()
+        with np.errstate(all="ignore"):
+            out = np.asarray(_Parser(text, t, x).parse(), dtype=float)
     except RecursionError:
         raise ParseError("expression nests too deeply for the parser") from None
-    if _depth(node) > MAX_DEPTH:
-        raise ParseError(f"expression tree is deeper than {MAX_DEPTH} levels")
-    return Expr(node)
-
-
-def _depth(node):
-    """Levels of an expression tree, counted without recursion."""
-    depth, level = 0, [node]
-    while level:
-        depth, level = depth + 1, [c for n in level for c in n if isinstance(c, tuple)]
-    return depth
+    out = np.broadcast_to(out, np.broadcast_shapes(t.shape, x.shape)).copy()
+    if not np.all(np.isfinite(out)):
+        bad = np.argwhere(~np.isfinite(np.atleast_1d(out)))
+        raise EvalError(f"non-finite value at grid node index {tuple(bad[0].tolist())}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +291,9 @@ def build_field(expr: str, omega: float, ell: float, nt: int, nx: int) -> Coeffi
         raise ValueError("periods must be positive")
     if nt < 2 or nx < 2:
         raise ValueError("need nt >= 2 and nx >= 2")
-    tree = parse_expression(expr)
     t = (np.arange(nt) * (omega / nt))[:, None]
     x = (np.arange(nx) * (ell / nx))[None, :]
-    return CoefficientField(omega, ell, tree.evaluate(t, x), expr)
+    return CoefficientField(omega, ell, evaluate_expression(expr, t, x), expr)
 
 
 def refine_field(f: CoefficientField) -> CoefficientField:

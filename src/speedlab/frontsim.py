@@ -193,7 +193,9 @@ def spreading_verdict(sys, trace: FrontTrace, c0) -> SpreadingVerdict:
 
     Ahead of the front the solution must be below 1% of the carrying pair;
     behind it must sit within 5%; the fitted speed must be within SPEED_TOL
-    of c0 (None when the report has no c0), relatively.  The decisive
+    of c0, relatively.  When c0 is None (the report has no c0) or 0, the
+    verdict rests on the two tails and a note says the speed was not
+    compared.  The decisive
     stations follow the dichotomy's moving frame on the front's window
     [x_lo, x_hi]: behind, x <= max(0.8*c_fit*T, x_lo + 5*ell); ahead,
     x >= min(1.05*c_fit*T, x_hi - 5*ell).  In long runs 0.8*c_fit*T leaves
@@ -264,7 +266,9 @@ def spreading_verdict(sys, trace: FrontTrace, c0) -> SpreadingVerdict:
     gap = None if c0 in (None, 0) else abs(fit.speed - c0) / abs(c0)
     checks = [tail_front is not None and tail_front < 0.01,
               tail_back is not None and tail_back < 0.05]
-    if gap is not None:
+    if gap is None:
+        notes.append("no nonzero c0: the fitted speed is not compared")
+    else:
         checks.append(gap < SPEED_TOL)
     verdict = "pass" if all(checks) else "fail"
     return SpreadingVerdict(**measured, relative_gap=gap, verdict=verdict, notes=notes)

@@ -58,6 +58,20 @@ def test_failed_hypothesis_is_a_result_not_an_error(tmp_path):
     assert h1["margin"] == pytest.approx(-1.0, abs=1e-9)
 
 
+def test_front_verdict_without_c0_says_the_speed_was_not_compared(tmp_path):
+    # b2 = -1 fails H1, so the report has no c0: the verdict rests on the two
+    # tails alone, and its notes say so
+    cfg = {"model": {"omega": 1.0, "ell": 1.0, "d1": "1", "d2": "0.5", "g1": "0", "g2": "0",
+                     "b1": "2", "b2": "-1", "a11": "1", "a12": "0.1", "a21": "1", "a22": "1"},
+           "discretization": {"nt": 50, "nx": 16, "T": 20}, "tasks": ["front"],
+           "output": str(tmp_path / "out")}
+    assert run_scenario(cfg, quiet=True) == EXIT_OK
+    front = read_report(tmp_path / "out")["front"]
+    assert front["verdict"] == "pass"
+    assert front["c0"] is None and front["relative_gap"] is None
+    assert "no nonzero c0: the fitted speed is not compared" in front["notes"]
+
+
 def test_ellipticity_guard_is_a_validation_failure(tmp_path):
     cfg = fisher_config(tmp_path / "out")
     cfg["model"]["d1"] = "0"
@@ -102,6 +116,8 @@ def test_ellipticity_guard_is_a_validation_failure(tmp_path):
     # fronts whose window fits but whose run passes T*nt*nodes = 10^10 node-steps
     lambda c: c.update(tasks=["front"], discretization={"nt": 200, "nx": 64, "T": 10**4}),
     lambda c: c.update(tasks=["front"], discretization={"nt": 200, "nx": 64, "T": 10**5}),
+    # a constant division by zero is a non-finite sample, not a ZeroDivisionError
+    lambda c: c["model"].update(b1="1/(1-1)"),
 ])
 def test_validation_rejections(tmp_path, mutate):
     cfg = fisher_config(tmp_path / "out")
@@ -251,6 +267,19 @@ def test_cli_run_and_validate_commands(tmp_path):
     assert res.exit_code == EXIT_VALIDATION
     res = runner.invoke(main, ["validate", str(bad)])
     assert res.exit_code == EXIT_VALIDATION
+
+    # a constant 1/0 is rejected like any other non-finite sample, and run
+    # still writes its report
+    zero = fisher_config(tmp_path / "zero-out")
+    zero["model"]["b1"] = "1/0"
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(zero))
+    res = runner.invoke(main, ["validate", str(path)])
+    assert res.exit_code == EXIT_VALIDATION
+    assert "invalid:" in res.output
+    res = runner.invoke(main, ["run", str(path), "--quiet"])
+    assert res.exit_code == EXIT_VALIDATION
+    assert read_report(tmp_path / "zero-out")["status"] == "validation-failure"
 
     # not UTF-8, and JSON nested past the decoder's recursion limit
     latin1 = tmp_path / "latin1.json"

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from speedlab import build_field, mean_and_symmetry, parse_expression, refine_field
+from speedlab import build_field, evaluate_expression, mean_and_symmetry, refine_field
 from speedlab.errors import EvalError, ParseError
 
 from conftest import field
@@ -45,20 +45,20 @@ def test_cosine_mean_is_zero_to_machine_precision():
     (".5 + 2.", 2.5),
     (" ( 1+ 2 ) *3 ", 9.0),
     pytest.param("1" + "+0" * 500, 1.0, id="500-term-left-deep-sum"),
+    # a flat chain is folded as it is read, so its length meets no recursion
+    pytest.param("1" + "+0" * 3000, 1.0, id="3000-term-left-deep-sum"),
 ])
 def test_grammar_values(expr, expected):
-    tree = parse_expression(expr)
-    assert float(tree.evaluate(0.0, 0.0)) == pytest.approx(expected, rel=1e-15)
+    assert float(evaluate_expression(expr, 0.0, 0.0)) == pytest.approx(expected, rel=1e-15)
 
 
 @pytest.mark.parametrize("expr", [
     "1 +", "sin(", "(1", "foo(2)", "2 $", "", "x x",
     pytest.param("(" * 300 + "1" + ")" * 300, id="300-nested-parentheses"),
-    pytest.param("1" + "+0" * 3000, id="3000-term-left-deep-sum"),
 ])
 def test_parse_errors_carry_position(expr):
     with pytest.raises(ParseError):
-        parse_expression(expr).evaluate(0.0, 0.0)
+        evaluate_expression(expr, 0.0, 0.0)
 
 
 def test_eval_error_on_nonfinite():
@@ -66,18 +66,6 @@ def test_eval_error_on_nonfinite():
         build_field("1/x", 1.0, 1.0, 4, 4)  # x = 0 at the first node
     with pytest.raises(EvalError):
         build_field("(0-1)^0.5", 1.0, 1.0, 4, 4)
-
-
-def test_roundtrip_unparse_reparse_identical_evaluation():
-    exprs = ["1 + 0.5*sin(2*pi*t) - cos(2*pi*x)^2",
-             "exp(-abs(x - 0.25))*2.5/(1 + t)",
-             "-x^2 + t*x - 1e-3"]
-    t = np.linspace(0.0, 1.0, 17)[:, None]
-    x = np.linspace(0.0, 1.0, 13)[None, :]
-    for expr in exprs:
-        tree = parse_expression(expr)
-        again = parse_expression(tree.unparse())
-        assert np.array_equal(tree.evaluate(t, x), again.evaluate(t, x))
 
 
 # grammar trees rendered as text: finite literals, variables, constants and
@@ -95,10 +83,22 @@ def _productions(inner):
         st.builds(lambda a, op, b: f"{a}{op}{b}", inner, st.sampled_from("+-*/^"), inner))
 
 
+# constant divisions by zero are evaluated in float64, so they give inf or nan
+# and an EvalError, as a grid node does, never a ZeroDivisionError
+@example("1/0")
+@example("0/0")
+@example("1/(1-1)")
+@settings(max_examples=300, derandomize=True, deadline=None)
 @given(st.recursive(_ATOMS, _productions, max_leaves=12))
-def test_unparse_is_a_fixed_point_on_generated_expressions(text):
-    rendered = parse_expression(text).unparse()
-    assert parse_expression(rendered).unparse() == rendered
+def test_generated_expressions_give_finite_samples_or_a_documented_error(text):
+    t = np.linspace(0.0, 1.0, 6)[:, None]
+    x = np.linspace(0.0, 1.0, 5)[None, :]
+    try:
+        values = evaluate_expression(text, t, x)
+    except (EvalError, ParseError):
+        return
+    assert values.shape == (6, 5)
+    assert np.all(np.isfinite(values))
 
 
 def test_mean_and_symmetry_examples():

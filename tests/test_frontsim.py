@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,19 @@ def test_aborted_run_is_flagged_and_inconclusive(fisher_coarse, monkeypatch):
     assert trace.n_points < 22
     verdict = spreading_verdict(sys, trace, None)
     assert verdict.verdict == "inconclusive"
+
+
+def test_aborted_run_with_a_fit_keeps_its_measurements(fisher_run):
+    # a run stopped after enough points for the fit: the tails are measured,
+    # no verdict is drawn, and the trace's note comes last
+    sys, trace = fisher_run
+    stopped = dataclasses.replace(trace, aborted=True, note="front entered the guard zone")
+    verdict = spreading_verdict(sys, stopped, 2.0)
+    assert verdict.verdict == "inconclusive"
+    assert verdict.fitted_speed == fit_speed(trace).speed
+    assert verdict.tail_front is not None and verdict.tail_back is not None
+    assert verdict.relative_gap is None
+    assert verdict.notes[-1] == "front entered the guard zone"
 
 
 def test_long_run_checks_behind_on_the_window(fisher_coarse):

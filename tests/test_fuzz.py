@@ -73,10 +73,12 @@ def _competition(T=3, **model):
 # g1 = 2 over d1 = 0.1 on the front's 881-node window spreads the
 # symmetrizing scale far past pde.MAX_SCALE_SPREAD, so that medium by dgttrs;
 # an extinct species 2 (b2 = -1) run long enough for the verdict's fit (the
-# grammar's T <= 12 leaves fewer than 10 points) must not divide by u2* = 0
+# grammar's T <= 12 leaves fewer than 10 points) must not divide by u2* = 0;
+# and a constant 1/0 must be a validation failure, not a ZeroDivisionError
 @example(config=_competition())
 @example(config=_competition(d1="0.1", g1="2"))
 @example(config=_competition(T=20, b2="-1"))
+@example(config=_competition(b1="1/0"))
 @settings(max_examples=60, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(config=configs)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from speedlab import CoefficientField, logistic_orbit, orbits, principal_eigen
+from speedlab.errors import NoConvergence
 from speedlab.orbits import CYCLE_TOL
 from speedlab.pde import CellTransport, constant_in_t
 
@@ -76,6 +77,13 @@ def test_orbit_needs_positive_e():
     with pytest.raises(ValueError, match="need e > 0"):
         logistic_orbit(field("1", nt=8, nx=64), field("0", nt=8, nx=64),
                        field("1", nt=8, nx=64), e)
+
+
+def test_orbit_that_does_not_close_within_the_cap_raises(monkeypatch):
+    # one period from the supersolution leaves a t-periodic orbit open
+    monkeypatch.setattr(orbits, "PERIOD_CAP", 1)
+    with pytest.raises(NoConvergence, match="did not close in 1 periods"):
+        logistic_orbit(small("1"), small("0"), small("1 + 0.5*sin(2*pi*t)"), small("1"))
 
 
 def test_orbit_is_exact_discrete_eigenfunction():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from speedlab import RecursionLine, bracket_speeds, pde, recursion_limit, weinberger
-from speedlab.errors import NotMonostable, ShiftOutOfRange, TooFewNodes
+from speedlab.errors import (InconsistentClassification, NotMonostable, ShiftOutOfRange,
+                             TooFewNodes)
 from speedlab.weinberger import _half_width, pava_nonincreasing
 
 from conftest import make_system, rng
@@ -241,3 +242,18 @@ def test_bracket_trace_is_the_record_of_its_runs(fisher_small, cap):
                            for c in sorted(runs)]
     assert [c for c, *_ in cstar.trace] == [0.5, 1.7, 2.9]
     assert cbar.trace == cstar.trace and cbar.profiles is runs
+
+
+def test_classes_rising_with_c_are_refused(fisher_small, monkeypatch):
+    # a class that rises with c contradicts the comparison principle, so the
+    # bracket refuses the trace rather than read edges from it
+    classes = {0.5: "zero", 2.9: "beta"}
+
+    def fake_run(c, line, drift_tol):
+        return weinberger.RecursionResult(x=line.x, values=None, iterations=0,
+                                          reason="converged", cls=classes[c],
+                                          station_value=0.0, left_value=0.0)
+
+    monkeypatch.setattr(weinberger, "recursion_limit", fake_run)
+    with pytest.raises(InconsistentClassification, match="0.5 zero, 2.9 beta"):
+        bracket_speeds(fisher_small, (0.5, 2.9, 1), A=12.0)
