@@ -24,11 +24,13 @@ independent, so the result is bit for bit that of two separate solves.  Its
 stencil and reaction entries are tabulated once on the (nt, nx) cell grid
 and gathered onto the line through the line-to-cell map.  When d and g do
 not vary in t the line matrix is the same at every step: a diagonal
-similarity makes it symmetric, LAPACK dpttrf factors it once and each step
-is one dpttrs.  Media whose similarity would spread wider than
+similarity S makes it symmetric, LAPACK dpttrf factors it once, and a
+period marches z = S^-1 v, one dpttrs a step, with S and dt folded into
+the reaction's tables.  Media whose similarity would spread wider than
 MAX_SCALE_SPREAD (drift strong against diffusion over the line's length)
 are LU-factored once by dgttrf instead, and each step is one dgttrs; media
-that vary in t gather the diagonals and make one dgtsv call a step.
+that vary in t gather the diagonals and make one dgtsv call a step.  Those
+two take S = I, so one reaction formula serves all three.
 
 The exponential split keeps spatially uniform linear problems exact (a
 constant potential h produces exactly exp(h*omega) per period) and makes
@@ -458,7 +460,7 @@ class CellPeriodMap:
 # ---------------------------------------------------------------------------
 
 # widest max(s)/min(s) of the symmetrizing scale S that the symmetric line
-# solve accepts, so that S^-1 b stays a normal float for states down to
+# solve accepts, so that z = S^-1 v stays a normal float for states down to
 # about 1e-200; wider media keep an LU factorization.  Drift-free media
 # spread at most sqrt(2*max d/min d); with drift the spread grows roughly
 # like exp(sum of g*dx/(2d)) along the line
@@ -481,26 +483,33 @@ class LineSystemEvolver:
     tables and factored here: with S diagonal, s_0 = 1 and s_{i+1}/s_i =
     sqrt(dl_i/du_i) (restarted at the species-2 block), T = S^-1 A S is
     symmetric positive definite with off-diagonal -sqrt(dl_i*du_i), dpttrf
-    factors it as LDL^T, and each step is x = S dpttrs(S^-1 b), whose sweeps
-    add only non-negative terms for b >= 0, so order is preserved exactly.
-    When S spreads wider than MAX_SCALE_SPREAD, A itself is LU-factored
-    (dgttrf) once and each step is one dgttrs.  When the medium varies in
-    t, each step gathers the diagonals and calls dgtsv.  dgttrs and dgtsv
-    carry out the same elimination of A, so they agree bit for bit; the
-    symmetric solve differs from them by roundoff.
+    factors it as LDL^T, and each step is one dpttrs.  When S spreads wider
+    than MAX_SCALE_SPREAD, A itself is LU-factored (dgttrf) once and each
+    step is one dgttrs; when the medium varies in t, each step gathers the
+    diagonals and calls dgtsv.  Those two routes take S = I, and dgttrs and
+    dgtsv carry out the same elimination of A, so they agree bit for bit.
 
-    The reaction advances explicitly through the nodewise factor
+    A period converts its input once to z = S^-1 v, marches z and returns
+    S z.  The reaction advances explicitly through the nodewise factor
     (1 + dt * rate) with rates sampled at the old time level (plus an
-    explicit additive source for the second component).  Its seven cell
-    tables precombine the state-free parts b1 - a12*u2* and b2 - 2*a22*u2*
-    in the rates' own order, so they give the line formula's bits; they are
-    gathered onto the line once when no row differs (media constant in t
-    with a u2* orbit whose rows are equal), every step otherwise.  The
-    explicit reaction and implicit transport carry opposite first-order
-    biases that cancel in the front speed at the KPP minimizer, where the
-    two exponents coincide.  The reaction Lipschitz number dt*L is tracked
-    and must stay below 1 for the step to be order preserving and
-    positivity preserving.
+    explicit additive source for the second component); with S and dt
+    folded into its seven tables it reads, on every route,
+
+        z1 <- z1 * (k1 - p11*z1 + p12*z2)
+        z2 <- z2 * (k2 + p22*z2) + p21 * (z1 * (u2z - z2))
+
+    with k1 = 1 + dt*(b1 - a12*u2*), p11 = dt*a11*s1, p12 = dt*a12*s2,
+    k2 = 1 + dt*(b2 - 2*a22*u2*), p22 = dt*a22*s2, p21 = dt*a21*s1 and
+    u2z = u2*/s2.  The tables are gathered onto the line once when no row
+    differs (media constant in t with a u2* orbit whose rows are equal),
+    every step otherwise.  The step is the v-frame step conjugated by the
+    positive diagonal S, so it preserves order exactly when that one does;
+    the dpttrs sweeps add only non-negative terms for non-negative input.
+    The explicit reaction and implicit transport carry opposite
+    first-order biases that cancel in the front speed at the KPP
+    minimizer, where the two exponents coincide.  The reaction Lipschitz
+    number dt*L is tracked and must stay below 1 for the step to be order
+    preserving and positivity preserving.
     """
 
     def __init__(self, sys, x_lo, x_hi):
@@ -519,19 +528,25 @@ class LineSystemEvolver:
         # stacked node k of the two-species system -> its column in the tables
         self._cells = np.concatenate([self._offsets, self._offsets + sys.nx])
         self._stencil = self._ldl = self._lu = None
+        self._scale = np.ones((2, self.n_nodes))
         if constant_in_t(sys.d1.values, sys.g1.values, sys.d2.values, sys.g2.values):
             self._factor(*self._line_diagonals(self._stencil_tables(1)[:, 0]))
         else:
             self._stencil = self._stencil_tables(self.nt)
         self._reaction = self._reaction_tables()
-        self._line_reaction = None
+        self._tables = None
         if constant_in_t(*self._reaction):
-            self._line_reaction = [f[0][self._offsets] for f in self._reaction]
-        self._reacted = np.empty((2, self.n_nodes))
+            self._tables = self._line_tables(0)
+            self._reaction = None
+        # two state buffers the steps alternate between, and one row of scratch
+        self._z = np.empty((2, 2, self.n_nodes))
+        self._scratch = np.empty(self.n_nodes)
         bmax = max(sys.b1.max(), sys.b2.max())
         # SystemSpec guarantees a11, a22 > 0
         self.state_bound = bmax / min(sys.a11.min(), sys.a22.min())
         self.guard = 10.0 * self.state_bound
+        # z <= z_guard bounds S z by guard; rounded down, so that holds in floats
+        self._z_guard = np.nextafter(self.guard / self._scale.max(), 0.0)
         amax = max(sys.a11.max(), sys.a12.max(), sys.a21.max(), sys.a22.max())
         self.reaction_lipschitz = abs(bmax) + 3.0 * amax * self.state_bound
         if self.dt * self.reaction_lipschitz >= 1.0:
@@ -539,30 +554,48 @@ class LineSystemEvolver:
                 f"dt*Lipschitz = {self.dt * self.reaction_lipschitz:.3f} >= 1; refine nt")
 
     def _reaction_tables(self):
-        """The (nt, nx) tables c1, a11, a12, c2, a22, a21, u2* of the two rates.
-
-        c1 = b1 - a12*u2* and c2 = b2 - 2*a22*u2* are formed here exactly as
-        the rates would form them node by node.
-        """
+        """The (nt, nx) tables k1, a11, a12, k2, a22, a21, u2* of the reaction,
+        with k1 = 1 + dt*(b1 - a12*u2*) and k2 = 1 + dt*(b2 - 2*a22*u2*)."""
         s = self.sys
         u2s = s.u2_star().snapshots[:self.nt]
         a12, a22 = s.a12.values, s.a22.values
-        return (s.b1.values - a12 * u2s, s.a11.values, a12,
-                s.b2.values - 2.0 * a22 * u2s, a22, s.a21.values, u2s)
+        k1 = s.b1.values - a12 * u2s
+        k2 = s.b2.values - 2.0 * a22 * u2s
+        for k in (k1, k2):
+            k *= self.dt
+            k += 1.0
+        return k1, s.a11.values, a12, k2, a22, s.a21.values, u2s
 
-    def _react(self, v, j):
-        """Explicit reaction step from t_j; writes into a buffer the next step reuses."""
-        coefs = self._line_reaction
-        if coefs is None:
-            r = j % self.nt
-            coefs = [f[r][self._offsets] for f in self._reaction]
-        c1, a11, a12, c2, a22, a21, u2s = coefs
-        dt = self.dt
-        v1, v2 = v
-        out = self._reacted
-        np.multiply(v1, 1.0 + dt * (c1 - a11 * v1 + a12 * v2), out=out[0])
-        np.add(v2 * (1.0 + dt * (c2 + a22 * v2)), dt * (a21 * v1 * (u2s - v2)), out=out[1])
-        return out
+    def _line_tables(self, r):
+        """Row r of the reaction tables on the line with dt and S folded in:
+        k1, p11, p12, k2, p22, p21, u2z."""
+        k1, p11, p12, k2, p22, p21, u2z = (f[r][self._offsets] for f in self._reaction)
+        s1, s2 = self._scale
+        for p, s in ((p11, s1), (p12, s2), (p22, s2), (p21, s1)):
+            p *= self.dt
+            p *= s
+        u2z /= s2
+        return k1, p11, p12, k2, p22, p21, u2z
+
+    def _react(self, z, j, out):
+        """Explicit reaction step from t_j in the frame of S, written into out."""
+        tables = self._tables if self._reaction is None else self._line_tables(j % self.nt)
+        k1, p11, p12, k2, p22, p21, u2z = tables
+        z1, z2 = z
+        r1, r2 = out
+        tmp = self._scratch
+        np.multiply(p11, z1, out=r1)
+        np.subtract(k1, r1, out=r1)
+        np.multiply(p12, z2, out=tmp)
+        r1 += tmp
+        r1 *= z1
+        np.multiply(p22, z2, out=r2)
+        r2 += k2
+        r2 *= z2
+        np.subtract(u2z, z2, out=tmp)
+        tmp *= z1
+        tmp *= p21
+        r2 += tmp
 
     def _stencil_tables(self, rows):
         """Entries of I - dt*T on the first `rows` rows of the cell grid, both
@@ -602,8 +635,8 @@ class LineSystemEvolver:
 
     def _factor(self, dl, d, du):
         """Factor the stacked matrix A = (dl, d, du) once: _ldl holds the
-        L D L^T factors of T with s and 1/s, or, when S spreads wider than
-        MAX_SCALE_SPREAD, _lu holds the LU factors of A."""
+        L D L^T factors of T and _scale holds s, or, when S spreads wider
+        than MAX_SCALE_SPREAD, _lu holds the LU factors of A."""
         n = self.n_nodes
         # s_{i+1}/s_i per species block, each block starting at s = 1: off
         # the zero seam every dl_i and du_i is negative
@@ -611,47 +644,46 @@ class LineSystemEvolver:
         ratios[0, 1:] = np.sqrt(dl[:n - 1] / du[:n - 1])
         ratios[1, 1:] = np.sqrt(dl[n:] / du[n:])
         with np.errstate(over="ignore"):  # an infinite s takes the LU route below
-            scale = np.cumprod(ratios, axis=1).ravel()
+            scale = np.cumprod(ratios, axis=1)
         if scale.max() <= MAX_SCALE_SPREAD * scale.min():
-            ld, le, info = dpttrf(d, -np.sqrt(dl * du))
-            self._ldl = ld, le, scale, 1.0 / scale
+            *self._ldl, info = dpttrf(d, -np.sqrt(dl * du))
+            self._scale = scale
         else:
             *self._lu, info = dgttrf(dl, d, du, 1, 1, 1)
         if info != 0:
             raise SingularSolve(f"line transport factorization failed (info={info})")
 
-    def _transport(self, v, j):
-        """Both species' implicit transport as one stacked solve; returns a new
-        array.  The symmetric solve overwrites v, the reaction's buffer."""
+    def _solve(self, b, j):
+        """Both species' implicit transport into step j+1 as one stacked solve
+        in the frame of S.  b (shape (2, N)) is overwritten, and the solution,
+        in its shape, is returned; LAPACK leaves it in b's memory."""
         if self._ldl is not None:
-            ld, le, scale, inv_scale = self._ldl
-            b = v.ravel()
-            np.multiply(b, inv_scale, out=b)
-            y, info = dpttrs(ld, le, b, overwrite_b=1)
-            w = y * scale
+            z, info = dpttrs(*self._ldl, b.ravel(), overwrite_b=1)
         elif self._lu is not None:
-            w, info = dgttrs(*self._lu, v.ravel())
+            z, info = dgttrs(*self._lu, b.ravel(), overwrite_b=1)
         else:
             diagonals = self._line_diagonals(self._stencil[:, (j + 1) % self.nt])
-            *_, w, info = dgtsv(*diagonals, v.ravel(), 1, 1, 1)
+            *_, z, info = dgtsv(*diagonals, b.ravel(), 1, 1, 1, 1)
         if info != 0:  # pragma: no cover - defensive
             raise SingularSolve(f"line transport solve failed (info={info})")
-        return w.reshape(v.shape)
-
-    def step(self, v, j):
-        """Advance from step index j to j+1 (t = j*dt to (j+1)*dt)."""
-        v = self._transport(self._react(v, j), j)
-        np.maximum(v, 0.0, out=v)
-        m = v.max()
-        if not np.isfinite(m) or m > self.guard:
-            raise BlowupError(f"state exceeded guard {self.guard:.3g} at step {j}")
-        return v
+        return z.reshape(b.shape)
 
     def period(self, v):
-        """Advance one full period; the medium is omega-periodic, so every period is one map."""
+        """Advance one full period; the medium is omega-periodic, so every period is one map.
+
+        Returns a new array and leaves v as it was.
+        """
+        z = np.divide(v, self._scale, out=self._z[0])
         for j in range(self.nt):
-            v = self.step(v, j)
-        return v
+            b = self._z[(j + 1) % 2]  # the buffer z is not in
+            self._react(z, j, b)
+            z = self._solve(b, j)
+            np.maximum(z, 0.0, out=z)
+            if not z.max() <= self._z_guard:  # also catches a NaN
+                m = (z * self._scale).max()
+                if not np.isfinite(m) or m > self.guard:
+                    raise BlowupError(f"state exceeded guard {self.guard:.3g} at step {j}")
+        return z * self._scale
 
 
 CSV_CHUNK_ROWS = 1024  # rows formatted at a time, so few float objects are alive at once

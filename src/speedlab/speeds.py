@@ -95,7 +95,12 @@ class SystemSpec:
         missing = [n for n in FIELD_NAMES if n not in exprs]
         if missing:
             raise ValueError(f"missing coefficient expressions: {missing}")
-        built = {n: build_field(str(exprs[n]), omega, ell, nt, nx) for n in FIELD_NAMES}
+        built = {}
+        for n in FIELD_NAMES:
+            try:
+                built[n] = build_field(str(exprs[n]), omega, ell, nt, nx)
+            except ValidationError as exc:  # say which of the ten expressions failed
+                raise type(exc)(f"{n}: {exc}") from exc
         return cls(**built)
 
     def refined(self):

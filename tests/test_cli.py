@@ -292,6 +292,28 @@ def test_cli_run_and_validate_commands(tmp_path):
             assert res.exit_code == EXIT_VALIDATION, command
 
 
+@pytest.mark.parametrize("name, expr, error", [
+    ("b1", "1/0", "non-finite value at grid node index (0, 0)"),
+    ("a22", "1 +", "expected a value, found 'end of input' (at position 3)"),
+])
+def test_a_rejected_coefficient_is_named(tmp_path, name, expr, error):
+    # with ten coefficients the reason must say which expression failed, on
+    # validate's stderr and in the report that run writes
+    cfg = fisher_config(tmp_path / "out")
+    cfg["model"][name] = expr
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    reason = f"model rejected: {name}: {error}"
+    runner = CliRunner()
+    res = runner.invoke(main, ["validate", str(path)])
+    assert res.exit_code == EXIT_VALIDATION
+    assert res.stderr == f"invalid: {reason}\n"
+    res = runner.invoke(main, ["run", str(path), "--quiet"])
+    assert res.exit_code == EXIT_VALIDATION
+    report = read_report(tmp_path / "out")
+    assert (report["status"], report["reason"]) == ("validation-failure", reason)
+
+
 def test_demo_configs_all_validate():
     for name, cfg in DEMOS.items():
         ScenarioConfig(json.loads(json.dumps(cfg)))

@@ -208,6 +208,44 @@ def test_aborted_run_with_a_fit_keeps_its_measurements(fisher_run):
     assert verdict.notes[-1] == "front entered the guard zone"
 
 
+def _hand_built_front(sys, ahead_tail=0.0, behind_gap=0.0):
+    """A finished 20-period trace at speed 2 on the window [-10, 60] whose final
+    state is the carrying pair behind x = 40 and zero ahead of it, so the
+    verdict's stations sit at 0.8*2*20 = 32 behind and 1.05*2*20 = 42 ahead.
+    ahead_tail raises v1 on x >= 45 to that fraction of beta1; behind_gap
+    lowers v1 on x <= 30 by that fraction of beta1."""
+    times = np.arange(1.0, 21.0)
+    x = np.linspace(-10.0, 60.0, 70 * sys.nx + 1)
+    cells = cell_offsets(x, sys.ell, sys.nx)
+    beta1 = sys.u1_star().snapshots[0][cells]
+    beta2 = sys.u2_star().snapshots[0][cells]
+    v1 = np.where(x <= 40.0, beta1, 0.0)
+    v1 = np.where(x >= 45.0, ahead_tail * beta1, v1)
+    v1 = np.where(x <= 30.0, (1.0 - behind_gap) * beta1, v1)
+    v2 = np.where(x <= 40.0, beta2, 0.0)
+    state = LineState(np.vstack([v1, v2]), times[-1], -10.0, 60.0)
+    return FrontTrace(times=list(times), positions=list(2.0 * times), final_state=state)
+
+
+def test_a_front_fails_on_either_tail_alone(fisher_coarse):
+    # a front at the right speed fails when one tail misses its band by a
+    # little: ahead 0.012 against 1%, behind 0.06 against 5%
+    sys = fisher_coarse
+    clean = spreading_verdict(sys, _hand_built_front(sys), 2.0)
+    assert (clean.verdict, clean.tail_front, clean.tail_back) == ("pass", 0.0, 0.0)
+    assert clean.relative_gap == pytest.approx(0.0, abs=1e-12)
+
+    ahead = spreading_verdict(sys, _hand_built_front(sys, ahead_tail=0.012), 2.0)
+    assert ahead.tail_front == pytest.approx(0.012, rel=1e-12)
+    assert ahead.tail_back == 0.0
+    assert ahead.verdict == "fail"
+
+    behind = spreading_verdict(sys, _hand_built_front(sys, behind_gap=0.06), 2.0)
+    assert behind.tail_back == pytest.approx(0.06, rel=1e-12)
+    assert behind.tail_front == 0.0
+    assert behind.verdict == "fail"
+
+
 def test_long_run_checks_behind_on_the_window(fisher_coarse):
     # by T = 80, 0.8*c*T lies left of the window, so the behind station falls back
     sys = fisher_coarse

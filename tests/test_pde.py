@@ -153,8 +153,11 @@ def test_blowup_guard(constants_system):
     # cooperative second component above the carrying level grows superlinearly;
     # starting past the a-priori guard trips the abort on the first step
     ev = LineSystemEvolver(constants_system, -1.0, 1.0)
-    with pytest.raises(BlowupError):
+    with pytest.raises(BlowupError, match="at step 0$"):
         ev.period(np.vstack([np.zeros(129), np.full(129, 30.0)]))
+    # from a quarter of the guard the state needs 35 steps to pass it
+    with pytest.raises(BlowupError, match="at step 35$"):
+        ev.period(np.vstack([np.zeros(129), np.full(129, 5.0)]))
     # a reaction too stiff for the time grid is rejected outright
     sys_stiff = make_system(nt=100, nx=16, b1="30")
     with pytest.raises(StiffReaction):
@@ -203,27 +206,30 @@ def _line_evolver(media):
     return sys, LineSystemEvolver(sys, x_lo, x_hi)
 
 
-def _symmetrized_line_transport(d_row, g_row, dx, dt, rhs):
-    """The factored line solve for one species alone: x = S dptsv(T, S^-1 rhs).
-
-    M is implicit_transport_banded's line matrix, S the diagonal with s_0 = 1
-    and s_{i+1}/s_i = sqrt(sub_i/sup_i), and T = S^-1 M S, whose off-diagonal
-    is -sqrt(sub_i*sup_i).  dptsv is dpttrf then dpttrs, the evolver's own
-    elimination.
-    """
+def _symmetrized_system(d_row, g_row, dx, dt):
+    """One species' line matrix M (implicit_transport_banded's) in its symmetric
+    frame: S with s_0 = 1 and s_{i+1}/s_i = sqrt(sub_i/sup_i), and the
+    diagonal and off-diagonal of T = S^-1 M S, which is -sqrt(sub_i*sup_i)."""
     ab, _, _ = implicit_transport_banded(d_row, g_row, dx, dt, "line")
     sub, diag, sup = ab[2, :-1], ab[1], ab[0, 1:]
     scale = np.cumprod(np.concatenate([[1.0], np.sqrt(sub / sup)]))
-    *_, y, info = dptsv(diag, -np.sqrt(sub * sup), rhs * (1.0 / scale))
+    return scale, diag, -np.sqrt(sub * sup)
+
+
+def _symmetrized_line_transport(d_row, g_row, dx, dt, rhs):
+    """The factored line solve for one species alone: x = S dptsv(T, S^-1 rhs).
+    dptsv is dpttrf then dpttrs, the evolver's own elimination."""
+    scale, diag, off = _symmetrized_system(d_row, g_row, dx, dt)
+    *_, y, info = dptsv(diag, off, rhs * (1.0 / scale))
     assert info == 0
     return y * scale
 
 
-def _reference_line_period(sys, x, u2, v, period_index, symmetrized):
-    """One period on the line: the reaction formula, then one transport solve
-    per species, symmetrized when the evolver solves the medium by dpttrs and
-    by solve_line_transport (gtsv, the elimination of dgttrs and dgtsv) when
-    it does not."""
+def _v_frame_line_period(sys, x, u2, v, period_index, symmetrized):
+    """One period on the line as a step in v = (u1, u2* - u2) reads: the
+    reaction formula, then one transport solve per species, symmetrized when
+    the evolver solves the medium by dpttrs and by solve_line_transport (gtsv,
+    the elimination of dgttrs and dgtsv) when it does not."""
     nt, dt, dx = sys.nt, sys.omega / sys.nt, sys.ell / sys.nx
     offsets = cell_offsets(x, sys.ell, sys.nx)
     solve = _symmetrized_line_transport if symmetrized else solve_line_transport
@@ -247,22 +253,69 @@ def _reference_line_period(sys, x, u2, v, period_index, symmetrized):
     return v
 
 
+def _folded_line_period(sys, x, u2, v, period_index, symmetrized):
+    """One period on the line as the evolver marches it, species by species:
+    z = S^-1 v, then per step the reaction with S and dt folded into its
+    tables and one transport solve per species in the frame of S (dptsv of
+    T when the evolver solves the medium by dpttrs; S = I and
+    solve_line_transport when it does not), the clip, and S z at the end."""
+    nt, dt, dx = sys.nt, sys.omega / sys.nt, sys.ell / sys.nx
+    offsets = cell_offsets(x, sys.ell, sys.nx)
+    species = ((sys.d1, sys.g1), (sys.d2, sys.g2))
+
+    def tile(f, r):
+        return f.values[r][offsets]
+
+    if symmetrized:  # transport is constant in t, so row 0 gives S and T
+        systems = [_symmetrized_system(tile(d, 0), tile(g, 0), dx, dt) for d, g in species]
+        s1, s2 = (scale for scale, _, _ in systems)
+    else:
+        s1 = s2 = np.ones(len(x))
+    z1, z2 = v[0] / s1, v[1] / s2
+    for j in range(period_index * nt, (period_index + 1) * nt):
+        r = j % nt
+        u2s = u2.snapshots[r][offsets]
+        a12, a22 = tile(sys.a12, r), tile(sys.a22, r)
+        k1 = 1.0 + dt * (tile(sys.b1, r) - a12 * u2s)
+        k2 = 1.0 + dt * (tile(sys.b2, r) - 2.0 * a22 * u2s)
+        p11, p12 = dt * tile(sys.a11, r) * s1, dt * a12 * s2
+        p22, p21 = dt * a22 * s2, dt * tile(sys.a21, r) * s1
+        u2z = u2s / s2
+        reacted = [z1 * (k1 - p11 * z1 + p12 * z2),
+                   z2 * (k2 + p22 * z2) + p21 * (z1 * (u2z - z2))]
+        r_new = (j + 1) % nt
+        if symmetrized:
+            solved = [dptsv(diag, off, w)[2] for (_, diag, off), w in zip(systems, reacted)]
+        else:
+            solved = [solve_line_transport(tile(d, r_new), tile(g, r_new), dx, dt, w)
+                      for (d, g), w in zip(species, reacted)]
+        z1, z2 = (np.maximum(w, 0.0) for w in solved)
+    return np.stack([z1 * s1, z2 * s2])
+
+
+def _two_periods(media, reference):
+    """Two evolver periods from a random state, and the same two periods by
+    reference (periods 1 and 2 of the medium: the map does not depend on
+    which period it runs)."""
+    sys, ev = _line_evolver(media)
+    u2 = sys.u2_star()
+    symmetrized = LINE_SOLVE[media] == "dpttrs"
+    r = rng(5)
+    v0 = np.vstack([r.uniform(0.0, 2.0, ev.n_nodes), r.uniform(0.0, 0.8, ev.n_nodes)])
+    ref = reference(sys, ev.x, u2, v0.copy(), 1, symmetrized)
+    ref = reference(sys, ev.x, u2, ref, 2, symmetrized)
+    return sys, ev, v0, ref
+
+
 @pytest.mark.parametrize("media", list(LINE_MEDIA))
 def test_line_evolver_matches_per_species_reference(monkeypatch, media):
     # the stacked two-species solve, symmetrized, LU-factored or assembled
     # at every step, must reproduce separate per-species solves by the same
-    # elimination bit for bit over consecutive periods.  The reference runs
-    # periods 1 and 2 of the medium, the evolver its one period map twice:
-    # the map does not depend on which period it runs
-    sys, ev = _line_evolver(media)
-    u2 = sys.u2_star()
-    assert constant_in_t(u2.snapshots) == (media in ("x-only", "constants", "drift"))
-    assert (ev._line_reaction is None) == (media in ("t-and-x", "t-growth"))
-    symmetrized = LINE_SOLVE[media] == "dpttrs"
-    r = rng(5)
-    v0 = np.vstack([r.uniform(0.0, 2.0, ev.n_nodes), r.uniform(0.0, 0.8, ev.n_nodes)])
-    ref = _reference_line_period(sys, ev.x, u2, v0.copy(), 1, symmetrized)
-    ref = _reference_line_period(sys, ev.x, u2, ref, 2, symmetrized)
+    # elimination and the same folded reaction bit for bit over consecutive
+    # periods
+    sys, ev, v0, ref = _two_periods(media, _folded_line_period)
+    assert constant_in_t(sys.u2_star().snapshots) == (media in ("x-only", "constants", "drift"))
+    assert (ev._tables is None) == (media in ("t-and-x", "t-growth"))
 
     # each step makes exactly one call, to the medium's own routine
     calls = dict.fromkeys(("dpttrs", "dgttrs", "dgtsv"), 0)
@@ -278,6 +331,16 @@ def test_line_evolver_matches_per_species_reference(monkeypatch, media):
 
 
 @pytest.mark.parametrize("media", list(LINE_MEDIA))
+def test_line_evolver_matches_the_v_frame_step(media):
+    # marching z = S^-1 v with S and dt folded into the reaction is the
+    # v-frame step conjugated by S: it moves the result by roundoff only
+    _, ev, v0, ref = _two_periods(media, _v_frame_line_period)
+    out = ev.period(ev.period(v0.copy()))
+    assert np.all(ref > 0.0)
+    np.testing.assert_allclose(out, ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("media", list(LINE_MEDIA))
 def test_line_transport_matches_dense_solve(media):
     # each species' transport, by whichever routine its medium takes, against
     # a dense LU solve of its own line matrix, componentwise on positive data
@@ -286,7 +349,7 @@ def test_line_transport_matches_dense_solve(media):
     r = rng(8)
     for j in (0, sys.nt // 3):
         rhs = np.vstack([r.uniform(0.1, 2.0, ev.n_nodes), r.uniform(0.1, 0.8, ev.n_nodes)])
-        out = ev._transport(rhs.copy(), j)
+        out = ev._solve(rhs / ev._scale, j) * ev._scale
         row = (j + 1) % sys.nt
         for k, (d, g) in enumerate(((sys.d1, sys.g1), (sys.d2, sys.g2))):
             m = transport_step_matrix_dense(d.values[row][offsets], g.values[row][offsets],
