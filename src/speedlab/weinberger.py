@@ -1,12 +1,12 @@
 """Discretized profile recursion bracketing the nonlinear spreading speeds.
 
-The recursion iterates R[a] = max(floor, shift_{-c omega}(period_map(a)))
+The recursion iterates R[a] = min(ceiling, max(floor, shift_{-c omega}(period_map(a))))
 on non-increasing two-component profiles over a truncated line, starting
 from a compactly supported ramp.  The limit's behaviour at the right end
-classifies each candidate speed c: profiles that refill to the carrying
-level mean c is below the slow edge c*, profiles that vanish mean c is
-above the fast edge cbar.  Bisection on c turns the classes the runs
-decide into brackets for both critical speeds without ever linearizing.
+classifies each candidate speed c, from c and the line alone: profiles that
+refill to the carrying level mean c is below the slow edge c*, profiles that
+vanish mean c is above the fast edge cbar.  Bisection on c turns the classes
+the runs decide into brackets for both critical speeds without linearizing.
 
 Fractional shifts use linear interpolation followed by a pool-adjacent-
 violators projection back onto non-increasing profiles, which restores the
@@ -26,6 +26,7 @@ from .pde import LineSystemEvolver, ceil_to_multiple, rightmost_crossing, write_
 DEFAULT_CAP = 300
 DEFAULT_BISECTION_STEPS = 8
 SUP_CHANGE_TOL = 1e-6
+DRIFT_TOL = 1e-4   # an ignited run is beta when its front advances more than this * L a period
 MONOTONE_TOL = 1e-9
 BETA_BAND = 0.05   # "beta" when within 5% of the plateau estimate
 ZERO_BAND = 0.01   # "zero" when below 1% of the plateau estimate
@@ -123,8 +124,8 @@ class RecursionLine:
     Built once per bracket: it checks the monostable precondition, builds
     the line evolver (whose nodes are the profile grid, N = 2A*nx/ell
     intervals, at least 200), and holds the plateau beta of the system's own
-    orbits, the floor ramp, the radiation ceiling's tail rate and the
-    classification station x = A - 2L.
+    orbits, the floor ramp, every run's start (the floor under the radiation
+    ceiling), the ceiling's tail rate and the classification station A - 2L.
     """
 
     def __init__(self, sys, A):
@@ -136,8 +137,8 @@ class RecursionLine:
             raise TooFewNodes(f"need N >= 200 profile nodes, got {self.x.size - 1}")
         # plateau beta of both species: the maxima of their orbits at t = 0
         self.beta = np.array([sys.u1_star().snapshots[0].max(), sys.u2_star().snapshots[0].max()])
-        # floor and start of every run: a cosine ramp from 0.5*beta for
-        # x <= -A/2 down to exactly zero for x >= 0
+        # floor of every run: a cosine ramp from 0.5*beta for x <= -A/2 down
+        # to exactly zero for x >= 0
         shape = np.zeros_like(self.x)
         shape[self.x <= -A / 2] = 1.0
         mid = (self.x > -A / 2) & (self.x < 0)
@@ -152,14 +153,31 @@ class RecursionLine:
         # steeper one would clip legitimate tail mass.
         self.tail_rate = float(np.sqrt(sys.invaded_eigen().lam / sys.d1.values.mean()))
         self.station = A - 2.0 * sys.ell
+        self.start = self._ceiling(self.floor.copy())
+
+    def front(self, values):
+        """Rightmost crossing of component 1 below 0.4*beta1, or -A if none."""
+        pos = rightmost_crossing(self.x, values[0], 0.4 * float(self.beta[0]))
+        return float(self.x[0]) if pos is None else pos
+
+    def _ceiling(self, values):
+        """Clip values in place under beta * exp(-tail_rate * (x - front - 4L)).
+
+        It lowers only nodes past front + 4L, already below the front level,
+        so the front is the same before and after."""
+        edge = self.front(values) + 4.0 * self.sys.ell
+        decay = np.exp(-self.tail_rate * np.maximum(self.x - edge, 0.0))
+        np.minimum(values, self.beta[:, None] * decay[None, :], out=values)
+        return values
 
     def apply_R(self, values, c):
-        """One recursion step: evolve one period, shift by c*omega, clamp, floor.
+        """One recursion step: evolve one period, shift by c*omega, clamp, floor, ceiling.
 
         The (2, N+1) values are evolved under the cooperative nonlinear
         period map, translated so the frame moves with speed c, projected
-        back onto non-increasing profiles, clipped into [0, beta], and
-        finally maxed with the floor ramp; the result is a new array.
+        back onto non-increasing profiles, clipped into [0, beta], maxed
+        with the floor ramp and clipped under the radiation ceiling; the
+        result is a new array.
         """
         shift = c * self.sys.omega
         if abs(shift) > self.A / 4.0:
@@ -167,7 +185,7 @@ class RecursionLine:
         shifted = _shift_left(self.x, self.evolver.period(values), shift, self.sys.ell)
         clamped = np.stack([pava_nonincreasing(shifted[i]) for i in range(2)])
         np.clip(clamped, 0.0, self.beta[:, None], out=clamped)
-        return np.maximum(clamped, self.floor)
+        return self._ceiling(np.maximum(clamped, self.floor))
 
 
 def _half_width(sys, c):
@@ -182,60 +200,43 @@ def _half_width(sys, c):
     return ceil_to_multiple(A, sys.ell)
 
 
-def recursion_limit(c, line, drift_tol) -> RecursionResult:
-    """Iterate the recursion on `line` until the sup change drops below 1e-6
-    or DEFAULT_CAP (read at each call) iterations, and classify the run.
+def recursion_limit(c, line) -> RecursionResult:
+    """Iterate line.apply_R from line.start until the sup change drops below
+    1e-6 or DEFAULT_CAP (read at each call) iterations, and classify the run.
 
-    The run starts from the line's floor ramp.  The iteration is
-    nondecreasing in the step count (asserted nodewise each step; a drop
-    beyond roundoff raises MonotonicityLost), so the limit exists; hitting
-    the cap returns the last iterate with reason "cap" instead of raising.
-    The run ends early once component 1 reaches the beta band at the
-    line's station, which is sound for lower-bound classification because
-    the iterates only grow.
+    The iteration is nondecreasing in the step count (asserted nodewise
+    each step; a drop beyond roundoff raises MonotonicityLost), so the
+    limit exists; hitting the cap returns the last iterate with reason
+    "cap" instead of raising.  The run ends early once component 1 reaches
+    the beta band at the line's station, which is sound for lower-bound
+    classification because the iterates only grow.
 
     Truncation guard: on a finite domain the zero-flux wall accumulates the
     growing tail of the floor-pinned profile, and the vacuum between front
     and wall eventually ignites no matter how large A is (on the infinite
-    line that mass radiates away).  Each iterate is therefore clipped under
-    the radiation ceiling beta * exp(-mu_env * (x - front - 4L)), a moving
-    envelope far shallower than any admissible tail, which caps the wall
-    charge without touching the front dynamics and preserves the exact
+    line that mass radiates away).  apply_R therefore clips each iterate
+    under the radiation ceiling beta * exp(-mu_env * (x - front - 4L)), a
+    moving envelope far shallower than any admissible tail, which caps the
+    wall charge without touching the front dynamics and preserves the exact
     monotonicity of the iteration.  Should ignition still occur the run
     stops with reason "ignited".
 
     The class is read at the station x = A - 2L: beta within 5% of the
     plateau, zero below 1%, intermediate in between.  An ignited run cannot
     trust that value; it is beta when the median front drift per period
-    reaches drift_tol, a steady advance (the monotone iteration's drift
-    underestimates the limiting speed), and intermediate otherwise.
+    exceeds DRIFT_TOL * L, a front that still advances (it never moves
+    back, since the iterates only grow), and intermediate when it stalls.
     """
     x, beta, ell = line.x, line.beta, line.sys.ell
     beta1 = float(beta[0])
-    front_level = 0.4 * beta1
     stop_level = (1.0 - BETA_BAND) * beta1
 
-    def apply_ceiling(values):
-        """Clip values under the radiation ceiling and return the front.
-
-        The front is the rightmost crossing of component 1 below front_level
-        (-A if none).  The ceiling lowers only nodes past front + 4L, which
-        already lie below front_level, so the front is the same before and
-        after.
-        """
-        pos = rightmost_crossing(x, values[0], front_level)
-        front = float(x[0]) if pos is None else pos
-        decay = np.exp(-line.tail_rate * np.maximum(x - (front + 4.0 * ell), 0.0))
-        np.minimum(values, beta[:, None] * decay[None, :], out=values)
-        return front
-
-    current = line.floor.copy()
-    apply_ceiling(current)
+    current = line.start
     reason = "cap"
     fronts = []  # one per iteration
     for _ in range(DEFAULT_CAP):
         new = line.apply_R(current, c)
-        front = apply_ceiling(new)
+        front = line.front(new)
         # nondecreasing in m up to the truncated-tail tolerance; the iterate
         # is NOT clipped against its predecessor, a ratchet would keep every
         # boundary-inflated tail value alive and ignite the right end
@@ -259,7 +260,7 @@ def recursion_limit(c, line, drift_tol) -> RecursionResult:
     if reason == "ignited":
         skip = max(5, len(fronts) // 4)
         drift = float(np.median(np.diff(fronts[skip:]))) if len(fronts) - skip >= 5 else 0.0
-        cls = "beta" if drift >= drift_tol else "intermediate"
+        cls = "beta" if drift > DRIFT_TOL * ell else "intermediate"
     elif value >= stop_level:
         cls = "beta"
     else:
@@ -272,8 +273,8 @@ def recursion_limit(c, line, drift_tol) -> RecursionResult:
 def bracket_speeds(sys, bisection, A=None):
     """Bracket the slow and fast critical speeds by classifying candidate c.
 
-    bisection is the tuple (c_lo, c_hi, steps), with c_lo < c_hi and an
-    integer steps >= 0; anything else, a list included, raises ValueError.
+    bisection is the tuple (c_lo, c_hi, steps), with finite c_lo < c_hi and
+    an integer steps >= 0; anything else, a list included, raises ValueError.
     Both ends run first.  Each edge is then bisected `steps` times on the
     runs made so far when the ends straddle it: the beta/not-beta transition
     brackets the slow edge c*, the positive/zero transition the fast edge
@@ -285,18 +286,17 @@ def bracket_speeds(sys, bisection, A=None):
     """
     steps = bisection[2] if isinstance(bisection, tuple) and len(bisection) == 3 else None
     if (not isinstance(steps, (int, np.integer)) or isinstance(steps, bool)
-            or steps < 0 or not bisection[0] < bisection[1]):
-        raise ValueError(f"bisection spec must be (c_lo, c_hi, steps) with c_lo < c_hi "
+            or steps < 0 or not -np.inf < bisection[0] < bisection[1] < np.inf):
+        raise ValueError(f"bisection spec must be (c_lo, c_hi, steps) with finite c_lo < c_hi "
                          f"and an integer steps >= 0, got {bisection!r}")
     c_lo, c_hi, steps = bisection
     line = RecursionLine(sys, _half_width(sys, max(abs(c_lo), abs(c_hi))) if A is None else A)
-    drift_tol = max(1e-4, 0.25 * (c_hi - c_lo) / 2 ** max(steps, 1) * sys.omega)
 
     runs = {}
 
     def classify(c):
         if c not in runs:
-            runs[c] = recursion_limit(c, line, drift_tol)
+            runs[c] = recursion_limit(c, line)
         return runs[c].cls
 
     # "below the edge" for c* and for cbar

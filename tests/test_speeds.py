@@ -4,12 +4,15 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from speedlab import (SystemSpec, check_hypotheses, check_linear_determinacy,
                       coupled_eigenfunction, linear_speed_c0, minimize_speed)
 from speedlab.cli import DEMOS
 from speedlab.errors import NoInteriorMinimum
+from speedlab.orbits import CYCLE_TOL
 from speedlab import eigen, pde, speeds
 from speedlab.speeds import compute_speed_report
 
@@ -488,3 +491,110 @@ def test_near_critical_d1_gets_a_verdict():
     assert 0.0 < d1.margin < 1e-4
     assert rep.certificates["D2"].verdict == "fail"
     assert not rep.linearly_determinate
+
+
+# Media that vary in t only have an exact report.  The principal
+# eigenfunction is constant in x, so lambda(mu) = <d> mu^2 + <g> mu + <h>
+# with <.> the time mean, which uniform samples of a trigonometric
+# polynomial give exactly; and the logistic orbit of species 2 obeys
+# <b2> = a22 <u2*> up to its closure gap.  Every speed and margin of the
+# report then has a closed form in the means.
+T_ONLY_MEANS = {"d1": (0.5, 1.5), "d2": (0.3, 1.2), "g1": (-0.3, 0.3), "g2": (-0.3, 0.3),
+                "b1": (1.5, 3.0), "b2": (0.5, 1.5)}
+T_ONLY_AMPLITUDES = {"d1": 0.2, "d2": 0.12, "g1": 0.3, "g2": 0.3, "b1": 1.0, "b2": 0.8}
+t_only_media = st.fixed_dictionaries({
+    name: st.tuples(st.floats(*T_ONLY_MEANS[name]), st.floats(0.0, T_ONLY_AMPLITUDES[name]),
+                    st.floats(0.0, 2.0 * math.pi))
+    for name in T_ONLY_MEANS})
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(media=t_only_media, a12=st.floats(0.05, 0.5), a21=st.floats(0.5, 2.0),
+       a22=st.floats(0.8, 2.0))
+def test_report_on_t_only_media_is_the_closed_form(media, a12, a21, a22):
+    exprs = {name: f"{mean!r} + {amp!r}*sin(2*pi*t + {phase!r})"
+             for name, (mean, amp, phase) in media.items()}
+    exprs.update(a11="1", a12=repr(a12), a21=repr(a21), a22=repr(a22))
+    sys = SystemSpec.from_expressions(exprs, 1.0, 1.0, 50, 16)
+    rep = compute_speed_report(sys)
+    certs = rep.certificates
+    d1, d2, g1, g2, b1, b2 = (media[name][0] for name in ("d1", "d2", "g1", "g2", "b1", "b2"))
+    u2 = sys.u2_star().snapshots
+    # |<b2> - a22 <u2*>| is at most ln(u2(omega)/u2(0)) plus one row of the
+    # closure gap, which the orbit holds below CYCLE_TOL
+    orbit = CYCLE_TOL * (1.0 / u2.min() + a22)
+    margin = b1 - a12 * b2 / a22   # H2's: the invaded potential b1 - a12 u2*
+    mu0 = certs["D1"].details["mu0"]
+    expected = [  # (value, closed form, tolerance)
+        (certs["H1"].details["lambda_species1"], b1, CYCLE_TOL),
+        (certs["H1"].details["lambda_species2"], b2, CYCLE_TOL),
+        (certs["H4"].details["c1_plus"], 2.0 * math.sqrt(d1 * b1) + g1, CYCLE_TOL),
+        (certs["H4"].details["c2_minus"], 2.0 * math.sqrt(d2 * b2) - g2, CYCLE_TOL),
+        (certs["H5"].details["slope"], g2, CYCLE_TOL),
+        (a22 * u2.mean(), b2, orbit),
+        (certs["H2"].margin, margin, CYCLE_TOL + a12 / a22 * orbit),
+        (rep.c0_plus, 2.0 * math.sqrt(d1 * margin) + g1,
+         CYCLE_TOL + math.sqrt(d1 / margin) * a12 / a22 * orbit),
+        (certs["D1"].details["lambda0"], d1 * mu0 ** 2 + g1 * mu0 + margin,
+         CYCLE_TOL + a12 / a22 * orbit),
+        (certs["D1"].details["lambdabar"], d2 * mu0 ** 2 + g2 * mu0 - b2,
+         CYCLE_TOL + 2.0 * orbit),
+    ]
+    for k, (value, closed, tol) in enumerate(expected):
+        assert abs(value - closed) <= tol, (k, value, closed)
+
+
+def test_m_needs_a_nontrivial_growth_and_only_a_nonnegative_mean():
+    # b constant in x is even with a nonnegative mean but trivial: M fails on
+    # nontriviality alone; an even, x-dependent b of mean 0.5 passes
+    m = speeds._condition_m(make_system(nt=50, nx=8, b1="1 + 0.5*sin(2*pi*t)",
+                                        b2="1 + 0.5*sin(2*pi*t)", a12="1", a21="1"))
+    assert m.details == {"even_in_x": True, "x_dependent": False, "mean": pytest.approx(1.0)}
+    assert m.verdict == "fail"
+    m = speeds._condition_m(make_system(nt=50, nx=8, b1="0.5 + cos(2*pi*x)",
+                                        b2="0.5 + cos(2*pi*x)", a12="1", a21="1"))
+    assert m.verdict == "pass" and m.margin == pytest.approx(0.5, abs=1e-12)
+
+
+def test_p_conditions_read_each_drift_and_each_orbit():
+    # one drifting species makes P1/P2 not applicable
+    for drift in ({"g1": "0.2"}, {"g2": "0.2"}):
+        p1, p2 = speeds._p_conditions(make_system(nt=50, nx=8, **drift))
+        assert p1.verdict == p2.verdict == "not-applicable"
+    # P1 holds, but with species 2 extinct P2 has no orbit pair to compare
+    p1, p2 = speeds._p_conditions(make_system(nt=50, nx=8, b2="-1"))
+    assert p1.verdict == "fail" and p2.verdict == "not-applicable"
+
+
+def test_p2_fails_when_the_second_species_diffuses_faster():
+    # u1* = 2, u2* = 1: a - b = 0.3 and b = 1.4 hold, so d2 = 1.2 > 1 decides P2
+    p2 = speeds._p_conditions(make_system(nt=50, nx=8, d2="1.2"))[1]
+    assert p2.verdict == "fail"
+    assert p2.margin == pytest.approx(-0.2, abs=1e-12)
+
+
+def test_p1_and_d2_pass_with_margins_below_one():
+    # P1's b1 - r12 b2 = 0.86, b2 = 0.8 and r21 b1 - b2 = 0.4; D2's margin is
+    # about 0.81 at a21 = 3
+    p1 = speeds._p_conditions(make_system(nt=50, nx=8, b1="1.5", b2="0.8", a12="0.8",
+                                          a21="0.8"))[0]
+    assert p1.verdict == "pass" and p1.margin == pytest.approx(0.4, abs=1e-12)
+    d2 = compute_speed_report(make_system(nt=50, nx=8, a21="3")).certificates["D2"]
+    assert d2.verdict == "pass" and 0.0 < d2.margin < 1.0
+
+
+def test_hypotheses_pass_with_margins_below_one():
+    # constant media with H3's envelope margins 0.7 and 0.2, H4's
+    # c1+ + c2- = (2 sqrt(1.5) - 2) + 2 sqrt(0.04) and H5's c1+ - g2 = c1+,
+    # all in (0, 1): each verdict is read at zero, not at one
+    certs = check_hypotheses(make_system(nt=50, nx=8, b1="1.5", a12="0.8", a21="0.8",
+                                         g1="-2", d2="0.04"))
+    c1p = 2.0 * math.sqrt(1.5) - 2.0
+    assert certs["H3"].verdict == "pass(sufficient)"
+    assert certs["H3"].margin == pytest.approx(0.2, abs=1e-12)
+    assert certs["H3"].details["int_b1_lo"] - 0.8 * certs["H3"].details["int_b2_hi"] == (
+        pytest.approx(0.7, abs=1e-12))
+    assert certs["H4"].verdict == "pass"
+    assert certs["H4"].margin == pytest.approx(c1p + 0.4, abs=1e-8)
+    assert certs["H5"].verdict == "pass"
+    assert certs["H5"].margin == pytest.approx(c1p, abs=1e-8)

@@ -20,10 +20,6 @@ def fisher_line(fisher_small):
     return RecursionLine(fisher_small, 12.0)
 
 
-def drift_tol(sys):
-    return 0.01 * sys.ell
-
-
 @pytest.fixture
 def cap(monkeypatch):
     """Sets the recursion cap every run of the test reads."""
@@ -82,11 +78,11 @@ def test_apply_r_keeps_profile_in_order_interval(fisher_line):
     assert np.all(np.diff(out, axis=1) <= 1e-9)
 
 
-def test_recursion_monotone_in_m(fisher_small, fisher_line, cap):
+def test_recursion_monotone_in_m(fisher_line, cap):
     cap(12)
-    res = recursion_limit(1.0, fisher_line, drift_tol(fisher_small))
+    res = recursion_limit(1.0, fisher_line)
     # rerun step by step and check nodewise growth
-    cur = fisher_line.floor
+    cur = fisher_line.start
     for _ in range(6):
         nxt = fisher_line.apply_R(cur, 1.0)
         assert float(np.max(cur - nxt)) <= 1e-9
@@ -94,22 +90,33 @@ def test_recursion_monotone_in_m(fisher_small, fisher_line, cap):
     assert res.iterations >= 1
 
 
+def test_recursion_iterates_apply_r_from_the_start(fisher_line, cap):
+    # the public operator is exactly the one every run iterates
+    cap(9)
+    res = recursion_limit(1.0, fisher_line)
+    cur = fisher_line.start
+    for _ in range(res.iterations):
+        cur = fisher_line.apply_R(cur, 1.0)
+    assert res.iterations == 9
+    np.testing.assert_array_equal(res.values, cur)
+
+
 @pytest.mark.parametrize("c, limit, reason, iterations", [
     (1.0, 12, "cap", 12), (0.0, 300, "station", 12), (3.0, 300, "converged", 7)])
-def test_recursion_stop_reason(fisher_small, fisher_line, cap, c, limit, reason, iterations):
+def test_recursion_stop_reason(fisher_line, cap, c, limit, reason, iterations):
     # each run says why it stopped and which class it reached; only a capped
     # run reports cap_reached
     cap(limit)
-    res = recursion_limit(c, fisher_line, drift_tol(fisher_small))
+    res = recursion_limit(c, fisher_line)
     assert res.reason == reason
     assert res.cap_reached == (reason == "cap")
     assert res.iterations == iterations
     assert res.cls == {"cap": "intermediate", "station": "beta", "converged": "zero"}[reason]
 
 
-def test_recursion_zero_speed_fills_to_carrying_level(fisher_small, fisher_line, cap):
+def test_recursion_zero_speed_fills_to_carrying_level(fisher_line, cap):
     cap(80)
-    res = recursion_limit(0.0, fisher_line, drift_tol(fisher_small))
+    res = recursion_limit(0.0, fisher_line)
     left = np.interp(-12.0 + 2.0, res.x, res.values[0])
     assert left == pytest.approx(1.0, abs=0.05)
     assert res.left_value == left
@@ -120,7 +127,7 @@ def test_recursion_zero_speed_fills_to_carrying_level(fisher_small, fisher_line,
 def test_recursion_supercritical_speed_dies_on_the_right(fisher_small, cap):
     # |c * omega| <= A/4 guard requires a wide domain for c = 10
     cap(30)
-    res = recursion_limit(10.0, RecursionLine(fisher_small, 44.0), drift_tol(fisher_small))
+    res = recursion_limit(10.0, RecursionLine(fisher_small, 44.0))
     right = np.interp(44.0 - 2.0, res.x, res.values[0])
     assert right < 1e-6
     left = np.interp(-44.0 + 2.0, res.x, res.values[0])
@@ -142,7 +149,7 @@ def test_bracket_takes_only_a_bisection_spec(cap):
     cstar, _ = bracket_speeds(sys, (0.5, 2.0, 0))
     assert sorted(c for c, _, _, _ in cstar.trace) == [0.5, 2.0]
     for spec in ((0.5, 1.0, 2.0), (0.5, 1.0), (2.0, 0.5, 1), (0.5, 2.0, -1), (0.5, 2.0, True),
-                 [], [0.5, 2.0]):
+                 [], [0.5, 2.0], (0.0, np.inf, 1), (-np.inf, 1.0, 1)):
         with pytest.raises(ValueError):
             bracket_speeds(sys, spec)
 
@@ -160,7 +167,7 @@ def test_doubling_domain_never_flips_beta_to_zero(fisher_small, cap):
     for a_half in (12.0, 24.0):
         line = RecursionLine(fisher_small, a_half)
         for c, expected in ((0.5, "beta"), (2.9, "zero")):
-            assert recursion_limit(c, line, drift_tol(fisher_small)).cls == expected
+            assert recursion_limit(c, line).cls == expected
 
 
 def test_profile_and_trace_dumps(tmp_path, fisher_small, cap):
@@ -204,13 +211,12 @@ def test_recursion_default_half_width_fits_grid_and_shift(fisher_small, cap):
     # its 200 nodes, and 16 cells keep the shift c*omega = 3.5 within A/4
     cap(2)
     coarse = make_system(nt=100, nx=8, b1="0.3", d2="1", a12="0", a21="0")
-    res = recursion_limit(0.5, RecursionLine(coarse, _half_width(coarse, 0.5)),
-                          drift_tol(coarse))
+    res = recursion_limit(0.5, RecursionLine(coarse, _half_width(coarse, 0.5)))
     assert res.x.size == 2 * 13 * 8 + 1
     assert res.iterations == 2
     fast_line = RecursionLine(fisher_small, _half_width(fisher_small, 3.5))
     assert fast_line.A == 16.0
-    assert recursion_limit(3.5, fast_line, drift_tol(fisher_small)).iterations >= 1
+    assert recursion_limit(3.5, fast_line).iterations >= 1
     # a bracket sizes its line for its fastest candidate in either direction:
     # c_lo = -4 needs 4*|c|*omega + 2 = 18 cells, more than c_hi = 0.5 does
     cstar, _ = bracket_speeds(make_system(nt=50, nx=8), (-4.0, 0.5, 0))
@@ -249,7 +255,7 @@ def test_classes_rising_with_c_are_refused(fisher_small, monkeypatch):
     # bracket refuses the trace rather than read edges from it
     classes = {0.5: "zero", 2.9: "beta"}
 
-    def fake_run(c, line, drift_tol):
+    def fake_run(c, line):
         return weinberger.RecursionResult(x=line.x, values=None, iterations=0,
                                           reason="converged", cls=classes[c],
                                           station_value=0.0, left_value=0.0)
@@ -257,3 +263,12 @@ def test_classes_rising_with_c_are_refused(fisher_small, monkeypatch):
     monkeypatch.setattr(weinberger, "recursion_limit", fake_run)
     with pytest.raises(InconsistentClassification, match="0.5 zero, 2.9 beta"):
         bracket_speeds(fisher_small, (0.5, 2.9, 1), A=12.0)
+
+
+def test_a_candidates_class_does_not_depend_on_the_bisection(fisher_small):
+    # c = 1.7 lies below c* = 2 and its front still advances when the right
+    # end ignites; the one-step bracket must read it as the two-step one does
+    cstar, _ = bracket_speeds(fisher_small, (0.5, 2.9, 1))
+    assert cstar.contains(2.0)
+    finer, _ = bracket_speeds(fisher_small, (0.5, 2.9, 2))
+    assert cstar.profiles[1.7].cls == finer.profiles[1.7].cls == "beta"
