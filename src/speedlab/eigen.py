@@ -27,6 +27,10 @@ costs a few dense products, so there K is formed and applied as a matrix.
 A solve keeps no states: eigenfunction(pmap, result) marches its psi(0)
 over the period for the one caller that needs the rows, the coupled
 eigenfunction at mu0.
+
+A map whose coefficients are all constant in x is solved on one node with
+no march: its eigenfunction is constant in x and lambda is the period mean
+of h (Hess 1991, Periodic-Parabolic Boundary Value Problems and Positivity).
 """
 
 from __future__ import annotations
@@ -115,7 +119,18 @@ def principal_of_map(pmap: CellPeriodMap) -> EigenResult:
     makes cheaper than a march.  The iteration starts from pmap.start, or
     from the constant vector when that is None.  The Perron vector psi(0)
     must be positive at return.
+
+    A map whose coefficients are all constant in x is solved without a
+    march: lam is the period mean of h and psi(0) is 1, with 0 iterations
+    and residual 0.  Upwind transport has zero row sums, so each step
+    matrix on the cell is circulant and the constant vector is an exact
+    eigenvector of every step, up to the roundoff of the stored row sum
+    (about 1e-15 a step); the growth factors then multiply it by
+    exp(omega * mean h) over the period.
     """
+    if pmap.constant_in_x:
+        return EigenResult(lam=pmap.mean_potential, iterations=0, residual=0.0,
+                           psi0=np.ones(pmap.nx))
     start = np.ones(pmap.nx) if pmap.start is None else pmap.start
     rho_s, psi0, iterations, residual = _power_iteration(
         pmap.matrix().dot if pmap.time_independent else pmap.apply, start)

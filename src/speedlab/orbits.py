@@ -19,6 +19,13 @@ solve first, then the nodewise growth factor exp(dt*(c - e*u_new)) with the
 rate taken implicitly at the new value (a scalar Lambert-W solve per node).
 A converged orbit is therefore an exact discrete eigenfunction, eigenvalue
 zero, of the period map with potential c - e*u*.
+
+A medium whose d, g, c and e are all constant in x has an orbit constant
+in x.  Transport maps a constant to itself, so such a period is marched
+on one node, with the same Lambert-W step and no transport solve, and the
+result is tiled across the cell.  The potentials built from the orbit
+(b1 - a12 u2*, b2 - a22 u2*, b2 - 2 a22 u2*) then stay exactly constant in
+x, and their eigenvalue solves take eigen's one-node path as well.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from scipy.special import lambertw
 from . import eigen
 from .coeffs import CoefficientField
 from .errors import NoConvergence
-from .pde import CellTransport, constant_in_t, write_csv
+from .pde import CellTransport, constant_in_t, constant_in_x, write_csv
 
 CYCLE_TOL = 1e-8
 PERIOD_CAP = 2000
@@ -69,29 +76,35 @@ class PeriodicOrbit:
         return float(self.snapshots.max())
 
 
-def _period_map(transport, c, e):
+def _period_map(solve, c, e, dt):
     """u0 -> (snapshots, u_end): one period of the logistic equation.
 
-    transport.solve(r, .) is the transport solve with the coefficients of row
-    r; the reaction tables are built once here for every period marched, one
-    row of them when c and e do not vary in t.
+    c and e are (nt, n) tables of the growth rate and the self-limitation
+    on the n nodes marched, and solve(r, w) is the transport solve with the
+    coefficients of row r.  The reaction tables are built once here for
+    every period marched, one row of them when c and e do not vary in t.
     """
-    nt, nx, dt = c.nt, c.nx, c.dt
-    rows = 1 if constant_in_t(c.values, e.values) else nt
-    a = dt * e.values[:rows]
-    growth = np.exp(dt * c.values[:rows])
+    nt, n = c.shape
+    rows = 1 if constant_in_t(c, e) else nt
+    a = dt * e[:rows]
+    growth = np.exp(dt * c[:rows])
 
     def period(u0):
-        snaps = np.empty((nt, nx))
+        snaps = np.empty((nt, n))
         u = u0
         for j in range(nt):
             snaps[j] = u
             r = (j + 1) % nt
-            w = transport.solve(r, u)
+            w = solve(r, u)
             k = r % rows
             u = np.real(lambertw(a[k] * w * growth[k])) / a[k]
         return snaps, u
     return period
+
+
+def _no_transport(r, u):
+    """The transport solve on a medium constant in x: it maps a constant to itself."""
+    return u
 
 
 def _anderson(ends, residuals):
@@ -117,7 +130,8 @@ def logistic_orbit(d, g, c, e, start_value=None, growth=None) -> PeriodicOrbit:
     lambda <= max c <= 0); otherwise iterates the period map with Anderson
     mixing from the constant supersolution max(c)/min(e) until one period's
     end u(omega) is within CYCLE_TOL * min(1, max u(omega)) of its start (cap
-    PERIOD_CAP), and returns that period.
+    PERIOD_CAP), and returns that period.  A medium constant in x is
+    marched on one node and tiled across the cell.
     growth is the principal eigenpair of (d, g, c) when the caller already
     has it; it is solved here otherwise.
     """
@@ -136,8 +150,13 @@ def logistic_orbit(d, g, c, e, start_value=None, growth=None) -> PeriodicOrbit:
 
     if start_value is None:
         start_value = c.max() / e.min()
-    period_map = _period_map(CellTransport(d, g), c, e)
-    u = np.full(d.nx, float(start_value))
+    one_node = constant_in_x(d.values, g.values, c.values, e.values)
+    if one_node:
+        # the orbit is constant in x: march node 0 and tile it across the cell
+        period_map = _period_map(_no_transport, c.values[:, :1], e.values[:, :1], d.dt)
+    else:
+        period_map = _period_map(CellTransport(d, g).solve, c.values, e.values, d.dt)
+    u = np.full(1 if one_node else d.nx, float(start_value))
     ends, residuals = [], []  # the last ANDERSON_DEPTH + 1 periods
     for period in range(1, PERIOD_CAP + 1):
         snaps, u_end = period_map(u)
@@ -154,6 +173,8 @@ def logistic_orbit(d, g, c, e, start_value=None, growth=None) -> PeriodicOrbit:
     if constant_in_t(d.values, g.values, c.values, e.values):
         # the orbit of a medium constant in t is stationary: its start at every t
         snaps = np.tile(u, (d.nt, 1))
+    if one_node:
+        snaps = np.tile(snaps, (1, d.nx))
 
     return PeriodicOrbit(snapshots=snaps, omega=d.omega, ell=d.ell, extinct=False,
                          closure_gap=gap, periods_marched=period)

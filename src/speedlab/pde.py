@@ -11,12 +11,16 @@ Scheme, used uniformly by every consumer in the package:
 
 The periodic cell has one cyclic kernel, CellTransport, shared by the
 linear period map and the logistic orbit solver: its tables are built once
-per coefficient field, one row for each of the nt time rows, or a single
-row that serves every step when d and g do not vary in t, and each step is
-one direct LAPACK dgtsv call plus a Sherman-Morrison corner correction, for
-one right-hand side or for all nx columns of the monodromy.  The scalar
-solve_cell_transport / step_scalar_linear / period_map path assembles each
-row on its own and stays independent of those tables.
+per coefficient field, on a period map's first march, one row for each of
+the nt time rows, or a single row that serves every step when d and g do
+not vary in t, and each step is one direct LAPACK dgtsv call plus a
+Sherman-Morrison corner correction, for one right-hand side or for all nx
+columns of the monodromy.  Media whose coefficients do not vary in x
+(constant_in_x) need no cell march: each step matrix is then circulant
+with zero row sums, so constants are exact eigenvectors, and eigen and
+orbits solve them on one node.  The scalar solve_cell_transport /
+step_scalar_linear / period_map path assembles each row on its own and
+stays independent of those tables.
 
 The line evolver solves both species' transport as one stacked 2N-node
 tridiagonal system; a zero seam between the two blocks keeps them
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -119,6 +124,11 @@ def cell_offsets(x, ell, nx):
 def constant_in_t(*tables):
     """True when no (nt, nx) table varies along the period (all rows are equal)."""
     return all(bool(np.all(a == a[0])) for a in tables)
+
+
+def constant_in_x(*tables):
+    """True when no (nt, nx) table varies across the cell (all columns are equal)."""
+    return all(bool(np.all(a == a[:, :1])) for a in tables)
 
 
 def ceil_to_multiple(value, unit):
@@ -366,23 +376,29 @@ class CellPeriodMap:
     identical split, which makes converged orbits exact discrete
     eigenfunctions of the map built from their own potential.  A growth
     factor, march or power past the float range raises NumericalFailure,
-    so no inf or NaN leaves the map.
+    so no inf or NaN leaves the map.  The transport tables are built on the
+    first march, so a map that is never marched (eigen.principal_of_map on
+    a medium constant in x) builds none.
     """
 
     def __init__(self, d: CoefficientField, g, h, shift_mean=True):
         for other in (g, h):
             if not d.same_grid(other):
                 raise ValueError("period map fields must share one grid")
+        if d.min() <= 0.0:
+            raise NonEllipticError("diffusion coefficient <= 0 sampled on the grid")
         self.nt, self.nx = d.nt, d.nx
         self.omega, self.dt = d.omega, d.dt
+        self._d, self._g = d, g
+        self.mean_potential = float(h.values.mean())
         # factoring out the mean potential keeps the map at unit scale; the
         # potential-shift identity is exact for this scheme, so no accuracy
         # is lost and huge tilts cannot overflow
-        self.shift = float(h.values.mean()) if shift_mean else 0.0
-        self._transport = CellTransport(d, g)
+        self.shift = self.mean_potential if shift_mean else 0.0
         # True when no coefficient varies along the period (every step is one
-        # matrix); CellTransport has already scanned d and g
-        self.time_independent = self._transport._rows == 1 and constant_in_t(h.values)
+        # matrix), and when none varies across the cell (every step is circulant)
+        self.time_independent = constant_in_t(d.values, g.values, h.values)
+        self.constant_in_x = constant_in_x(d.values, g.values, h.values)
         # one row of growth factors serves every step of a t-independent map
         rows = 1 if self.time_independent else self.nt
         with np.errstate(over="ignore"):
@@ -392,6 +408,10 @@ class CellPeriodMap:
                                    f"{self.dt * (h.max() - self.shift):.6g}")
         self._matrix = None
         self.start = None  # where eigen.principal_of_map starts; None: the constant vector
+
+    @cached_property
+    def _transport(self):
+        return CellTransport(self._d, self._g)
 
     def _step(self, r, v):
         """One step into row r: the transport solve, then the growth factor."""

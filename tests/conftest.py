@@ -1,7 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from speedlab import LineState, LineSystemEvolver, SystemSpec, build_field, front_position
 from speedlab.pde import cell_offsets
@@ -21,6 +23,23 @@ def field(expr, omega=1.0, ell=1.0, nt=200, nx=64):
 # the benchmark's report-tx instance: t- and x-periodic species 1, t-periodic species 2
 REPORT_TX_MEDIA = {"d1": "1 + 0.25*cos(2*pi*x)", "g1": "0.2*sin(2*pi*(x - t))",
                    "b1": "2 + 0.5*cos(2*pi*x)", "b2": "1 + 0.5*sin(2*pi*t)"}
+
+
+# media that vary in t only: (mean, amplitude, phase) of each coefficient
+# mean + amplitude*sin(2 pi t + phase), on ranges where H1 and H2 hold
+T_ONLY_MEANS = {"d1": (0.5, 1.5), "d2": (0.3, 1.2), "g1": (-0.3, 0.3), "g2": (-0.3, 0.3),
+                "b1": (1.5, 3.0), "b2": (0.5, 1.5)}
+T_ONLY_AMPLITUDES = {"d1": 0.2, "d2": 0.12, "g1": 0.3, "g2": 0.3, "b1": 1.0, "b2": 0.8}
+t_only_media = st.fixed_dictionaries({
+    name: st.tuples(st.floats(*T_ONLY_MEANS[name]), st.floats(0.0, T_ONLY_AMPLITUDES[name]),
+                    st.floats(0.0, 2.0 * math.pi))
+    for name in T_ONLY_MEANS})
+
+
+def t_only_exprs(media):
+    """Coefficient expressions of a t_only_media draw."""
+    return {name: f"{mean!r} + {amp!r}*sin(2*pi*t + {phase!r})"
+            for name, (mean, amp, phase) in media.items()}
 
 
 def make_system(nt=200, nx=64, omega=1.0, ell=1.0, **overrides):

@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -645,3 +646,18 @@ def test_ill_scaled_eigen_task_solves(tmp_path):
     assert lam == pytest.approx(6.041655895193623, rel=1e-13)
     rho = np.exp((lam - 2.0) * 5)  # the unit-scale root: the map is shifted by mean b1 = 2
     assert 1e-8 < rep["eigen"]["residuals"][0] <= (eigen.POWER_TOL + 1e-15) * rho
+
+
+def test_diffusion_varying_in_t_gives_species_2_its_closed_form_speed(tmp_path):
+    # d2 = 32 + 16 sin(2 pi t): H4's c2- search probes species 2's tilted
+    # potential d2 mu^2 far into MU_RANGE, where a march compounds past the
+    # float range within one period.  The medium is constant in x, so every
+    # solve is the one-node period mean, and c2- = 2 sqrt(<d2><b2>) - <g2>
+    cfg = json.loads(json.dumps(DEMOS["competition-constants"]))
+    cfg["model"]["d2"] = "32 + 16*sin(2*pi*t)"
+    cfg.update(tasks=["speed", "check"], output=str(tmp_path / "out"))
+    assert run_scenario(cfg, quiet=True) == EXIT_OK
+    rep = read_report(tmp_path / "out")
+    assert rep["status"] == "ok"
+    c2_minus = rep["speed_report"]["certificates"]["H4"]["details"]["c2_minus"]
+    assert abs(c2_minus - 2.0 * math.sqrt(32.0 * 1.0)) <= 1e-9

@@ -11,7 +11,7 @@ from speedlab.errors import NoConvergence, NonEllipticError
 from speedlab.pde import CellPeriodMap
 from speedlab.speeds import richardson
 
-from conftest import field
+from conftest import field, t_only_exprs, t_only_media
 
 # continuum principal eigenvalue of psi'' + cos(2 pi x) psi = lambda psi on
 # the periodic unit cell, frozen from a Fourier spectral eigensolve (65 modes,
@@ -35,6 +35,47 @@ def test_constant_coefficients_exact():
 def test_x_independent_reduces_to_time_average():
     r = principal_eigen(field("1"), field("0"), field("1 + 0.5*sin(2*pi*t)"))
     assert r.lam == pytest.approx(1.0, abs=1e-12)
+
+
+def _assert_one_node_is_the_march(pmap):
+    """The one-node solve of pmap against the power iteration on its marched map."""
+    assert pmap.constant_in_x
+    res = eigen.principal_of_map(pmap)
+    assert (res.lam, res.iterations, res.residual) == (pmap.mean_potential, 0, 0.0)
+    np.testing.assert_array_equal(res.psi0, np.ones(pmap.nx))
+    assert "_transport" not in vars(pmap)  # no march, so no transport tables
+    rho, psi, _, _ = eigen._power_iteration(pmap.apply, np.ones(pmap.nx))
+    marched = math.log(rho) / pmap.omega + pmap.shift
+    assert abs(res.lam - marched) <= 1e-12 * (1.0 + abs(res.lam)), (res.lam, marched)
+    np.testing.assert_allclose(psi, 1.0, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(media=t_only_media, mu=st.floats(-3.0, 3.0))
+def test_one_node_eigenvalue_is_the_marched_one_on_t_only_media(media, mu):
+    # both species' tilted problems on item 15's t-only draws
+    exprs = t_only_exprs(media)
+    for species in "12":
+        d, g, b = (field(exprs[name + species], nt=50, nx=16) for name in "dgb")
+        _assert_one_node_is_the_march(CellPeriodMap(d, *eigen.tilted_coefficients(d, g, b, mu)))
+
+
+@pytest.mark.parametrize("d, g, m", [("1", "0", "2"), ("0.5", "0", "-1"), ("2", "-0.5", "1.7")])
+@pytest.mark.parametrize("mu", [0.0, 1.3, -2.0])
+def test_one_node_eigenvalue_is_the_marched_one_on_constants(d, g, m, mu):
+    d, g, m = field(d), field(g), field(m)
+    _assert_one_node_is_the_march(CellPeriodMap(d, *eigen.tilted_coefficients(d, g, m, mu)))
+
+
+def test_one_x_dependent_term_takes_the_march():
+    # 1e-3 cos(2 pi x) on a t-periodic potential lifts lambda above the mean
+    # by about (1e-3)^2 / (2 d (2 pi)^2) = 2.5e-8: only the march sees it
+    d, g = field("0.5"), field("0")
+    pmap = CellPeriodMap(d, g, field("1 + 0.5*sin(2*pi*t) + 1e-3*cos(2*pi*x)"))
+    assert not pmap.constant_in_x
+    res = eigen.principal_of_map(pmap)
+    assert res.iterations > 0 and "_transport" in vars(pmap)
+    assert 1e-8 < res.lam - pmap.mean_potential < 1e-7
 
 
 def test_cos_potential_positive_gap_and_continuum_value():

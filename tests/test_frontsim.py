@@ -208,14 +208,15 @@ def test_aborted_run_with_a_fit_keeps_its_measurements(fisher_run):
     assert verdict.notes[-1] == "front entered the guard zone"
 
 
-def _hand_built_front(sys, ahead_tail=0.0, behind_gap=0.0):
-    """A finished 20-period trace at speed 2 on the window [-10, 60] whose final
-    state is the carrying pair behind x = 40 and zero ahead of it, so the
-    verdict's stations sit at 0.8*2*20 = 32 behind and 1.05*2*20 = 42 ahead.
-    ahead_tail raises v1 on x >= 45 to that fraction of beta1; behind_gap
-    lowers v1 on x <= 30 by that fraction of beta1."""
+def _hand_built_front(sys, ahead_tail=0.0, behind_gap=0.0, x_hi=60.0):
+    """A finished 20-period trace at speed 2 on the window [-10, x_hi] whose
+    final state is the carrying pair behind x = 40 and zero ahead of it, so
+    the verdict's stations sit at 0.8*2*20 = 32 behind and 1.05*2*20 = 42
+    ahead (when x_hi >= 47).  ahead_tail raises v1 on x >= 45 to that
+    fraction of beta1; behind_gap lowers v1 on x <= 30 by that fraction of
+    beta1."""
     times = np.arange(1.0, 21.0)
-    x = np.linspace(-10.0, 60.0, 70 * sys.nx + 1)
+    x = np.linspace(-10.0, x_hi, round(x_hi + 10.0) * sys.nx + 1)
     cells = cell_offsets(x, sys.ell, sys.nx)
     beta1 = sys.u1_star().snapshots[0][cells]
     beta2 = sys.u2_star().snapshots[0][cells]
@@ -223,7 +224,7 @@ def _hand_built_front(sys, ahead_tail=0.0, behind_gap=0.0):
     v1 = np.where(x >= 45.0, ahead_tail * beta1, v1)
     v1 = np.where(x <= 30.0, (1.0 - behind_gap) * beta1, v1)
     v2 = np.where(x <= 40.0, beta2, 0.0)
-    state = LineState(np.vstack([v1, v2]), times[-1], -10.0, 60.0)
+    state = LineState(np.vstack([v1, v2]), times[-1], -10.0, x_hi)
     return FrontTrace(times=list(times), positions=list(2.0 * times), final_state=state)
 
 
@@ -244,6 +245,67 @@ def test_a_front_fails_on_either_tail_alone(fisher_coarse):
     assert behind.tail_back == pytest.approx(0.06, rel=1e-12)
     assert behind.tail_front == 0.0
     assert behind.verdict == "fail"
+
+
+@pytest.fixture(scope="module")
+def periodic_coupled():
+    """Orbits that vary in t, and a21 = 0.5: species 2 enters the behind comparison."""
+    return make_system(nt=100, nx=32, b1="1 + 0.5*sin(2*pi*t)", d2="1",
+                       b2="1 + 0.5*sin(2*pi*t)", a12="0", a21="0.5")
+
+
+@pytest.mark.parametrize("species", [0, 1])
+def test_each_tail_reads_the_carrying_pair_at_t_0(periodic_coupled, species):
+    # the final state sits at a whole number of periods, so it is compared
+    # with row 0 of the orbits.  An ahead tail at 1% of a level between rows
+    # 0 and 1 fails against row 0 and would pass against row 1, and the
+    # carrying pair of row 0 behind would not read as 0 there
+    sys = periodic_coupled
+    trace = _hand_built_front(sys)
+    state = trace.final_state
+    cells = cell_offsets(state.x, sys.ell, sys.nx)
+    beta = (sys.u1_star(), sys.u2_star())[species].snapshots
+    assert np.all(beta[1] > beta[0])
+    level = 0.5 * (beta[0] + beta[1])[cells]
+    ahead = state.x >= 45.0
+    state.values[species, ahead] = 0.01 * level[ahead]
+    verdict = spreading_verdict(sys, trace, 2.0)
+    assert verdict.tail_back == 0.0
+    expected = 0.01 * np.max(level[ahead] / beta[0][cells[ahead]])
+    assert 0.01 < verdict.tail_front == pytest.approx(expected, rel=1e-12)
+    assert verdict.verdict == "fail"
+
+
+def test_species_2_behind_decides_when_a21_is_positive(periodic_coupled):
+    # 0 < a21 <= 1 still couples species 2 to the carrying pair behind the
+    # front: v2 6% below beta2 there fails the 5% band on its own
+    sys = periodic_coupled
+    assert 0.0 < sys.a21.min() <= 1.0
+    trace = _hand_built_front(sys)
+    state = trace.final_state
+    state.values[1, state.x <= 30.0] *= 0.94
+    verdict = spreading_verdict(sys, trace, 2.0)
+    assert verdict.tail_back == pytest.approx(0.06, rel=1e-12)
+    assert verdict.verdict == "fail"
+    assert not any(note.startswith("a21 vanishes") for note in verdict.notes)
+
+
+def test_ahead_station_falls_back_inside_a_short_window(fisher_coarse):
+    # on [-10, 44] the frame's 1.05*2*20 = 42 lies in the right guard zone,
+    # so the ahead tail is read from x_hi - 5*ell = 39, behind the front
+    sys = fisher_coarse
+    short = spreading_verdict(sys, _hand_built_front(sys, x_hi=44.0), 2.0)
+    assert "ahead station falls back to x_hi - 5*ell = 39" in short.notes
+    assert (short.tail_front, short.verdict) == (1.0, "fail")
+    clean = spreading_verdict(sys, _hand_built_front(sys), 2.0)
+    assert not any(note.startswith("ahead station") for note in clean.notes)
+
+
+def test_a_zero_c0_is_not_compared(fisher_coarse):
+    # c0 = 0 gives no relative gap: the verdict rests on the tails and says so
+    verdict = spreading_verdict(fisher_coarse, _hand_built_front(fisher_coarse), 0.0)
+    assert (verdict.relative_gap, verdict.verdict) == (None, "pass")
+    assert "no nonzero c0: the fitted speed is not compared" in verdict.notes
 
 
 def test_long_run_checks_behind_on_the_window(fisher_coarse):

@@ -4,7 +4,7 @@ import pytest
 from speedlab import CoefficientField, logistic_orbit, orbits, principal_eigen
 from speedlab.errors import NoConvergence
 from speedlab.orbits import CYCLE_TOL
-from speedlab.pde import CellTransport, constant_in_t
+from speedlab.pde import CellTransport, constant_in_t, constant_in_x
 
 from conftest import REPORT_TX_MEDIA, field, make_system
 
@@ -120,7 +120,7 @@ def plain_orbit(d, g, c, e, start_value=None, tol=CYCLE_TOL):
     """
     if start_value is None:
         start_value = c.max() / e.min()
-    period = orbits._period_map(CellTransport(d, g), c, e)
+    period = orbits._period_map(CellTransport(d, g).solve, c.values, e.values, d.dt)
     u = np.full(d.nx, float(start_value))
     for marched in range(1, orbits.PERIOD_CAP + 1):
         snaps, u_end = period(u)
@@ -140,6 +140,34 @@ def test_anderson_orbit_matches_plain_iteration_in_fewer_periods(media):
         assert orbit.closure_gap < CYCLE_TOL
         # a medium constant in t has a stationary orbit, with equal rows
         assert constant_in_t(orbit.snapshots) == (media == "x-only")
+
+
+# media constant in x, as (d, g, c, e): report-tx's species 2, one whose
+# every coefficient varies in t, and constants
+ONE_NODE_MEDIA = {
+    "report-tx-u2": ("0.5", "0", "1 + 0.5*sin(2*pi*t)", "1"),
+    "t-only": ("0.5 + 0.2*cos(2*pi*t)", "0.3*sin(2*pi*t)", "1 + 0.5*sin(2*pi*t)",
+               "1 + 0.3*cos(2*pi*t)"),
+    "constants": ("0.5", "0.2", "1.5", "2"),
+}
+
+
+@pytest.mark.parametrize("media", list(ONE_NODE_MEDIA))
+def test_one_node_orbit_matches_the_marched_orbit(monkeypatch, media):
+    fields = [field(expr) for expr in ONE_NODE_MEDIA[media]]
+    monkeypatch.setattr(orbits, "CellTransport", None)  # a transport solve would fail
+    orbit = logistic_orbit(*fields)
+    assert constant_in_x(orbit.snapshots) and orbit.closure_gap < CYCLE_TOL
+    reference, _ = plain_orbit(*fields, tol=1e-13)
+    assert np.max(np.abs(orbit.snapshots - reference)) <= CYCLE_TOL
+
+
+def test_one_x_dependent_term_takes_the_orbit_march():
+    fields = [field(expr) for expr in ("0.5", "0", "1 + 0.5*sin(2*pi*t) + 1e-3*cos(2*pi*x)", "1")]
+    orbit = logistic_orbit(*fields)
+    assert not constant_in_x(orbit.snapshots)
+    reference, _ = plain_orbit(*fields, tol=1e-13)
+    assert np.max(np.abs(orbit.snapshots - reference)) <= CYCLE_TOL
 
 
 def test_a_non_positive_extrapolation_falls_back_to_the_period_end(monkeypatch):
@@ -163,9 +191,9 @@ def test_a_non_positive_extrapolation_falls_back_to_the_period_end(monkeypatch):
 
 
 def test_orbit_is_the_converged_period_itself(monkeypatch):
-    # the returned states are the last period marched, not one more
-    d, g = small("1"), small("0")
-    c, e = small("1 + 0.5*sin(2*pi*t)"), small("1")
+    # the returned states are the last period marched, not one more; a
+    # medium constant in x marches one node, which the orbit tiles across the cell
+    d, g, e = small("1"), small("0"), small("1")
     marched = []
     period_map = orbits._period_map
 
@@ -178,8 +206,12 @@ def test_orbit_is_the_converged_period_itself(monkeypatch):
         return run
 
     monkeypatch.setattr(orbits, "_period_map", recorded)
-    orbit = logistic_orbit(d, g, c, e)
-    assert len(marched) == orbit.periods_marched
-    snaps, u_end = marched[-1]
-    np.testing.assert_array_equal(orbit.snapshots, snaps)
-    assert orbit.closure_gap == np.max(np.abs(u_end - snaps[0]))
+    for c, nodes in ((small("1 + 0.5*sin(2*pi*t)"), 1),
+                     (small("1 + 0.5*sin(2*pi*t) + 0.2*cos(2*pi*x)"), 8)):
+        marched.clear()
+        orbit = logistic_orbit(d, g, c, e)
+        assert len(marched) == orbit.periods_marched
+        snaps, u_end = marched[-1]
+        assert snaps.shape == (200, nodes)
+        np.testing.assert_array_equal(orbit.snapshots, np.tile(snaps, (1, 8 // nodes)))
+        assert orbit.closure_gap == np.max(np.abs(u_end - snaps[0]))

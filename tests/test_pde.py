@@ -558,17 +558,17 @@ def test_cell_period_map_tiny_cells_match_dense_solves(nx):
     np.testing.assert_allclose(pmap.matrix(), k, rtol=1e-13, atol=1e-13 * np.abs(k).max())
 
 
-def _row_by_row_period_map(transport, c, e):
+def _row_by_row_period_map(solve, c, e, dt):
     """Reference logistic period: each step's Lambert-W solve written out from row r of c and e."""
     def period(u0):
-        snaps = np.empty((c.nt, c.nx))
+        snaps = np.empty(c.shape)
         u = u0
-        for j in range(c.nt):
+        for j in range(c.shape[0]):
             snaps[j] = u
-            r = (j + 1) % c.nt
-            w = transport.solve(r, u)
-            a = c.dt * e.values[r]
-            u = np.real(lambertw(a * w * np.exp(c.dt * c.values[r]))) / a
+            r = (j + 1) % c.shape[0]
+            w = solve(r, u)
+            a = dt * e[r]
+            u = np.real(lambertw(a * w * np.exp(dt * c[r]))) / a
         return snaps, u
     return period
 

@@ -16,7 +16,7 @@ from speedlab.orbits import CYCLE_TOL
 from speedlab import eigen, pde, speeds
 from speedlab.speeds import compute_speed_report
 
-from conftest import field, make_system
+from conftest import field, make_system, t_only_exprs, t_only_media
 
 
 def curve_of(lam):
@@ -499,21 +499,11 @@ def test_near_critical_d1_gets_a_verdict():
 # polynomial give exactly; and the logistic orbit of species 2 obeys
 # <b2> = a22 <u2*> up to its closure gap.  Every speed and margin of the
 # report then has a closed form in the means.
-T_ONLY_MEANS = {"d1": (0.5, 1.5), "d2": (0.3, 1.2), "g1": (-0.3, 0.3), "g2": (-0.3, 0.3),
-                "b1": (1.5, 3.0), "b2": (0.5, 1.5)}
-T_ONLY_AMPLITUDES = {"d1": 0.2, "d2": 0.12, "g1": 0.3, "g2": 0.3, "b1": 1.0, "b2": 0.8}
-t_only_media = st.fixed_dictionaries({
-    name: st.tuples(st.floats(*T_ONLY_MEANS[name]), st.floats(0.0, T_ONLY_AMPLITUDES[name]),
-                    st.floats(0.0, 2.0 * math.pi))
-    for name in T_ONLY_MEANS})
-
-
 @settings(max_examples=15, derandomize=True, deadline=None)
 @given(media=t_only_media, a12=st.floats(0.05, 0.5), a21=st.floats(0.5, 2.0),
        a22=st.floats(0.8, 2.0))
 def test_report_on_t_only_media_is_the_closed_form(media, a12, a21, a22):
-    exprs = {name: f"{mean!r} + {amp!r}*sin(2*pi*t + {phase!r})"
-             for name, (mean, amp, phase) in media.items()}
+    exprs = t_only_exprs(media)
     exprs.update(a11="1", a12=repr(a12), a21=repr(a21), a22=repr(a22))
     sys = SystemSpec.from_expressions(exprs, 1.0, 1.0, 50, 16)
     rep = compute_speed_report(sys)
